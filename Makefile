@@ -69,8 +69,12 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
+# The second line repeats the call-path tests (pooled waiters, local value
+# calls, overload, chaos) in shuffled order: waiter ownership bugs show as
+# one call receiving another's outcome, and only under some interleavings.
 race:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/loadgen/... ./internal/workload/spec/... ./internal/flight/... ./internal/hotspot/...
+	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|Overload|Chaos' ./internal/actor
 
 test:
 	$(GO) test ./...

@@ -9,22 +9,22 @@ import (
 	"actop/internal/flight"
 )
 
-// invocation is one queued actor method call with its completion callback.
-// Exactly one of args/argsVal is meaningful: byte invocations (remote calls,
+// invocation is one queued actor method call with its completer. Exactly
+// one of args/argsVal is meaningful: byte invocations (remote calls,
 // gob-fallback local calls) carry encoded args; value invocations (the
 // zero-copy local fast path) carry an already-isolated value and require the
-// actor to implement ValueReceiver. The callback receives either encoded
-// data or a value result, mirroring the path the turn actually took (a
-// value invocation that races with a migration is forwarded as bytes).
+// actor to implement ValueReceiver. done receives either encoded data or a
+// value result, mirroring the path the turn actually took (a value
+// invocation that races with a migration is forwarded as bytes), once.
 type invocation struct {
 	method  string
 	args    []byte
 	argsVal interface{}
 	isVal   bool
-	respond func(data []byte, val interface{}, err error)
+	done    completer
 	// trc, when non-nil, marks a traced invocation: the worker records the
-	// mailbox wait and execution time into it before respond fires, and the
-	// turn's Context inherits its trace identity.
+	// mailbox wait and execution time into it before done completes, and
+	// the turn's Context inherits its trace identity.
 	trc *turnTiming
 	// at is the enqueue instant, set only when the hot-spot profiler is on:
 	// the drain loop charges the mailbox wait (drain start minus at) to the
@@ -86,6 +86,9 @@ type activation struct {
 	// drain touches it; successive drains are ordered through mu, so no
 	// atomic is needed.
 	profSeq uint64
+	// drainTask is the worker-stage task draining this mailbox, built on
+	// first schedule; schedulers are ordered through mu (scheduled).
+	drainTask func()
 }
 
 // profSample is the profiler's timing sample rate (power of two): one turn
@@ -159,14 +162,17 @@ func (a *activation) enqueue(inv invocation, s *System) {
 }
 
 func (a *activation) schedule(s *System) {
-	if err := s.workStage.Submit(func() { a.drain(s) }); err != nil {
+	if a.drainTask == nil {
+		a.drainTask = func() { a.drain(s) }
+	}
+	if err := s.workStage.Submit(a.drainTask); err != nil {
 		// Worker queue full: fail the queued invocations (backpressure).
 		a.mu.Lock()
 		pending := a.takePending()
 		a.scheduled = false
 		a.mu.Unlock()
 		for _, inv := range pending {
-			inv.respond(nil, nil, fmt.Errorf("%w: worker queue", ErrOverloaded))
+			inv.done.complete(nil, nil, fmt.Errorf("%w: worker queue", ErrOverloaded))
 		}
 	}
 }
@@ -183,6 +189,8 @@ func (a *activation) schedule(s *System) {
 func (a *activation) drain(s *System) {
 	pf := s.prof
 	var turns, execNs, waitNs, bytesIn uint64
+	// One Context serves the batch: serial turns differ only in trace identity.
+	ctx := &Context{sys: s, self: a.ref}
 	for i := 0; i < turnBatch; i++ {
 		a.mu.Lock()
 		if a.queueLen() == 0 || a.forwarded {
@@ -217,7 +225,6 @@ func (a *activation) drain(s *System) {
 			s.forwardInvocation(a.ref, inv)
 			continue
 		}
-		ctx := &Context{sys: s, self: a.ref}
 		var sampled bool
 		if pf != nil {
 			turns++
@@ -230,6 +237,7 @@ func (a *activation) drain(s *System) {
 		if timed {
 			tstart = time.Now()
 		}
+		ctx.trc = nil
 		if inv.trc != nil {
 			inv.trc.workQueue = tstart.Sub(inv.trc.enqueuedAt)
 			ctx.trc = inv.trc.ctx()
@@ -273,7 +281,7 @@ func (a *activation) drain(s *System) {
 			// the next call re-activates a fresh instance).
 			s.isolatePanic(a)
 		}
-		inv.respond(data, val, err)
+		inv.done.complete(data, val, err)
 		if snapJob != nil {
 			// Hand the captured state to the snapshotter pool after the
 			// reply is on its way. A full queue drops the capture (counted);
@@ -448,15 +456,15 @@ func (s *System) forwardInvocation(ref Ref, inv invocation) {
 		if inv.isVal {
 			var err error
 			if args, err = marshalArgs(inv.argsVal); err != nil {
-				inv.respond(nil, nil, err)
+				inv.done.complete(nil, nil, err)
 				return
 			}
 		}
 		data, err, _ := s.dispatchRetry(ref, inv.method, args, nil)
-		inv.respond(data, nil, err)
+		inv.done.complete(data, nil, err)
 	}
 	if !s.trackGo(run) {
-		inv.respond(nil, nil, ErrStopped)
+		inv.done.complete(nil, nil, ErrStopped)
 	}
 }
 

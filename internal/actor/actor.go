@@ -308,7 +308,8 @@ func (c *Config) fill() error {
 }
 
 // Context is passed to Actor.Receive; it exposes the actor's identity and
-// outbound calls (which the monitor observes as communication edges).
+// outbound calls (which the monitor observes as communication edges). It is
+// valid until Receive returns: the runtime reuses it for the next turn.
 type Context struct {
 	sys  *System
 	self Ref

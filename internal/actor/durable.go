@@ -99,7 +99,7 @@ func (s *System) shipSnapshot(ref Ref, epoch, seq uint64, state []byte) {
 		if !s.cfg.DisableFailover && s.PeerStateOf(p) == PeerDead {
 			continue
 		}
-		if err := s.controlCallRaw(p, ctlSnap, payload, s.cfg.CallTimeout); err != nil {
+		if _, err := s.controlRoundTrip(p, ctlSnap, payload, s.cfg.CallTimeout); err != nil {
 			s.durables.ShipErrors.Add(1)
 			continue
 		}
@@ -325,7 +325,7 @@ func (s *System) fetchSnapshot(node transport.NodeID, ref Ref, deadline time.Tim
 	if err != nil {
 		return durable.Record{}, false, err
 	}
-	out, err := s.controlCallRawReply(node, ctlSnapGet, req, s.attemptTimeout(deadline))
+	out, err := s.controlRoundTrip(node, ctlSnapGet, req, s.attemptTimeout(deadline))
 	if err != nil {
 		return durable.Record{}, false, err
 	}
@@ -337,43 +337,6 @@ func (s *System) fetchSnapshot(node transport.NodeID, ref Ref, deadline time.Tim
 		return durable.Record{}, false, err
 	}
 	return rec, true, nil
-}
-
-// controlCallRaw is controlCallT for pre-encoded payloads with no reply
-// decode (snapshot ships).
-func (s *System) controlCallRaw(node transport.NodeID, verb string, payload []byte, timeout time.Duration) error {
-	_, err := s.controlCallRawReply(node, verb, payload, timeout)
-	return err
-}
-
-// controlCallRawReply performs one control round trip with a raw payload
-// and returns the raw reply payload — the snapshot plane's records are
-// their own wire format, not gob.
-func (s *System) controlCallRawReply(node transport.NodeID, verb string, payload []byte, timeout time.Duration) ([]byte, error) {
-	if node == s.Node() {
-		return s.handleControlVerb(verb, payload, s.Node())
-	}
-	id := s.nextID.Add(1)
-	ch := make(chan *transport.Envelope, 1)
-	s.pendPut(id, ch)
-	defer s.pendDel(id)
-	env := &transport.Envelope{Kind: transport.KindControl, ID: id, Method: verb, Payload: payload}
-	if err := s.tr.Send(node, env); err != nil {
-		return nil, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.Err != "" {
-			return nil, fmt.Errorf("actor: control %s @%s: %w", verb, node, rehydrateWireErr(r.Err))
-		}
-		return r.Payload, nil
-	case <-timer.C:
-		return nil, fmt.Errorf("%w: control %s @%s", ErrTimeout, verb, node)
-	case <-s.done:
-		return nil, ErrStopped
-	}
 }
 
 // handleSnapPut installs an inbound replica snapshot, subject to the

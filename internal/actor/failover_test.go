@@ -210,7 +210,7 @@ func TestRetryDoesNotDoubleExecute(t *testing.T) {
 	}
 }
 
-// TestDuplicateDeliveryDedup drives handleCall directly with a duplicated
+// TestDuplicateDeliveryDedup drives a call delivery directly with a duplicated
 // envelope — the wire-level shape of a retry — and checks the turn runs
 // once.
 func TestDuplicateDeliveryDedup(t *testing.T) {
@@ -231,9 +231,9 @@ func TestDuplicateDeliveryDedup(t *testing.T) {
 		Kind: transport.KindCall, ID: 424242, From: sys[0].Node(),
 		ActorType: ref.Type, ActorKey: ref.Key, Method: "Hit",
 	}
-	sys[1].handleCall(env, 0)
+	sys[1].newServerCall(env).handle(0)
 	dup := *env
-	sys[1].handleCall(&dup, 0)
+	sys[1].newServerCall(&dup).handle(0)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && execs.Load() == 0 {

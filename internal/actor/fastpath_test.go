@@ -23,6 +23,11 @@ func (a opaqueArgs) CopyValue() interface{} { return a } // Inc is immutable; N 
 // to marshal/unmarshal even for a local callee.
 type plainArgs struct{ N int }
 
+// valArgs rides the value path like opaqueArgs, without a closure per call.
+type valArgs struct{ N int }
+
+func (a valArgs) CopyValue() interface{} { return a }
+
 // valReply crosses back by value through CopyValue + Assign.
 type valReply struct{ N int }
 
@@ -54,17 +59,25 @@ func (v *valActor) ReceiveValue(ctx *Context, method string, args interface{}) (
 	case "AddPlain":
 		v.total += args.(plainArgs).N
 		return valReply{N: v.total}, nil
+	case "AddVal":
+		v.total += args.(valArgs).N
+		return valReply{N: v.total}, nil
 	}
 	return nil, fmt.Errorf("no method %q", method)
 }
 
 func newValNode(t testing.TB) *System {
 	t.Helper()
+	return newValNodeTimeout(t, 3*time.Second)
+}
+
+func newValNodeTimeout(t testing.TB, callTimeout time.Duration) *System {
+	t.Helper()
 	net := transport.NewNetwork(0)
 	tr := net.Join("solo")
 	sys, err := NewSystem(Config{
 		Transport: tr, Peers: []transport.NodeID{"solo"},
-		CallTimeout: 3 * time.Second, Seed: 7,
+		CallTimeout: callTimeout, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func (s *System) initShards(cacheSize int) {
 		sh.cacheCap = per
 	}
 	for i := range s.pend {
-		s.pend[i].m = make(map[uint64]chan *transport.Envelope)
+		s.pend[i].m = make(map[uint64]*callWaiter)
 	}
 	for i := range s.dedupShards {
 		s.dedupShards[i].m = make(map[dedupKey]*dedupEntry)
@@ -314,39 +314,6 @@ func (s *System) activationsLen() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// --- pending reply table (striped by call id) ---
-
-type pendShard struct {
-	mu sync.Mutex
-	m  map[uint64]chan *transport.Envelope
-}
-
-func (s *System) pendShardOf(id uint64) *pendShard {
-	return &s.pend[id&(pendShardCount-1)]
-}
-
-func (s *System) pendPut(id uint64, ch chan *transport.Envelope) {
-	p := s.pendShardOf(id)
-	p.mu.Lock()
-	p.m[id] = ch
-	p.mu.Unlock()
-}
-
-func (s *System) pendDel(id uint64) {
-	p := s.pendShardOf(id)
-	p.mu.Lock()
-	delete(p.m, id)
-	p.mu.Unlock()
-}
-
-func (s *System) pendGet(id uint64) chan *transport.Envelope {
-	p := s.pendShardOf(id)
-	p.mu.Lock()
-	ch := p.m[id]
-	p.mu.Unlock()
-	return ch
 }
 
 // --- per-shard metrics exposition ---

@@ -2,6 +2,7 @@ package actor
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -164,22 +165,32 @@ func TestDedupWindowBounded(t *testing.T) {
 }
 
 // The pending-reply stripes must route an id to the same stripe for put,
-// get, and delete.
+// deliver and delete; a registration takes exactly one outcome, and a
+// waiter that gave up takes none.
 func TestPendingStripes(t *testing.T) {
 	s := newShardTestSystem(t, 0, nil)
-	chans := make(map[uint64]chan *transport.Envelope)
-	for i := uint64(0); i < 200; i++ {
-		ch := make(chan *transport.Envelope, 1)
-		chans[i*2654435761] = ch
-		s.pendPut(i*2654435761, ch)
+	waiters := make(map[uint64]*callWaiter)
+	for i := uint64(1); i <= 200; i++ {
+		waiters[i*2654435761] = s.waiter(i * 2654435761)
 	}
-	for id, want := range chans {
-		if got := s.pendGet(id); got != want {
-			t.Fatalf("pendGet(%d) returned wrong channel", id)
+	for id, w := range waiters {
+		if id%2 == 0 {
+			if _, err := s.await(w, 0); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("await(%d) = %v, want ErrTimeout", id, err)
+			}
+			s.pendDeliver(id, outcome{reply: &transport.Envelope{ID: id}})
+			if len(w.ch) != 0 {
+				t.Fatalf("waiter %d took an outcome after it unregistered", id)
+			}
+			continue
 		}
-		s.pendDel(id)
-		if got := s.pendGet(id); got != nil {
-			t.Fatalf("pendGet(%d) alive after delete", id)
+		s.pendDeliver(id, outcome{reply: &transport.Envelope{ID: id}})
+		s.pendDeliver(id, outcome{reply: &transport.Envelope{ID: id + 1}}) // duplicate: no entry left
+		if out := <-w.ch; out.reply.ID != id {
+			t.Fatalf("waiter %d received the reply to %d", id, out.reply.ID)
+		}
+		if len(w.ch) != 0 {
+			t.Fatalf("waiter %d took a second outcome", id)
 		}
 	}
 }

@@ -84,7 +84,7 @@ type System struct {
 	// ctlStage serves inbound control verbs (directory, snapshots, pings)
 	// on workers of its own. Control verbs are all local and bounded —
 	// shard-lock reads and writes, never a remote call — while receive
-	// workers park in synchronous cross-node lookups (handleCall's routed
+	// workers park in synchronous cross-node lookups (a call delivery's routed
 	// re-confirm). Sharing one stage livelocks under a retry storm: every
 	// receive worker on each survivor parks waiting for a dir.lookup the
 	// other survivor's parked workers can't serve, each wait times out,
@@ -171,9 +171,9 @@ type System struct {
 	// when disabled — one pointer check per drain batch), the always-on
 	// flight recorder, and the SLO watcher's rolling latency window (nil
 	// unless SLOTarget is set).
-	prof    *hotspot.Profiler
-	flight  *flight.Recorder
-	sloWin  *metrics.ConcurrentHistogram
+	prof   *hotspot.Profiler
+	flight *flight.Recorder
+	sloWin *metrics.ConcurrentHistogram
 
 	// Counters (atomic; exported via Stats).
 	callsLocal, callsRemote, migrationsIn, migrationsOut, redirects atomic.Uint64
@@ -483,9 +483,7 @@ func marshalArgs(args interface{}) ([]byte, error) {
 // arguments travel by CopyValue, the invocation performs no serialization
 // at all — one deep copy in, one deep copy out, isolation preserved (§2).
 // handled=false falls back to the encoded path (remote callee, missing
-// interfaces, or a placement race — all handled there). A traced call marks
-// sp as a "local" span and measures its mailbox wait and execution through
-// the turn timing.
+// interfaces, or a placement race — all handled there).
 func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, reply interface{}) (bool, error) {
 	var argsCopy interface{}
 	if args != nil {
@@ -503,48 +501,44 @@ func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, rep
 		return false, nil
 	}
 	s.callsLocal.Add(1)
-	var trc *turnTiming
+	out, err := s.runLocal(act, invocation{method: method, argsVal: argsCopy, isVal: true}, sp, s.cfg.CallTimeout)
+	switch {
+	case err != nil:
+		return true, err
+	case reply == nil:
+		return true, nil
+	case out.val != nil:
+		return true, codec.Assign(reply, out.val)
+	case out.data != nil:
+		return true, codec.Unmarshal(out.data, reply)
+	}
+	return true, nil
+}
+
+// runLocal queues inv on a local activation and waits up to d for its
+// turn's outcome, whose error (if any) it also returns. A traced call marks sp as a "local" span and takes its
+// mailbox wait and execution time from the turn timing.
+func (s *System) runLocal(act *activation, inv invocation, sp *trace.Span, d time.Duration) (outcome, error) {
 	if sp != nil {
 		sp.Kind = "local"
-		trc = &turnTiming{traceID: sp.TraceID, spanID: sp.SpanID, enqueuedAt: time.Now()}
+		inv.trc = &turnTiming{traceID: sp.TraceID, spanID: sp.SpanID, enqueuedAt: time.Now()}
 	}
-	type outcome struct {
-		data []byte
-		val  interface{}
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	act.enqueue(invocation{
-		method:  method,
-		argsVal: argsCopy,
-		isVal:   true,
-		trc:     trc,
-		respond: func(data []byte, val interface{}, err error) {
-			ch <- outcome{data: data, val: val, err: err}
-		},
-	}, s)
-	select {
-	case out := <-ch:
-		if sp != nil {
-			sp.WorkQueue, sp.Exec, sp.Epoch = trc.workQueue, trc.exec, trc.epoch
-			sp.Snapshot = trc.snapshot
+	w := s.waiter(0)
+	inv.done = w
+	act.enqueue(inv, s)
+	out, err := s.await(w, d)
+	if err != nil {
+		// trc stays unread: the turn may still be running and writing it.
+		// The span keeps zero components and records the failure.
+		if errors.Is(err, ErrTimeout) {
+			err = fmt.Errorf("%w: %s.%s", err, act.ref, inv.method)
 		}
-		switch {
-		case out.err != nil:
-			return true, out.err
-		case reply == nil:
-			return true, nil
-		case out.val != nil:
-			return true, codec.Assign(reply, out.val)
-		case out.data != nil:
-			return true, codec.Unmarshal(out.data, reply)
-		}
-		return true, nil
-	case <-time.After(s.cfg.CallTimeout):
-		// Do not read trc here: the turn may still be running and writing
-		// it. The span keeps zero components and records the timeout.
-		return true, fmt.Errorf("%w: %s.%s", ErrTimeout, to, method)
+		return out, err
 	}
+	if trc := inv.trc; trc != nil {
+		sp.WorkQueue, sp.Exec, sp.Epoch, sp.Snapshot = trc.workQueue, trc.exec, trc.epoch, trc.snapshot
+	}
+	return out, out.err
 }
 
 // dispatchRetry is the fault-tolerant invocation driver: it runs dispatch
@@ -558,10 +552,6 @@ func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, rep
 func (s *System) dispatchRetry(to Ref, method string, args []byte, sp *trace.Span) (res []byte, err error, recyclable bool) {
 	deadline := time.Now().Add(s.cfg.CallTimeout)
 	callID := s.nextID.Add(1)
-	if s.cfg.DisableFailover {
-		res, err = s.dispatch(to, method, args, 0, callID, deadline, "", sp)
-		return res, err, !errors.Is(err, ErrTimeout)
-	}
 	backoff := s.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
@@ -569,7 +559,7 @@ func (s *System) dispatchRetry(to Ref, method string, args []byte, sp *trace.Spa
 		if err == nil {
 			return res, nil, attempt == 0
 		}
-		if !retryable(err) {
+		if s.cfg.DisableFailover || !retryable(err) {
 			return res, err, attempt == 0 && !errors.Is(err, ErrTimeout)
 		}
 		if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, errPeerDown) {
@@ -599,9 +589,11 @@ func (s *System) dispatchRetry(to Ref, method string, args []byte, sp *trace.Spa
 			sp.Retries++
 		}
 		if wait > 0 {
+			backoffTimer := time.NewTimer(wait)
 			select {
-			case <-time.After(wait):
+			case <-backoffTimer.C:
 			case <-s.done:
+				backoffTimer.Stop()
 				return nil, ErrStopped, false
 			}
 		}
@@ -750,39 +742,8 @@ func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.T
 		}
 		return nil, redirectError{node: node}
 	}
-	var trc *turnTiming
-	if sp != nil {
-		sp.Kind = "local"
-		trc = &turnTiming{traceID: sp.TraceID, spanID: sp.SpanID, enqueuedAt: time.Now()}
-	}
-	type outcome struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	act.enqueue(invocation{
-		method: method,
-		args:   args,
-		trc:    trc,
-		respond: func(data []byte, _ interface{}, err error) {
-			ch <- outcome{data: data, err: err}
-		},
-	}, s)
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		if sp != nil {
-			sp.WorkQueue, sp.Exec, sp.Epoch = trc.workQueue, trc.exec, trc.epoch
-			sp.Snapshot = trc.snapshot
-		}
-		return out.data, out.err
-	case <-timer.C:
-		// trc stays unread: the turn may still be running and writing it.
-		return nil, fmt.Errorf("%w: %s.%s", ErrTimeout, to, method)
-	case <-s.done:
-		return nil, ErrStopped
-	}
+	out, err := s.runLocal(act, invocation{method: method, args: args}, sp, time.Until(deadline))
+	return out.data, err
 }
 
 // remoteCall performs one RPC attempt through the send stage and waits up
@@ -791,100 +752,72 @@ func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.T
 // it); concurrent attempts cannot overlap because attempts are sequential
 // within dispatchRetry.
 func (s *System) remoteCall(node transport.NodeID, to Ref, method string, args []byte, id uint64, timeout time.Duration, sp *trace.Span) ([]byte, error) {
-	ch := make(chan *transport.Envelope, 1)
-	s.pendPut(id, ch)
-	defer s.pendDel(id)
-
+	w := s.waiter(id)
 	env := &transport.Envelope{
 		Kind: transport.KindCall, ID: id,
 		ActorType: to.Type, ActorKey: to.Key,
 		Method: method, Payload: args,
 	}
-	type sendOutcome struct {
-		err  error
-		wait time.Duration
-	}
-	sendCh := make(chan sendOutcome, 1)
-	var serr error
+	// The send task reports through the pending table and, traced, its queue
+	// wait (measured anyway for the stage estimators) through a cell of its
+	// own — never through the waiter or the span, which the caller may have
+	// recycled or timed out on by then.
+	var sendWait *atomic.Int64
 	if sp != nil {
-		// Traced attempt: the hop context rides the envelope, and the send
-		// stage reports the envelope's queue wait (measured anyway for the
-		// stage estimators) back through the channel — never by writing the
-		// span from the send task, which the caller may have timed out on.
 		env.Trace = &transport.Trace{TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID}
-		serr = s.sendStage.SubmitTimed(func(wait time.Duration) {
-			sendCh <- sendOutcome{err: s.tr.Send(node, env), wait: wait}
-		})
-	} else {
-		serr = s.sendStage.Submit(func() { sendCh <- sendOutcome{err: s.tr.Send(node, env)} })
+		sendWait = new(atomic.Int64)
 	}
-	if serr != nil {
-		return nil, fmt.Errorf("%w: send queue", ErrOverloaded)
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case out := <-sendCh:
-			if out.err != nil {
-				// Surface transport failures (ErrUnreachable on a dead
-				// peer's address) instead of waiting out the timeout.
-				return nil, out.err
-			}
-			if sp != nil {
-				sp.SendQueue = out.wait
-			}
-			sendCh = nil // delivered; keep waiting for the reply
-		case reply := <-ch:
-			if sp != nil {
-				if sendCh != nil {
-					// The reply can only exist because the send completed,
-					// so the send outcome is already buffered; drain it for
-					// the queue-wait component.
-					select {
-					case out := <-sendCh:
-						if out.err == nil {
-							sp.SendQueue = out.wait
-						}
-					default:
-					}
-				}
-				if rt := reply.Trace; rt != nil {
-					sp.RecvQueue = time.Duration(rt.RecvQueueNs)
-					sp.WorkQueue = time.Duration(rt.WorkQueueNs)
-					sp.Exec = time.Duration(rt.ExecNs)
-					sp.Epoch = rt.Epoch
-					if rt.Flags&transport.TraceFlagDedupHit != 0 {
-						sp.DedupHit = true
-					}
-					if rt.Flags&transport.TraceFlagSnapshot != 0 {
-						sp.Snapshot = true
-					}
-				}
-			}
-			if reply.Err != "" {
-				if strings.HasPrefix(reply.Err, redirectPrefix) {
-					return nil, redirectError{node: transport.NodeID(strings.TrimPrefix(reply.Err, redirectPrefix))}
-				}
-				return nil, rehydrateWireErr(reply.Err)
-			}
-			return reply.Payload, nil
-		case <-timer.C:
-			return nil, fmt.Errorf("%w: %s.%s @%s", ErrTimeout, to, method, node)
-		case <-s.done:
-			return nil, ErrStopped
+	send := func(wait time.Duration) {
+		if sendWait != nil {
+			sendWait.Store(int64(wait))
+		}
+		if err := s.tr.Send(node, env); err != nil {
+			// Surface transport failures (ErrUnreachable on a dead peer's
+			// address) instead of waiting out the timeout.
+			s.pendDeliver(id, outcome{err: err})
 		}
 	}
+	if s.sendStage.SubmitTimed(send) != nil {
+		s.pendDeliver(id, outcome{err: fmt.Errorf("%w: send queue", ErrOverloaded)})
+	}
+	out, err := s.await(w, timeout)
+	reply := out.reply
+	switch {
+	case errors.Is(err, ErrTimeout):
+		return nil, fmt.Errorf("%w: %s.%s @%s", err, to, method, node)
+	case err != nil:
+		return nil, err
+	case reply == nil:
+		return nil, out.err // the send (or its submit) failed
+	}
+	if sp != nil {
+		sp.SendQueue = time.Duration(sendWait.Load())
+		if rt := reply.Trace; rt != nil {
+			sp.RecvQueue = time.Duration(rt.RecvQueueNs)
+			sp.WorkQueue = time.Duration(rt.WorkQueueNs)
+			sp.Exec = time.Duration(rt.ExecNs)
+			sp.Epoch = rt.Epoch
+			sp.DedupHit = rt.Flags&transport.TraceFlagDedupHit != 0
+			sp.Snapshot = rt.Flags&transport.TraceFlagSnapshot != 0
+		}
+	}
+	if reply.Err != "" {
+		if strings.HasPrefix(reply.Err, redirectPrefix) {
+			return nil, redirectError{node: transport.NodeID(strings.TrimPrefix(reply.Err, redirectPrefix))}
+		}
+		return nil, rehydrateWireErr(reply.Err)
+	}
+	return reply.Payload, nil
 }
 
 // onEnvelope is the transport inbound handler. Calls and control verbs
-// funnel through the receive stage (deserialization/demux — Fig. 2); traced
-// calls go through the timed submit so their receive-stage queue wait lands
-// in the server span. Replies are demuxed inline on the transport goroutine:
-// demux is non-blocking (a striped map lookup plus a non-blocking channel
-// send), and routing replies through the stage deadlocked the receive plane
-// whenever every receive worker was parked in a synchronous control call
-// (handleCall's remote directory lookup) — the replies those workers were
+// funnel through the receive stage (deserialization/demux — Fig. 2), whose
+// measured queue wait lands in a traced call's server span. Replies are
+// demuxed inline on the transport goroutine: demux is non-blocking (a
+// striped map lookup plus a send into the waiter's empty cap-1 channel), and
+// routing replies through the stage deadlocked the receive plane whenever
+// every receive worker was parked in a synchronous control call (a call
+// delivery's remote directory lookup) — the replies those workers were
 // waiting for sat in the queue behind them until the call timeout fired.
 func (s *System) onEnvelope(env *transport.Envelope) {
 	e := env
@@ -901,40 +834,25 @@ func (s *System) onEnvelope(env *transport.Envelope) {
 		s.markPeerAlive(e.From)
 	}
 	if e.Kind == transport.KindReply {
-		if ch := s.pendGet(e.ID); ch != nil {
-			select {
-			case ch <- e:
-			default:
-			}
-		}
+		s.pendDeliver(e.ID, outcome{reply: e})
 		return
 	}
 	var err error
-	switch {
-	case e.Kind == transport.KindControl:
+	switch e.Kind {
+	case transport.KindControl:
 		// Control verbs ride their own stage (see ctlStage): they are the
 		// dependencies the parked receive workers wait on, so they must
 		// stay serviceable when the receive pool is saturated.
 		err = s.ctlStage.Submit(func() { s.handleControl(e) })
-	case e.Trace != nil && e.Kind == transport.KindCall:
-		err = s.recvStage.SubmitTimed(func(wait time.Duration) { s.handleCall(e, wait) })
-	default:
-		err = s.recvStage.Submit(func() { s.handle(e) })
+	case transport.KindCall:
+		c := s.newServerCall(e)
+		if err = s.recvStage.SubmitTimed(c.recvTask); err != nil {
+			c.release()
+		}
 	}
 	if err != nil {
 		// Receive queue full: reject calls outright (§6.1 saturation).
-		if e.Kind == transport.KindCall || e.Kind == transport.KindControl {
-			s.replyErr(e, ErrOverloaded.Error())
-		}
-	}
-}
-
-func (s *System) handle(env *transport.Envelope) {
-	switch env.Kind {
-	case transport.KindCall:
-		s.handleCall(env, 0)
-	case transport.KindControl:
-		s.handleControl(env)
+		s.reply(e, nil, ErrOverloaded)
 	}
 }
 
@@ -1052,108 +970,88 @@ func (s *System) dedupCancel(key dedupKey) {
 	d.mu.Unlock()
 }
 
-// handleCall delivers a remote invocation to the local activation, or
-// redirects the caller if the actor lives elsewhere now. Deliveries are
-// funneled through the dedup window so a retried call never executes a
-// second turn on this node. recvWait is the envelope's receive-stage queue
-// wait (zero when untraced); a traced call builds the server span here and
-// ships its measured components back on the reply as pure durations, so
-// cross-node clock skew never enters the decomposition.
-func (s *System) handleCall(env *transport.Envelope, recvWait time.Duration) {
-	to := Ref{Type: env.ActorType, Key: env.ActorKey}
-	from := env.From
-	id := env.ID
-	key := dedupKey{from: from, id: id}
-	tr := env.Trace
-	var sp *trace.Span
-	var trc *turnTiming
-	if tr != nil {
-		sp = &trace.Span{
-			TraceID: tr.TraceID, SpanID: tr.SpanID, ParentID: tr.ParentID,
-			Node: string(s.Node()), Kind: "server", Actor: to.String(), Method: env.Method,
-			Start: time.Now(), RecvQueue: recvWait,
-		}
-		trc = &turnTiming{traceID: tr.TraceID, spanID: tr.SpanID}
-	}
-	if !s.cfg.DisableFailover {
-		proceed, prior := s.dedupBegin(key)
-		if !proceed {
-			s.failures.DedupHits.Add(1)
-			if prior != nil {
-				var rt *transport.Trace
-				if tr != nil {
-					sp.DedupHit = true
-					rt = &transport.Trace{
-						TraceID: tr.TraceID, SpanID: tr.SpanID, ParentID: tr.ParentID,
-						RecvQueueNs: uint64(recvWait), Flags: transport.TraceFlagDedupHit,
-					}
-				}
-				s.sendReply(from, id, prior.payload, prior.errStr, rt, sp)
-			}
-			// Still executing: drop the duplicate; the running turn's
-			// reply answers the caller's current attempt (same id).
-			return
-		}
-	}
-	var srvStart time.Time
-	if s.srvDur != nil {
-		srvStart = time.Now()
-	}
+// serverCall is the callee-side half of one remote call delivery: the
+// request, the completer its turn reports to, and the reply envelope.
+// Pooled and handed along a single chain — receive stage, the turn (or the
+// routing verdict), send stage, back to the pool — with both stage tasks
+// built once per object, so a delivery allocates no closure and no reply
+// envelope.
+type serverCall struct {
+	s        *System
+	env      *transport.Envelope
+	key      dedupKey  // the caller's (node, call id): reply address and dedup slot
+	srvStart time.Time // zero unless the served-call summary is on
 	// preTurn is true until the delivery is handed to an activation: errors
 	// before that point (activation failures — e.g. a durable recovery pull
 	// against a dying replica) describe the infrastructure at one instant,
 	// not the call, and must not be recorded against the call id.
-	preTurn := true
-	respond := func(data []byte, err error) {
-		errStr := ""
-		if err != nil {
-			errStr = err.Error()
+	preTurn bool
+	// Traced deliveries only: the server span, completed and published by
+	// the send worker, and the turn's timing record.
+	sp    *trace.Span
+	trc   *turnTiming
+	reply transport.Envelope
+
+	recvTask, sendTask func(wait time.Duration)
+}
+
+var serverCalls sync.Pool
+
+func (s *System) newServerCall(env *transport.Envelope) *serverCall {
+	c, ok := serverCalls.Get().(*serverCall)
+	if !ok {
+		c = new(serverCall)
+		c.recvTask, c.sendTask = c.handle, c.flush
+	}
+	c.s, c.env, c.key, c.preTurn = s, env, dedupKey{from: env.From, id: env.ID}, true
+	return c
+}
+
+// handle delivers a remote invocation to the local activation, or
+// redirects the caller if the actor lives elsewhere now. Deliveries are
+// funneled through the dedup window so a retried call never executes a
+// second turn on this node. recvWait is the envelope's receive-stage queue
+// wait; a traced call builds the server span here and ships its measured
+// components back on the reply as pure durations, so cross-node clock skew
+// never enters the decomposition.
+func (c *serverCall) handle(recvWait time.Duration) {
+	s, env := c.s, c.env
+	to := Ref{Type: env.ActorType, Key: env.ActorKey}
+	if tr := env.Trace; tr != nil {
+		c.sp = &trace.Span{
+			TraceID: tr.TraceID, SpanID: tr.SpanID, ParentID: tr.ParentID,
+			Node: string(s.Node()), Kind: "server", Actor: to.String(), Method: env.Method,
+			Start: time.Now(), RecvQueue: recvWait,
 		}
-		if s.srvDur != nil {
-			s.srvDur.Observe(time.Since(srvStart), env.Method)
-		}
-		if !s.cfg.DisableFailover {
-			// Redirects and routing dead ends are answers about where the
-			// actor was, not what its turn returned. Recording them would
-			// replay a stale route to every retry of this call id for the
-			// rest of the window — a retried chase could orbit the cluster
-			// on echoes long after the actor settled. Release the slot so
-			// the retry re-resolves; only executed turns (and real
-			// application errors) are deduplicated. Pre-turn failures are
-			// the same kind of transient: no turn ran, so a retry must
-			// re-attempt the activation, not replay this snapshot of it.
-			if strings.HasPrefix(errStr, redirectPrefix) ||
-				strings.HasPrefix(errStr, "actor: cannot route") ||
-				(preTurn && errStr != "") {
-				s.dedupCancel(key)
-			} else {
-				s.dedupResolve(key, data, errStr)
+	}
+	if !s.cfg.DisableFailover {
+		proceed, prior := s.dedupBegin(c.key)
+		if !proceed {
+			s.failures.DedupHits.Add(1)
+			if prior == nil {
+				// Still executing: drop the duplicate; the running turn's
+				// reply answers the caller's current attempt (same id).
+				c.release()
+				return
 			}
-		}
-		var rt *transport.Trace
-		if tr != nil {
-			// The turn (if any) has completed: trc's timings are ordered
-			// before this callback by the respond channel send.
-			sp.WorkQueue, sp.Exec, sp.Epoch = trc.workQueue, trc.exec, trc.epoch
-			sp.Snapshot = trc.snapshot
-			sp.Err = errStr
-			rt = &transport.Trace{
-				TraceID: tr.TraceID, SpanID: tr.SpanID, ParentID: tr.ParentID,
-				RecvQueueNs: uint64(recvWait), WorkQueueNs: uint64(trc.workQueue),
-				ExecNs: uint64(trc.exec), Epoch: trc.epoch,
+			var flags uint64
+			if c.sp != nil {
+				c.sp.DedupHit = true
+				flags = transport.TraceFlagDedupHit
 			}
-			if trc.snapshot {
-				rt.Flags |= transport.TraceFlagSnapshot
-			}
+			c.send(prior.payload, prior.errStr, flags)
+			return
 		}
-		s.sendReply(from, id, data, errStr, rt, sp)
+	}
+	if s.srvDur != nil {
+		c.srvStart = time.Now()
 	}
 	var act *activation
 	for attempt := 0; ; attempt++ {
 		var err error
 		act, err = s.activationFor(to, true, true)
 		if err != nil {
-			respond(nil, err)
+			c.complete(nil, nil, err)
 			return
 		}
 		if act != nil {
@@ -1167,55 +1065,106 @@ func (s *System) handleCall(env *transport.Envelope, recvWait time.Duration) {
 			// Re-resolve instead of bouncing the caller with a dead end.
 			continue
 		}
+		err = errors.New(redirectPrefix + string(node))
 		if lerr != nil || node == s.Node() {
-			respond(nil, fmt.Errorf("actor: cannot route %s", to))
-			return
+			err = fmt.Errorf("actor: cannot route %s", to)
 		}
-		respond(nil, errors.New(redirectPrefix+string(node)))
+		c.complete(nil, nil, err)
 		return
 	}
-	if trc != nil {
-		trc.enqueuedAt = time.Now()
+	if sp := c.sp; sp != nil {
+		c.trc = &turnTiming{traceID: sp.TraceID, spanID: sp.SpanID, enqueuedAt: time.Now()}
 	}
-	preTurn = false
-	act.enqueue(invocation{
-		method: env.Method,
-		args:   env.Payload,
-		trc:    trc,
-		respond: func(data []byte, _ interface{}, err error) {
-			respond(data, err)
-		},
-	}, s)
+	c.preTurn = false
+	act.enqueue(invocation{method: env.Method, args: env.Payload, trc: c.trc, done: c}, s)
 }
 
-// sendReply ships one reply envelope through the send stage (inline as a
-// best effort under overload). For traced calls the reply carries the
-// callee's hop-timing record (rt) and the send task completes the server
-// span with its own queue wait before publishing it — the span is owned by
-// exactly one goroutine at every point, so no turn-side write can race a
-// ring reader.
-func (s *System) sendReply(to transport.NodeID, id uint64, payload []byte, errStr string, rt *transport.Trace, sp *trace.Span) {
-	reply := &transport.Envelope{Kind: transport.KindReply, ID: id, Payload: payload, Err: errStr, Trace: rt}
-	if sp == nil {
-		if serr := s.sendStage.Submit(func() { _ = s.tr.Send(to, reply) }); serr != nil {
-			_ = s.tr.Send(to, reply)
-		}
-		return
+// complete records the delivery's outcome in the dedup window and replies.
+// It runs exactly once per delivery that passed dedupBegin, on whichever
+// goroutine resolved it.
+func (c *serverCall) complete(data []byte, _ interface{}, err error) {
+	s := c.s
+	errStr := ""
+	if err != nil {
+		errStr = err.Error()
 	}
-	finish := func(wait time.Duration) {
-		_ = s.tr.Send(to, reply)
+	if s.srvDur != nil {
+		s.srvDur.Observe(time.Since(c.srvStart), c.env.Method)
+	}
+	if !s.cfg.DisableFailover {
+		// Redirects and routing dead ends are answers about where the
+		// actor was, not what its turn returned. Recording them would
+		// replay a stale route to every retry of this call id for the
+		// rest of the window — a retried chase could orbit the cluster
+		// on echoes long after the actor settled. Release the slot so
+		// the retry re-resolves; only executed turns (and real
+		// application errors) are deduplicated. Pre-turn failures are
+		// the same kind of transient: no turn ran, so a retry must
+		// re-attempt the activation, not replay this snapshot of it.
+		if strings.HasPrefix(errStr, redirectPrefix) ||
+			strings.HasPrefix(errStr, "actor: cannot route") ||
+			(c.preTurn && errStr != "") {
+			s.dedupCancel(c.key)
+		} else {
+			s.dedupResolve(c.key, data, errStr)
+		}
+	}
+	c.send(data, errStr, 0)
+}
+
+// send ships the reply envelope through the send stage (inline as a best
+// effort under overload). A traced reply carries the callee's hop-timing
+// record; the turn (if any) has completed, so trc's timings are ordered
+// before this call by the turn's own completion.
+func (c *serverCall) send(payload []byte, errStr string, flags uint64) {
+	c.reply = transport.Envelope{Kind: transport.KindReply, ID: c.key.id, Payload: payload, Err: errStr}
+	if sp := c.sp; sp != nil {
+		rt := &transport.Trace{
+			TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID,
+			RecvQueueNs: uint64(sp.RecvQueue), Flags: flags,
+		}
+		sp.Err = errStr
+		if trc := c.trc; trc != nil {
+			sp.WorkQueue, sp.Exec, sp.Epoch, sp.Snapshot = trc.workQueue, trc.exec, trc.epoch, trc.snapshot
+			rt.WorkQueueNs, rt.ExecNs, rt.Epoch = uint64(trc.workQueue), uint64(trc.exec), trc.epoch
+			if trc.snapshot {
+				rt.Flags |= transport.TraceFlagSnapshot
+			}
+		}
+		c.reply.Trace = rt
+	}
+	if c.s.sendStage.SubmitTimed(c.sendTask) != nil {
+		c.flush(0)
+	}
+}
+
+// flush runs on a send worker: it sends the reply, completes and publishes
+// the server span with the reply's own queue wait — the span is owned by
+// exactly one goroutine at every point, so no turn-side write can race a
+// ring reader — and returns c to the pool.
+func (c *serverCall) flush(wait time.Duration) {
+	_ = c.s.tr.Send(c.key.from, &c.reply)
+	if sp := c.sp; sp != nil {
 		sp.ReplySend = wait
 		sp.Total = time.Since(sp.Start)
-		s.spans.Put(sp)
+		c.s.spans.Put(sp)
 	}
-	if serr := s.sendStage.SubmitTimed(finish); serr != nil {
-		finish(0)
-	}
+	c.release()
 }
 
-func (s *System) replyErr(env *transport.Envelope, msg string) {
-	reply := &transport.Envelope{Kind: transport.KindReply, ID: env.ID, Err: msg}
-	_ = s.tr.Send(env.From, reply)
+func (c *serverCall) release() {
+	*c = serverCall{recvTask: c.recvTask, sendTask: c.sendTask}
+	serverCalls.Put(c)
+}
+
+// reply answers env inline, outside the send stage: control verbs, and
+// whatever the receive plane refused.
+func (s *System) reply(env *transport.Envelope, payload []byte, err error) {
+	r := &transport.Envelope{Kind: transport.KindReply, ID: env.ID, Payload: payload}
+	if err != nil {
+		r.Err = err.Error()
+	}
+	_ = s.tr.Send(env.From, r)
 }
 
 // --- placement directory (hash-homed entries + per-node location cache) ---
@@ -1374,49 +1323,44 @@ func (s *System) controlCallT(node transport.NodeID, verb string, args, reply in
 	if err != nil {
 		return err
 	}
-	if node == s.Node() {
-		out, cerr := s.handleControlVerb(verb, data, s.Node())
-		if cerr != nil {
-			return cerr
-		}
-		if reply != nil {
-			return codec.Unmarshal(out, reply)
-		}
-		return nil
-	}
-	id := s.nextID.Add(1)
-	ch := make(chan *transport.Envelope, 1)
-	s.pendPut(id, ch)
-	defer s.pendDel(id)
-	env := &transport.Envelope{Kind: transport.KindControl, ID: id, Method: verb, Payload: data}
-	if err := s.tr.Send(node, env); err != nil {
+	out, err := s.controlRoundTrip(node, verb, data, timeout)
+	if err != nil || reply == nil {
 		return err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.Err != "" {
-			return rehydrateWireErr(r.Err)
-		}
-		if reply != nil {
-			return codec.Unmarshal(r.Payload, reply)
-		}
-		return nil
-	case <-timer.C:
-		return fmt.Errorf("%w: control %s @%s", ErrTimeout, verb, node)
-	case <-s.done:
-		return ErrStopped
+	return codec.Unmarshal(out, reply)
+}
+
+// controlRoundTrip performs one control round trip with an encoded payload
+// and returns the raw reply payload. A verb addressed to this node runs
+// inline.
+func (s *System) controlRoundTrip(node transport.NodeID, verb string, payload []byte, timeout time.Duration) ([]byte, error) {
+	if node == s.Node() {
+		return s.handleControlVerb(verb, payload, s.Node())
 	}
+	id := s.nextID.Add(1)
+	w := s.waiter(id)
+	env := &transport.Envelope{Kind: transport.KindControl, ID: id, Method: verb, Payload: payload}
+	if err := s.tr.Send(node, env); err != nil {
+		s.pendDeliver(id, outcome{err: err})
+	}
+	out, err := s.await(w, timeout)
+	r := out.reply
+	switch {
+	case errors.Is(err, ErrTimeout):
+		return nil, fmt.Errorf("%w: control %s @%s", err, verb, node)
+	case err != nil:
+		return nil, err
+	case r == nil:
+		return nil, out.err // the send failed
+	case r.Err != "":
+		return nil, rehydrateWireErr(r.Err)
+	}
+	return r.Payload, nil
 }
 
 func (s *System) handleControl(env *transport.Envelope) {
 	out, err := s.handleControlVerb(env.Method, env.Payload, env.From)
-	reply := &transport.Envelope{Kind: transport.KindReply, ID: env.ID, Payload: out}
-	if err != nil {
-		reply.Err = err.Error()
-	}
-	_ = s.tr.Send(env.From, reply)
+	s.reply(env, out, err)
 }
 
 func (s *System) handleControlVerb(verb string, payload []byte, from transport.NodeID) ([]byte, error) {

@@ -246,8 +246,8 @@ func TestTraceLocalSpan(t *testing.T) {
 	}
 }
 
-// TestTraceDedupAnnotation drives a duplicated traced envelope through
-// handleCall and checks the duplicate's server span and reply record carry
+// TestTraceDedupAnnotation drives a duplicated traced envelope through a
+// call delivery and checks the duplicate's server span and reply record carry
 // the dedup-hit flag.
 func TestTraceDedupAnnotation(t *testing.T) {
 	sys := newTracedCluster(t, 2, 1.0, nil)
@@ -265,7 +265,7 @@ func TestTraceDedupAnnotation(t *testing.T) {
 		ActorType: ref.Type, ActorKey: ref.Key, Method: "Add", Payload: args,
 		Trace: &transport.Trace{TraceID: 99, SpanID: 1001},
 	}
-	sys[1].handleCall(env, 0)
+	sys[1].newServerCall(env).handle(0)
 	// Wait for the original turn to resolve so the duplicate finds a prior
 	// reply in the dedup window (an in-flight duplicate is simply dropped).
 	waitSpans(t, sys[1].TraceRing(), "original server span", func(sp trace.Span) bool {
@@ -273,7 +273,7 @@ func TestTraceDedupAnnotation(t *testing.T) {
 	})
 	dup := *env
 	dup.Trace = &transport.Trace{TraceID: 99, SpanID: 1001}
-	sys[1].handleCall(&dup, 0)
+	sys[1].newServerCall(&dup).handle(0)
 
 	waitSpans(t, sys[1].TraceRing(), "dedup-hit server span", func(sp trace.Span) bool {
 		return sp.Kind == "server" && sp.TraceID == 99 && sp.DedupHit

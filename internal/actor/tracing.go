@@ -21,8 +21,8 @@ type traceCtx struct {
 // turnTiming rides a traced invocation through the activation mailbox:
 // trace identity in (so calls the turn makes join the trace), measured
 // mailbox wait and execution time out. The worker running the turn writes
-// the timings before the invocation's respond callback fires, and respond's
-// channel send orders those writes before any reader.
+// the timings before the invocation's completer fires — a waiter's channel
+// send, or the same goroutine replying — which orders them before any reader.
 type turnTiming struct {
 	traceID uint64
 	spanID  uint64
