@@ -5,7 +5,7 @@
 GO ?= go
 LINT_BIN := bin/actop-lint
 
-.PHONY: check build test vet staticcheck lint lint-cold lint-cache-check race fuzz-smoke bench-msgplane cluster-smoke bench-scale workloads-smoke bench-workloads chaos-smoke bench-recovery obs-smoke
+.PHONY: check build test vet staticcheck lint lint-cold lint-cache-check race fuzz-smoke bench-msgplane cluster-smoke bench-scale workloads-smoke bench-workloads chaos-smoke bench-recovery obs-smoke converge-smoke
 
 # check is the pre-PR gate: vet (+ staticcheck when installed), the
 # domain lint suite, build everything, race-test the concurrency-heavy
@@ -13,9 +13,11 @@ LINT_BIN := bin/actop-lint
 # hotspot), then the full tier-1 suite, a short fuzz pass over the wire
 # decoders, a reduced-scale run of the multi-process cluster benchmark,
 # the DES-vs-real workload conformance smoke, the crash-chaos battery
-# over the durability plane, and the observability smoke (skewed-workload
-# hot-actor ranking + SLO-breach flight dump).
-check: vet staticcheck lint build race test fuzz-smoke cluster-smoke workloads-smoke chaos-smoke obs-smoke
+# over the durability plane, the observability smoke (skewed-workload
+# hot-actor ranking + SLO-breach flight dump), and the placement
+# convergence smoke (Algorithm 1 co-locates call trees, pure callees
+# included, and follows a member swap).
+check: vet staticcheck lint build race test fuzz-smoke cluster-smoke workloads-smoke chaos-smoke obs-smoke converge-smoke
 
 # lint builds the whole-program analyzer suite once into bin/ and runs
 # it over the module with the per-package result cache under
@@ -69,9 +71,12 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# The second line repeats the call-path tests (pooled waiters, local value
-# calls, overload, chaos) in shuffled order: waiter ownership bugs show as
-# one call receiving another's outcome, and only under some interleavings.
+# The first line covers the transport's sender-writes tests (concurrent
+# senders to one peer, redial on a write failure, Close against a blocked
+# Send, goroutines per connection). The second repeats the call-path tests
+# (pooled waiters, local value calls, overload, chaos) in shuffled order:
+# waiter ownership bugs show as one call receiving another's outcome, and
+# only under some interleavings.
 race:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/loadgen/... ./internal/workload/spec/... ./internal/flight/... ./internal/hotspot/...
 	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|Overload|Chaos' ./internal/actor
@@ -95,6 +100,15 @@ fuzz-smoke:
 # window must produce exactly one (debounced) flight-recorder dump.
 obs-smoke:
 	$(GO) test -run 'TestObsSmoke|TestSLOBreachDump' -count=1 ./internal/actor
+
+# converge-smoke drives Algorithm 1 by hand on a seeded 3-node in-memory
+# cluster of call trees (one caller, eight pure callees each): the remote
+# leg fraction must fall below 0.15 within six rounds, which takes
+# monitoring both ends of every edge, and a leaf swapped between trees must
+# follow its new caller within three rounds, which takes the monitor's
+# decay. Fresh run every time.
+converge-smoke:
+	$(GO) test -run 'TestConverge' -count=1 ./internal/actor
 
 # chaos-smoke is the crash-chaos battery: hard-kill a node mid-traffic
 # under the matchmaking and IoT workload specs and check the exactly-once

@@ -460,7 +460,7 @@ func (s *System) forwardInvocation(ref Ref, inv invocation) {
 				return
 			}
 		}
-		data, err, _ := s.dispatchRetry(ref, inv.method, args, nil)
+		data, err, _ := s.dispatchRetry(nil, ref, inv.method, args, nil)
 		inv.done.complete(data, nil, err)
 	}
 	if !s.trackGo(run) {

@@ -455,6 +455,12 @@ func (s *System) localVertices() []graph.Vertex {
 // and apply the agreed moves. It returns the number of actors migrated
 // (both directions counted by the respective movers).
 func (s *System) ExchangeRound(opts partition.Options, window time.Duration) (int, error) {
+	// One call is one statistics epoch: the monitor forgets at the caller's
+	// period whether or not this round gets to trade, so edges that churn
+	// removed fade instead of pinning their endpoints.
+	s.monMu.Lock()
+	s.monitor.Decay()
+	s.monMu.Unlock()
 	if s.exchangeCooling(window) {
 		return 0, nil
 	}

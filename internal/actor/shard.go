@@ -282,6 +282,21 @@ func (s *System) cachePut(ref Ref, node transport.NodeID) {
 	sh.mu.Unlock()
 }
 
+// cacheHint records where ref was just seen running — the node a call from
+// it arrived from — unless the cache says so already (the common case, read
+// lock only). A hint is gossip like any cached route: a live activation or a
+// forwarding tombstone outranks it, and a stale one costs a redirect.
+func (s *System) cacheHint(ref Ref, node transport.NodeID) {
+	sh := s.shardOf(ref)
+	sh.mu.RLock()
+	e, ok := sh.locCache[ref]
+	known := ok && e.node == node
+	sh.mu.RUnlock()
+	if !known {
+		s.cachePut(ref, node)
+	}
+}
+
 // cacheDel drops a possibly poisoned location-cache entry so the next
 // attempt re-resolves through the directory. The entry's clock slot is left
 // stale; the sweep reclaims it.

@@ -119,6 +119,10 @@ type System struct {
 
 	monMu   sync.Mutex
 	monitor *partition.Monitor
+	// edgeSampler picks the actor→actor messages the monitor records;
+	// edgeWarm is set once it has recorded one (see sampleEdge).
+	edgeSampler *trace.Sampler
+	edgeWarm    atomic.Bool
 
 	// Failure detector state (failure.go): per-peer membership records and
 	// change watchers.
@@ -188,16 +192,17 @@ func NewSystem(cfg Config) (*System, error) {
 	peers := append([]transport.NodeID(nil), cfg.Peers...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	s := &System{
-		cfg:     cfg,
-		tr:      cfg.Transport,
-		peers:   peers,
-		types:   make(map[string]Factory),
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(hashNode(cfg.Transport.Node())))),
-		monitor: partition.NewMonitor(cfg.MonitorCapacity),
-		members: make(map[transport.NodeID]*memberEntry, len(peers)),
-		done:    make(chan struct{}),
-		sampler: trace.NewSampler(cfg.TraceSampleRate),
-		spans:   trace.NewRing(cfg.TraceRingSize),
+		cfg:         cfg,
+		tr:          cfg.Transport,
+		peers:       peers,
+		types:       make(map[string]Factory),
+		rng:         rand.New(rand.NewSource(cfg.Seed ^ int64(hashNode(cfg.Transport.Node())))),
+		monitor:     partition.NewMonitor(cfg.MonitorCapacity),
+		edgeSampler: trace.NewSampler(1.0 / edgeSample),
+		members:     make(map[transport.NodeID]*memberEntry, len(peers)),
+		done:        make(chan struct{}),
+		sampler:     trace.NewSampler(cfg.TraceSampleRate),
+		spans:       trace.NewRing(cfg.TraceRingSize),
 		// The replica store always exists: this node stores snapshots on
 		// behalf of peers even if none of its own types are durable.
 		snapStore: durable.NewStore(),
@@ -393,7 +398,7 @@ func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, 
 	if !known {
 		return fmt.Errorf("%w: %s", ErrUnknownType, to.Type)
 	}
-	if from != nil {
+	if from != nil && s.sampleEdge() {
 		s.observeEdge(*from, to)
 	}
 	tctx := parent
@@ -439,7 +444,7 @@ func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, 
 	if s.prof != nil && from != nil {
 		s.prof.ObserveOut(refHash(*from), 1, uint64(len(data)))
 	}
-	result, err, recyclable := s.dispatchRetry(to, method, data, sp)
+	result, err, recyclable := s.dispatchRetry(from, to, method, data, sp)
 	if data != nil && recyclable {
 		// The callee's turn is over (reply received, or the call was
 		// rejected before delivery), so no reference to the args buffer
@@ -485,13 +490,9 @@ func marshalArgs(args interface{}) ([]byte, error) {
 // handled=false falls back to the encoded path (remote callee, missing
 // interfaces, or a placement race — all handled there).
 func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, reply interface{}) (bool, error) {
-	var argsCopy interface{}
-	if args != nil {
-		c, ok := args.(codec.Copier)
-		if !ok {
-			return false, nil
-		}
-		argsCopy = c.CopyValue()
+	copier, ok := args.(codec.Copier)
+	if args != nil && !ok {
+		return false, nil
 	}
 	act, err := s.activationFor(to, true, false)
 	if err != nil || act == nil {
@@ -499,6 +500,11 @@ func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, rep
 	}
 	if _, ok := act.actor.(ValueReceiver); !ok {
 		return false, nil
+	}
+	// Copied only now: a remote callee's arguments are serialized instead.
+	var argsCopy interface{}
+	if copier != nil {
+		argsCopy = copier.CopyValue()
 	}
 	s.callsLocal.Add(1)
 	out, err := s.runLocal(act, invocation{method: method, argsVal: argsCopy, isVal: true}, sp, s.cfg.CallTimeout)
@@ -548,14 +554,15 @@ func (s *System) runLocal(act *activation, inv invocation, sp *trace.Span, d tim
 // exponential backoff plus jitter. The call id is fixed across attempts so
 // the callee can recognize re-sends. recyclable reports whether the args
 // buffer is provably unreferenced (single attempt, no timeout) and may
-// return to the pool.
-func (s *System) dispatchRetry(to Ref, method string, args []byte, sp *trace.Span) (res []byte, err error, recyclable bool) {
+// return to the pool. from is the calling actor, nil outside a turn: a
+// remote attempt carries it so the callee's node monitors the edge too.
+func (s *System) dispatchRetry(from *Ref, to Ref, method string, args []byte, sp *trace.Span) (res []byte, err error, recyclable bool) {
 	deadline := time.Now().Add(s.cfg.CallTimeout)
 	callID := s.nextID.Add(1)
 	backoff := s.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		res, err = s.dispatch(to, method, args, 0, callID, deadline, "", sp)
+		res, err = s.dispatch(from, to, method, args, 0, callID, deadline, "", sp)
 		if err == nil {
 			return res, nil, attempt == 0
 		}
@@ -668,7 +675,7 @@ func (s *System) attemptTimeout(deadline time.Time) time.Duration {
 // not-yet-expired forwarding tombstone from an old outbound migration
 // outranks the cache, so without the hint every hop re-resolved to the
 // same stale target and the chase never advanced).
-func (s *System) dispatch(to Ref, method string, args []byte, depth int, callID uint64, deadline time.Time, hint transport.NodeID, sp *trace.Span) ([]byte, error) {
+func (s *System) dispatch(from *Ref, to Ref, method string, args []byte, depth int, callID uint64, deadline time.Time, hint transport.NodeID, sp *trace.Span) ([]byte, error) {
 	if depth > 3 {
 		return nil, fmt.Errorf("%w for %s", errRedirectChase, to)
 	}
@@ -693,7 +700,7 @@ func (s *System) dispatch(to Ref, method string, args []byte, depth int, callID 
 			return nil, fmt.Errorf("%w: %s is dead", errPeerDown, node)
 		}
 		s.callsRemote.Add(1)
-		res, err = s.remoteCall(node, to, method, args, callID, s.attemptTimeout(deadline), sp)
+		res, err = s.remoteCall(node, from, to, method, args, callID, s.attemptTimeout(deadline), sp)
 	}
 	if err != nil {
 		// A redirect continues the chase whether the hop was remote or local:
@@ -707,7 +714,7 @@ func (s *System) dispatch(to Ref, method string, args []byte, depth int, callID 
 				sp.Redirects++
 			}
 			s.cachePut(to, redir.node)
-			return s.dispatch(to, method, args, depth+1, callID, deadline, redir.node, sp)
+			return s.dispatch(from, to, method, args, depth+1, callID, deadline, redir.node, sp)
 		}
 		if errors.Is(err, ErrTimeout) && node != s.Node() && s.PeerStateOf(node) != PeerAlive {
 			return nil, fmt.Errorf("%w: %w", errPeerDown, err)
@@ -751,12 +758,15 @@ func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.T
 // retries of one logical call share it (the callee's dedup window keys on
 // it); concurrent attempts cannot overlap because attempts are sequential
 // within dispatchRetry.
-func (s *System) remoteCall(node transport.NodeID, to Ref, method string, args []byte, id uint64, timeout time.Duration, sp *trace.Span) ([]byte, error) {
+func (s *System) remoteCall(node transport.NodeID, from *Ref, to Ref, method string, args []byte, id uint64, timeout time.Duration, sp *trace.Span) ([]byte, error) {
 	w := s.waiter(id)
 	env := &transport.Envelope{
 		Kind: transport.KindCall, ID: id,
 		ActorType: to.Type, ActorKey: to.Key,
 		Method: method, Payload: args,
+	}
+	if from != nil {
+		env.CallerType, env.CallerKey = from.Type, from.Key
 	}
 	// The send task reports through the pending table and, traced, its queue
 	// wait (measured anyway for the stage estimators) through a cell of its
@@ -851,8 +861,12 @@ func (s *System) onEnvelope(env *transport.Envelope) {
 		}
 	}
 	if err != nil {
-		// Receive queue full: reject calls outright (§6.1 saturation).
-		s.reply(e, nil, ErrOverloaded)
+		// Receive queue full: reject calls outright (§6.1 saturation). This
+		// is the connection's read loop, which must never write to a socket
+		// (transport.Handler), so the rejection rides the send stage; if that
+		// is full too it is dropped and the caller's attempt timeout stands
+		// in for it.
+		_ = s.sendStage.Submit(func() { s.reply(e, nil, ErrOverloaded) })
 	}
 }
 
@@ -1071,6 +1085,15 @@ func (c *serverCall) handle(recvWait time.Duration) {
 		}
 		c.complete(nil, nil, err)
 		return
+	}
+	if env.CallerType != "" && s.sampleEdge() {
+		// The callee's half of edge monitoring (§4.3): this node is the
+		// host, so the edge is incident to one of its actors, and the
+		// caller's turn is running on env.From right now. Past the dedup
+		// window, so a retried delivery is not observed twice.
+		caller := Ref{Type: env.CallerType, Key: env.CallerKey}
+		s.cacheHint(caller, env.From)
+		s.observeEdge(caller, to)
 	}
 	if sp := c.sp; sp != nil {
 		c.trc = &turnTiming{traceID: sp.TraceID, spanID: sp.SpanID, enqueuedAt: time.Now()}
@@ -1442,23 +1465,47 @@ func (s *System) handleControlVerb(verb string, payload []byte, from transport.N
 	}
 }
 
-// observeEdge feeds the communication monitor (§4.3) and remembers the
-// vertex↔ref mapping for migration decisions. The two vertex entries may
-// land in different shards; they are taken one at a time (never nested), so
-// no lock ordering is induced.
+// observeEdge feeds the communication monitor (§4.3) with one sampled
+// message and remembers the vertex↔ref mapping for migration decisions. It
+// runs on both ends of an actor→actor call — in call on the caller's node,
+// in serverCall.handle on the callee's — so a vertex's home node sees every
+// edge incident to it.
 func (s *System) observeEdge(from, to Ref) {
 	fh, th := refHash(from), refHash(to)
-	sh := s.shardOfVertex(fh)
-	sh.mu.Lock()
-	sh.vertexRefs[fh] = from
-	sh.mu.Unlock()
-	sh = s.shardOfVertex(th)
-	sh.mu.Lock()
-	sh.vertexRefs[th] = to
-	sh.mu.Unlock()
+	s.noteVertex(fh, from)
+	s.noteVertex(th, to)
 	s.monMu.Lock()
-	s.monitor.ObserveMessage(graph.Vertex(fh), graph.Vertex(th), 1)
+	s.monitor.ObserveMessage(graph.Vertex(fh), graph.Vertex(th), edgeSample)
 	s.monMu.Unlock()
+}
+
+// sampleEdge decides whether the next actor→actor message is observed: one
+// in edgeSample is, and counts for edgeSample. The partitioner ranks edges
+// by relative weight, and a heavy edge is sampled often enough within a
+// statistics epoch for that. The draw is pseudo-random per message — every
+// eighth would alias with a caller walking eight callees in a loop — and
+// until the node has observed one message, every message is.
+func (s *System) sampleEdge() bool {
+	return s.edgeSampler.Sample() || (!s.edgeWarm.Load() && s.edgeWarm.CompareAndSwap(false, true))
+}
+
+// edgeSample is the edge monitor's sampling period.
+const edgeSample = 8
+
+// noteVertex records v's ref. Nearly every call finds it recorded already,
+// so the check takes the shard's read lock and only a new or changed entry
+// pays for the write lock.
+func (s *System) noteVertex(v uint64, ref Ref) {
+	sh := s.shardOfVertex(v)
+	sh.mu.RLock()
+	cur, ok := sh.vertexRefs[v]
+	sh.mu.RUnlock()
+	if ok && cur == ref {
+		return
+	}
+	sh.mu.Lock()
+	sh.vertexRefs[v] = ref
+	sh.mu.Unlock()
 }
 
 // refOf maps a monitored vertex back to its ref.

@@ -52,28 +52,38 @@ type Stats struct {
 	Busy metrics.Summary
 }
 
+// queued is one queue slot. A slot with neither task nor timed set is a
+// wake-up: it carries no work and only makes an idle worker look at the
+// surplus counter (see SetWorkers).
 type queued struct {
 	task  Task
 	timed TimedTask // set instead of task for SubmitTimed work
-	at    time.Time
+	at    int64     // Stage.now at submission
 }
 
 // Stage is one SEDA stage. Create with NewStage; resize with SetWorkers.
 type Stage struct {
 	name string
+	// epoch anchors the stage's clock: instants are nanoseconds since it,
+	// read off the monotonic clock alone — half the price of time.Now, three
+	// times per task.
+	epoch time.Time
 
-	// closeMu serializes Submit against Close: submitters hold it shared
+	// closeMu serializes queue sends against Close: senders hold it shared
 	// (cheap, uncontended on the hot path), Close holds it exclusively
 	// while closing the queue channel, so a task can never be sent on a
-	// closed channel. The closed flag is atomic so Submit's fast path
-	// takes no exclusive lock at all.
+	// closed channel. The closed flag is atomic so the send path takes no
+	// exclusive lock at all.
 	closeMu sync.RWMutex
 	closed  atomic.Bool
 	queue   chan queued
 
 	mu      sync.Mutex
-	stops   []chan struct{} // one per live worker
 	workers int
+	// surplus counts workers a shrink asked to exit that have not gone
+	// yet; live goroutines = workers + surplus. A worker claims one exit
+	// after finishing a task, so the receive loop needs no stop channel.
+	surplus atomic.Int32
 
 	// window counters (atomics so task paths don't take the lock)
 	arrivals  atomic.Uint64
@@ -101,12 +111,12 @@ func NewStage(name string, queueCap, workers int) *Stage {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Stage{name: name, queue: make(chan queued, queueCap)}
-	s.mu.Lock()
+	s := &Stage{name: name, epoch: time.Now(), queue: make(chan queued, queueCap), workers: workers}
 	s.grow(workers)
-	s.mu.Unlock()
 	return s
 }
+
+func (s *Stage) now() int64 { return int64(time.Since(s.epoch)) }
 
 // Name reports the stage name.
 func (s *Stage) Name() string { return s.name }
@@ -115,57 +125,48 @@ func (s *Stage) Name() string { return s.name }
 // ErrQueueFull so callers can shed load. The hot path takes only a shared
 // lock, so concurrent submitters do not serialize behind each other.
 func (s *Stage) Submit(t Task) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	select {
-	case s.queue <- queued{task: t, at: time.Now()}:
-		s.arrivals.Add(1)
-		return nil
-	default:
-		return ErrQueueFull
-	}
+	return s.submit(queued{task: t, at: s.now()})
 }
 
 // SubmitTimed enqueues a task that receives its measured queue wait. Same
 // semantics as Submit otherwise.
 func (s *Stage) SubmitTimed(t TimedTask) error {
+	return s.submit(queued{timed: t, at: s.now()})
+}
+
+func (s *Stage) submit(q queued) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	select {
-	case s.queue <- queued{timed: t, at: time.Now()}:
-		s.arrivals.Add(1)
+	case s.queue <- q:
+		if q.task != nil || q.timed != nil {
+			s.arrivals.Add(1)
+		}
 		return nil
 	default:
 		return ErrQueueFull
 	}
 }
 
-// worker drains the queue until its stop channel fires.
-func (s *Stage) worker(stop chan struct{}) {
+// worker drains the queue until it closes or a shrink retires the worker.
+// The loop is a plain receive, not a select with a stop channel: selectgo
+// costs several channel receives, and this runs once per task.
+func (s *Stage) worker() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		case q, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			start := time.Now()
-			wait := start.Sub(q.at)
+	for q := range s.queue {
+		if q.task != nil || q.timed != nil {
+			start := s.now()
+			wait := time.Duration(start - q.at)
 			s.waitNanos.Add(int64(wait))
 			if q.task != nil {
 				q.task()
 			} else {
 				q.timed(wait)
 			}
-			busy := time.Since(start)
+			busy := time.Duration(s.now() - start)
 			s.busyNanos.Add(int64(busy))
 			s.processed.Add(1)
 			s.obsMu.Lock()
@@ -173,22 +174,37 @@ func (s *Stage) worker(stop chan struct{}) {
 			s.busyHist.Record(busy)
 			s.obsMu.Unlock()
 		}
+		if s.surplus.Load() > 0 && s.claimSurplus() {
+			return
+		}
 	}
 }
 
-// grow starts n additional workers. Caller holds mu.
+// claimSurplus takes one pending exit off the surplus counter, if any.
+func (s *Stage) claimSurplus() bool {
+	for {
+		n := s.surplus.Load()
+		if n <= 0 {
+			return false
+		}
+		if s.surplus.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// grow starts n additional workers.
 func (s *Stage) grow(n int) {
+	s.wg.Add(n)
 	for i := 0; i < n; i++ {
-		stop := make(chan struct{})
-		s.stops = append(s.stops, stop)
-		s.wg.Add(1)
-		go s.worker(stop)
+		go s.worker()
 	}
-	s.workers += n
 }
 
-// SetWorkers resizes the pool to n (minimum 1). Shrinking signals surplus
-// workers to exit after their current task.
+// SetWorkers resizes the pool to n (minimum 1). Shrinking asks surplus
+// workers to exit after their current task; a wake-up per exit reaches the
+// idle ones (a full queue needs none: every worker is about to finish a
+// task and look).
 func (s *Stage) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -200,15 +216,20 @@ func (s *Stage) SetWorkers(n int) {
 	}
 	switch {
 	case n > s.workers:
-		s.grow(n - s.workers)
-	case n < s.workers:
-		for i := 0; i < s.workers-n; i++ {
-			stop := s.stops[len(s.stops)-1]
-			s.stops = s.stops[:len(s.stops)-1]
-			close(stop)
+		// Exits requested but not yet taken are cancelled before any
+		// goroutine is started.
+		need := n - s.workers
+		for need > 0 && s.claimSurplus() {
+			need--
 		}
-		s.workers = n
+		s.grow(need)
+	case n < s.workers:
+		s.surplus.Add(int32(s.workers - n))
+		for i := 0; i < s.workers-n; i++ {
+			_ = s.submit(queued{}) // full or closed: nobody is idle
+		}
 	}
+	s.workers = n
 }
 
 // Workers reports the current worker count.
@@ -256,9 +277,6 @@ func (s *Stage) Close() {
 	// guarantees no Submit is mid-send on the channel.
 	close(s.queue)
 	s.closeMu.Unlock()
-	s.mu.Lock()
-	s.stops = nil // workers exit via the closed queue; stop channels are moot
-	s.mu.Unlock()
 	s.wg.Wait()
 }
 

@@ -12,14 +12,22 @@ import (
 // descriptors — and the payload rides along as opaque bytes. One envelope
 // per codec frame.
 //
-// Wire compatibility: the trace context is an optional trailing section
-// after the payload. Decoders that predate it ignore trailing bytes, and
-// this decoder treats an absent (or unrecognized) section as a nil trace —
-// so traced and untraced nodes interoperate in both directions, and
-// unsampled traffic is byte-identical to the pre-trace format.
+// Wire compatibility: the trace context and the caller's identity are
+// optional tagged sections after the payload, in that order. A decoder that
+// predates a section stops at the first tag it does not know and ignores the
+// rest, and this decoder treats an absent, unrecognized or damaged section
+// as unset — so nodes with and without either section interoperate in both
+// directions (a pre-caller reader still finds the trace, which comes
+// first), and a frame that carries neither is byte-identical to the
+// original format.
 
-// traceSectionV1 tags the version-1 trace section.
-const traceSectionV1 = 0x01
+const (
+	// traceSectionV1 tags the version-1 trace section.
+	traceSectionV1 = 0x01
+	// callerSectionV1 tags the caller section: the ref of the actor whose
+	// turn made the call, as two strings.
+	callerSectionV1 = 0x02
+)
 
 // appendEnvelope appends env's wire encoding to dst.
 func appendEnvelope(dst []byte, env *Envelope) []byte {
@@ -42,13 +50,19 @@ func appendEnvelope(dst []byte, env *Envelope) []byte {
 		dst = codec.AppendUvarint(dst, tr.Flags)
 		dst = codec.AppendUvarint(dst, tr.Epoch)
 	}
+	if env.CallerType != "" {
+		dst = append(dst, callerSectionV1)
+		dst = codec.AppendString(dst, env.CallerType)
+		dst = codec.AppendString(dst, env.CallerKey)
+	}
 	return dst
 }
 
-// decodeTrace parses a version-1 trace section body. A malformed section
-// yields nil: the section is advisory, so damage degrades to "untraced"
-// rather than dropping the connection.
-func decodeTrace(data []byte) *Trace {
+// decodeTrace parses a version-1 trace section body and returns what
+// follows it. A malformed section yields nil and no rest: the section is
+// advisory, so damage degrades to "untraced" rather than dropping the
+// connection.
+func decodeTrace(data []byte) (*Trace, []byte) {
 	tr := &Trace{}
 	var err error
 	for _, dst := range []*uint64{
@@ -57,10 +71,10 @@ func decodeTrace(data []byte) *Trace {
 		&tr.Flags, &tr.Epoch,
 	} {
 		if *dst, data, err = codec.ReadUvarint(data); err != nil {
-			return nil
+			return nil, nil
 		}
 	}
-	return tr
+	return tr, data
 }
 
 // internerCap bounds a connection's string-intern table; on overflow the
@@ -68,7 +82,7 @@ func decodeTrace(data []byte) *Trace {
 const internerCap = 4096
 
 // interner deduplicates the envelope's addressing strings (From, actor
-// type/key, method) per connection: the same peer sends the same handful of
+// type/key, method, caller) per connection: the same peer sends the same handful of
 // strings on every message, so after warm-up decode allocates nothing for
 // them. The map lookup on a []byte key compiles to zero allocations.
 type interner struct{ m map[string]string }
@@ -141,10 +155,18 @@ func decodeEnvelope(frame []byte, in *interner) (*Envelope, error) {
 	if len(p) > 0 {
 		env.Payload = append(make([]byte, 0, len(p)), p...)
 	}
-	// Optional trailing trace section; an unknown tag byte means a future
-	// format (or a pre-trace peer's padding) and is ignored.
+	// Optional trailing sections; an unknown tag byte means a future format
+	// and ends the parse.
 	if len(data) > 0 && data[0] == traceSectionV1 {
-		env.Trace = decodeTrace(data[1:])
+		env.Trace, data = decodeTrace(data[1:])
+	}
+	if len(data) > 0 && data[0] == callerSectionV1 {
+		// Advisory like the trace: a damaged section reads as "no caller".
+		if typ, rest, err := readInterned(data[1:], in); err == nil && typ != "" {
+			if key, _, err := readInterned(rest, in); err == nil {
+				env.CallerType, env.CallerKey = typ, key
+			}
+		}
 	}
 	return env, nil
 }

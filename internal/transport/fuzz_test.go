@@ -21,6 +21,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		{Kind: KindReply, ID: 3, Payload: []byte("ok"),
 			Trace: &Trace{TraceID: 0xDEADBEEF, SpanID: 5, RecvQueueNs: 1200, WorkQueueNs: 900, ExecNs: 55000,
 				Flags: TraceFlagDedupHit, Epoch: 9}},
+		// Actor→actor calls carry the caller section, alone and after a trace.
+		{Kind: KindCall, ID: 11, From: "n2", ActorType: "presence", ActorKey: "17", Method: "get",
+			CallerType: "game", CallerKey: "2"},
+		{Kind: KindCall, ID: 12, From: "n2", ActorType: "presence", ActorKey: "17", Method: "get",
+			Trace:      &Trace{TraceID: 0xDEADBEEF, SpanID: 6, ParentID: 5},
+			CallerType: "game", CallerKey: ""},
 	}
 	for _, env := range seedEnvs {
 		frame := appendEnvelope(nil, env)
@@ -51,6 +57,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			env.Method != env2.Method || env.Err != env2.Err ||
 			!bytes.Equal(env.Payload, env2.Payload) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", env, env2)
+		}
+		if env.CallerType != env2.CallerType || env.CallerKey != env2.CallerKey {
+			t.Fatalf("caller round trip mismatch: %q/%q vs %q/%q", env.CallerType, env.CallerKey, env2.CallerType, env2.CallerKey)
 		}
 		if (env.Trace == nil) != (env2.Trace == nil) ||
 			(env.Trace != nil && *env.Trace != *env2.Trace) {

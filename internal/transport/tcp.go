@@ -4,30 +4,38 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"actop/internal/codec"
 )
 
-// TCP is a Transport over real sockets, built for message throughput:
+// TCP is a Transport over real sockets, built around one rule: senders
+// write, and each connection has exactly one goroutine, its reader.
 //
 //   - Envelopes travel as hand-rolled length-prefixed binary frames (see
 //     frame.go) — no reflection, no per-message gob type descriptors.
-//   - Each peer has one lazily dialed connection drained by a dedicated
-//     writer goroutine over a buffered FrameWriter. Senders enqueue and
-//     return; the writer flushes only when the outbound queue is empty, so
-//     bursts of messages coalesce into single syscalls.
-//   - Inbound frames are decoded on the read loop but dispatched to the
-//     handler on a separate per-connection goroutine, so one slow handler
-//     cannot head-of-line-block frame reading on that connection.
+//   - Each peer has one lazily dialed outbound connection. Send encodes
+//     the frame and writes it on the calling goroutine, under the peer's
+//     write mutex. Concurrent senders share flushes: one that sees another
+//     already queued on the mutex leaves its frame in the buffer, and the
+//     last in line flushes for all of them. A lone sender pays one write
+//     syscall per message.
+//   - Inbound frames are decoded and handed to the handler on the
+//     connection's read loop itself, so the handler must not block (see
+//     Handler).
 //
 // Node ids are the listen addresses, so peers need no separate name
 // service.
 //
 // Error semantics: a dial failure surfaces as ErrUnreachable from Send (the
 // address is known, the peer is not reachable right now). A write failure
-// on an established connection redials once and retransmits; only write
-// failures trigger redials. Handlers must not call Close (Close waits for
-// in-flight handler invocations to return).
+// on an established connection redials once and retransmits the frame
+// being sent; frames of earlier senders still waiting in the buffer for
+// that flush are lost with the connection (the runtime's call retries cover
+// them, as they cover bytes lost in a dead socket's kernel buffer). If the
+// redial fails too, Send returns ErrUnreachable and forgets the peer.
+// Handlers must not call Close (Close waits for in-flight handler
+// invocations to return).
 type TCP struct {
 	id       NodeID
 	listener net.Listener
@@ -38,36 +46,23 @@ type TCP struct {
 	inbound map[net.Conn]struct{}
 	closed  bool
 
-	closeCh chan struct{}
-	wg      sync.WaitGroup
+	wg sync.WaitGroup // the accept loop and every read loop
 }
 
-// outboundQueueCap bounds each peer's send queue; a full queue blocks Send
-// (backpressure) until the writer drains or the transport closes.
-const outboundQueueCap = 1024
-
-// inboundQueueCap bounds each connection's decoded-envelope queue between
-// the read loop and the dispatch goroutine.
-const inboundQueueCap = 1024
-
-// envPool recycles the sender-side envelope copies between Send and the
-// writer goroutine: Send takes one, the writer returns it after encoding.
-// The pooled struct never carries live references out (it is zeroed before
-// Put), and the caller's payload slice is only read, never retained, once
-// the frame bytes are built.
-var envPool = sync.Pool{New: func() interface{} { return new(Envelope) }}
-
-func recycleEnvelope(e *Envelope) {
-	*e = Envelope{}
-	envPool.Put(e)
-}
-
-// tcpPeer is one outbound connection: a bounded envelope queue drained by
-// a writer goroutine.
+// tcpPeer is one outbound connection.
 type tcpPeer struct {
-	to   NodeID
-	ch   chan *Envelope
-	dead chan struct{} // closed when the writer gives up; senders retry
+	// wmu is the single-writer lock: whoever holds it owns fw and buf and
+	// is the only goroutine writing to the socket. It is held across the
+	// write syscall on purpose — that is what serializes frames — and is
+	// never held by a reader, so a full socket stalls senders to this peer
+	// and nothing else. Close unblocks a stalled holder through mu/conn.
+	wmu sync.Mutex
+	fw  *codec.FrameWriter
+	buf []byte // frame scratch, reused across sends
+	// waiting counts senders queued on wmu. The holder flushes only when
+	// it reads zero: a queued sender is certain to write next and inherits
+	// the flush.
+	waiting atomic.Int32
 
 	mu     sync.Mutex
 	conn   net.Conn // current socket; swapped on redial, slammed by Close
@@ -89,7 +84,7 @@ func (p *tcpPeer) setConn(c net.Conn) bool {
 	return true
 }
 
-// closeConn tears the peer down, unblocking a writer stuck in a syscall.
+// closeConn tears the peer down, unblocking a sender stuck in a syscall.
 func (p *tcpPeer) closeConn() {
 	p.mu.Lock()
 	p.closed = true
@@ -111,7 +106,6 @@ func ListenTCP(addr string) (*TCP, error) {
 		listener: l,
 		peers:    make(map[NodeID]*tcpPeer),
 		inbound:  make(map[net.Conn]struct{}),
-		closeCh:  make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -150,9 +144,10 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one connection and feeds the dispatch
-// goroutine; it never invokes the handler itself, so a slow handler delays
-// only its own connection's queue, not frame reading.
+// readLoop is a connection's only goroutine: it decodes frames and runs
+// the handler on each. Close waits for it to exit, so no handler invocation
+// is in flight once Close returns; frames still buffered when Close begins
+// are dropped.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -161,10 +156,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	q := make(chan *Envelope, inboundQueueCap)
-	t.wg.Add(1) // safe: this goroutine already holds a wg count
-	go t.dispatchLoop(q)
-	defer close(q)
 	fr := codec.NewFrameReader(conn)
 	in := newInterner()
 	for {
@@ -176,28 +167,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if err != nil {
 			return // corrupt stream: drop the connection
 		}
-		select {
-		case q <- env:
-		case <-t.closeCh:
+		t.mu.Lock()
+		h, closed := t.handler, t.closed
+		t.mu.Unlock()
+		if closed {
 			return
 		}
-	}
-}
-
-// dispatchLoop hands decoded envelopes to the handler. Close waits for it
-// to exit, so no handler invocation is in flight once Close returns;
-// envelopes still queued when Close begins are dropped.
-func (t *TCP) dispatchLoop(q chan *Envelope) {
-	defer t.wg.Done()
-	for env := range q {
-		select {
-		case <-t.closeCh:
-			continue // draining after Close: drop, just unblock the reader
-		default:
-		}
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
 		if h != nil {
 			h(env)
 		}
@@ -206,76 +181,97 @@ func (t *TCP) dispatchLoop(q chan *Envelope) {
 
 // --- outbound path ---
 
-// Send enqueues env for the peer listening at `to`, dialing on first use.
-// It returns once the envelope is queued (the writer goroutine owns the
-// socket); a full queue blocks until the writer catches up. A dial failure
-// returns ErrUnreachable. If the peer's writer died of a write failure,
-// Send drops the dead peer and retries once through a fresh dial.
+// Send writes env to the peer listening at `to`, dialing on first use, and
+// returns once the frame is in the socket (or in the write buffer behind a
+// queued sender that will flush it). A socket that does not drain blocks
+// Send — that is the backpressure — until it does or the transport closes.
 func (t *TCP) Send(to NodeID, env *Envelope) error {
-	cp := envPool.Get().(*Envelope)
-	*cp = *env
-	cp.From = t.id
-	for attempt := 0; attempt < 2; attempt++ {
-		p, err := t.peer(to)
-		if err != nil {
-			recycleEnvelope(cp)
-			return err
-		}
-		select {
-		case p.ch <- cp:
-			return nil // the writer owns cp now and recycles it
-		case <-p.dead:
-			// The writer hit a write error and gave up; forget this peer
-			// and redial (write failures are the only redial trigger).
-			t.dropPeer(to, p)
-		case <-t.closeCh:
-			recycleEnvelope(cp)
-			return ErrClosed
-		}
+	p, err := t.peer(to)
+	if err != nil {
+		return err
 	}
-	recycleEnvelope(cp)
-	return fmt.Errorf("transport: send to %s failed after redial", to)
+	cp := *env
+	cp.From = t.id
+	p.waiting.Add(1)
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	flush := p.waiting.Add(-1) == 0
+	p.buf = appendEnvelope(p.buf[:0], &cp)
+	if p.writeFrame(flush) == nil {
+		return nil
+	}
+	// Write failures are the only redial trigger: once, with this frame.
+	if err = t.redial(to, p); err != nil {
+		t.dropPeer(to, p)
+	}
+	return err
 }
 
-// peer returns the outbound peer for `to`, dialing and starting its writer
-// on first use.
-func (t *TCP) peer(to NodeID) (*tcpPeer, error) {
+// redial replaces p's broken socket and retransmits p.buf on the new one.
+// Caller holds p.wmu.
+func (t *TCP) redial(to NodeID, p *tcpPeer) error {
+	conn, err := t.dial(to)
+	if err != nil {
+		return err
+	}
+	if !p.setConn(conn) {
+		return ErrClosed // closed or dropped meanwhile
+	}
+	p.fw = codec.NewFrameWriter(conn)
+	if err := p.writeFrame(true); err != nil {
+		return fmt.Errorf("%w: %s (%v after redial)", ErrUnreachable, to, err)
+	}
+	return nil
+}
+
+// writeFrame writes p.buf as one frame. Caller holds p.wmu.
+func (p *tcpPeer) writeFrame(flush bool) error {
+	err := p.fw.WriteFrame(p.buf)
+	if err == nil && flush {
+		err = p.fw.Flush()
+	}
+	return err
+}
+
+// dial connects to a peer's listen address.
+func (t *TCP) dial(to NodeID) (net.Conn, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if p, ok := t.peers[to]; ok {
-		t.mu.Unlock()
-		return p, nil
-	}
-	t.mu.Unlock()
-
 	conn, err := net.Dial("tcp", string(to))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
 	}
-	p := &tcpPeer{
-		to:   to,
-		ch:   make(chan *Envelope, outboundQueueCap),
-		dead: make(chan struct{}),
-		conn: conn,
-	}
+	return conn, nil
+}
+
+// peer returns the outbound peer for `to`, dialing on first use.
+func (t *TCP) peer(to NodeID) (*tcpPeer, error) {
 	t.mu.Lock()
+	p, ok := t.peers[to] // emptied by Close
+	t.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	conn, err := t.dial(to)
+	if err != nil {
+		return nil, err
+	}
+	p = &tcpPeer{conn: conn, fw: codec.NewFrameWriter(conn)}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		conn.Close()
 		return nil, ErrClosed
 	}
 	if existing, ok := t.peers[to]; ok {
-		t.mu.Unlock()
 		conn.Close() // lost the race; reuse the winner
 		return existing, nil
 	}
 	t.peers[to] = p
-	t.wg.Add(1)
-	t.mu.Unlock()
-	go t.writeLoop(p)
 	return p, nil
 }
 
@@ -288,72 +284,9 @@ func (t *TCP) dropPeer(to NodeID, p *tcpPeer) {
 	p.closeConn()
 }
 
-// writeLoop drains one peer's queue: encode into a pooled buffer, write
-// through the buffered FrameWriter, and flush only when the queue is empty
-// so consecutive messages share a flush (and a syscall).
-func (t *TCP) writeLoop(p *tcpPeer) {
-	defer t.wg.Done()
-	defer p.closeConn()
-	fw := codec.NewFrameWriter(p.conn)
-	buf := codec.GetBuffer()
-	defer codec.PutBuffer(buf)
-	for {
-		select {
-		case <-t.closeCh:
-			fw.Flush() // best effort on shutdown
-			return
-		case env := <-p.ch:
-			buf = appendEnvelope(buf[:0], env)
-			recycleEnvelope(env) // frame bytes built; the copy is dead
-			var err error
-			if fw, err = t.writeFrame(p, fw, buf); err != nil {
-				close(p.dead)
-				t.dropPeer(p.to, p)
-				return
-			}
-		}
-	}
-}
-
-// writeFrame writes one frame, flushing when the queue is drained. On a
-// write failure it redials once and retransmits the frame on the fresh
-// connection (returning the new writer); a failed redial propagates the
-// original write error.
-func (t *TCP) writeFrame(p *tcpPeer, fw *codec.FrameWriter, frame []byte) (*codec.FrameWriter, error) {
-	err := fw.WriteFrame(frame)
-	if err == nil && len(p.ch) == 0 {
-		err = fw.Flush()
-	}
-	if err == nil {
-		return fw, nil
-	}
-	select {
-	case <-t.closeCh:
-		return fw, err // shutting down: don't redial
-	default:
-	}
-	conn, derr := net.Dial("tcp", string(p.to))
-	if derr != nil {
-		return fw, err
-	}
-	if !p.setConn(conn) {
-		return fw, err // peer was closed while redialing
-	}
-	nfw := codec.NewFrameWriter(conn)
-	if werr := nfw.WriteFrame(frame); werr != nil {
-		return nfw, werr
-	}
-	if len(p.ch) == 0 {
-		if werr := nfw.Flush(); werr != nil {
-			return nfw, werr
-		}
-	}
-	return nfw, nil
-}
-
-// Close shuts the listener and all connections, then waits for every
-// read/write/dispatch goroutine — including any in-flight handler
-// invocation — to finish.
+// Close shuts the listener and all connections — releasing any Send blocked
+// in a write — then waits for every read loop, and with it any in-flight
+// handler invocation, to finish.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -369,7 +302,6 @@ func (t *TCP) Close() error {
 		inbound = append(inbound, c)
 	}
 	t.mu.Unlock()
-	close(t.closeCh)
 	t.listener.Close()
 	for _, p := range peers {
 		p.closeConn()

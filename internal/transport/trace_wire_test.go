@@ -158,3 +158,137 @@ func TestTCPTraceRoundTrip(t *testing.T) {
 		t.Fatalf("tcp trace = %+v, want %+v", got.Load().Trace, want)
 	}
 }
+
+// --- caller section ---
+
+// appendEnvelopeTraced is the format that knew the trace section and
+// nothing after it, frozen like appendEnvelopeLegacy.
+func appendEnvelopeTraced(dst []byte, env *Envelope) []byte {
+	cp := *env
+	cp.CallerType, cp.CallerKey = "", ""
+	return appendEnvelope(dst, &cp)
+}
+
+func callerEnv(tr *Trace) *Envelope {
+	return &Envelope{
+		Kind: KindCall, ID: 31, From: "n2", ActorType: "presence", ActorKey: "17",
+		Method: "get", Payload: []byte("p"), Trace: tr,
+		CallerType: "game", CallerKey: "2",
+	}
+}
+
+// TestCallerWireRoundTrip: the caller survives the wire alone and together
+// with a trace, and costs what the issue says (about 20 bytes, here 9).
+func TestCallerWireRoundTrip(t *testing.T) {
+	for _, tr := range []*Trace{nil, sampleTrace()} {
+		env := callerEnv(tr)
+		frame := appendEnvelope(nil, env)
+		got, err := decodeEnvelope(frame, newInterner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CallerType != "game" || got.CallerKey != "2" {
+			t.Fatalf("caller = %q/%q", got.CallerType, got.CallerKey)
+		}
+		if (tr == nil) != (got.Trace == nil) || (tr != nil && *got.Trace != *tr) {
+			t.Fatalf("trace = %+v, want %+v", got.Trace, tr)
+		}
+		if extra := len(frame) - len(appendEnvelopeTraced(nil, env)); extra != 1+1+4+1+1 {
+			t.Fatalf("caller section takes %d bytes", extra)
+		}
+	}
+}
+
+// TestCallerWireAbsentIdentical: a frame without a caller — driver calls,
+// replies, control — is byte-identical to the format before the section.
+func TestCallerWireAbsentIdentical(t *testing.T) {
+	plain := &Envelope{Kind: KindCall, ID: 5, From: "a", ActorType: "t", ActorKey: "k", Method: "M", Payload: []byte{9}}
+	if !bytes.Equal(appendEnvelope(nil, plain), appendEnvelopeLegacy(nil, plain)) {
+		t.Fatal("caller-less, untraced encoding diverged from the legacy format")
+	}
+	// A key without a type is no caller.
+	keyOnly := *plain
+	keyOnly.CallerKey = "x"
+	if !bytes.Equal(appendEnvelope(nil, &keyOnly), appendEnvelopeLegacy(nil, plain)) {
+		t.Fatal("a caller key without a type reached the wire")
+	}
+}
+
+// TestCallerWireOldReaderNewFrame: a reader that predates the section
+// parses the prefix it knows and ignores the rest, so what it keeps is what
+// the new frame has as a prefix: for the pre-trace reader its whole format,
+// for the pre-caller reader the trace as well — the trace section comes
+// first for that reason.
+func TestCallerWireOldReaderNewFrame(t *testing.T) {
+	for _, tr := range []*Trace{nil, sampleTrace()} {
+		env := callerEnv(tr)
+		frame := appendEnvelope(nil, env)
+		legacy := appendEnvelopeLegacy(nil, env)
+		if !bytes.Equal(frame[:len(legacy)], legacy) {
+			t.Fatal("sections are not a pure suffix of the legacy encoding")
+		}
+		traced := appendEnvelopeTraced(nil, env)
+		if !bytes.Equal(frame[:len(traced)], traced) {
+			t.Fatal("caller section is not a pure suffix of the traced encoding")
+		}
+	}
+}
+
+// TestCallerWireNewReaderOldFrame: frames from peers that know neither
+// section, or only the trace, decode with no caller.
+func TestCallerWireNewReaderOldFrame(t *testing.T) {
+	env := callerEnv(sampleTrace())
+	for name, frame := range map[string][]byte{
+		"legacy": appendEnvelopeLegacy(nil, env),
+		"traced": appendEnvelopeTraced(nil, env),
+	} {
+		got, err := decodeEnvelope(frame, newInterner())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.CallerType != "" || got.CallerKey != "" {
+			t.Fatalf("%s frame produced a caller: %q/%q", name, got.CallerType, got.CallerKey)
+		}
+		if got.ID != 31 || (name == "traced") != (got.Trace != nil) {
+			t.Fatalf("%s frame mishandled: %+v", name, got)
+		}
+	}
+}
+
+// TestCallerWireTruncatedSection: a damaged caller section reads as "no
+// caller" and leaves the envelope and its trace alone.
+func TestCallerWireTruncatedSection(t *testing.T) {
+	env := callerEnv(sampleTrace())
+	frame := appendEnvelope(nil, env)
+	whole := len(appendEnvelopeTraced(nil, env))
+	for cut := len(frame) - 1; cut > whole; cut-- {
+		got, err := decodeEnvelope(frame[:cut], newInterner())
+		if err != nil {
+			t.Fatalf("truncated section at %d errored: %v", cut, err)
+		}
+		if got.CallerType != "" || got.CallerKey != "" {
+			t.Fatalf("truncated section at %d produced a caller: %q/%q", cut, got.CallerType, got.CallerKey)
+		}
+		if got.ID != 31 || got.Trace == nil || *got.Trace != *env.Trace {
+			t.Fatalf("envelope or trace lost at cut %d: %+v", cut, got)
+		}
+	}
+}
+
+// TestInMemCallerCopied: the in-memory fabric hands the caller over with
+// the rest of the envelope.
+func TestInMemCallerCopied(t *testing.T) {
+	net := NewNetwork(0)
+	a, b := net.Join("a"), net.Join("b")
+	defer a.Close()
+	defer b.Close()
+	var got atomic.Pointer[Envelope]
+	b.SetHandler(func(env *Envelope) { got.Store(env) })
+	if err := a.Send("b", callerEnv(nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return got.Load() != nil }, "no delivery")
+	if env := got.Load(); env.CallerType != "game" || env.CallerKey != "2" {
+		t.Fatalf("caller = %q/%q", env.CallerType, env.CallerKey)
+	}
+}

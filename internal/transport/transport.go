@@ -1,14 +1,18 @@
 // Package transport carries actor-runtime messages between nodes. Two
 // implementations are provided: an in-memory transport for single-process
 // multi-node clusters (tests, examples, simulations of deployments) and a
-// TCP transport (length-prefixed binary frames, write-coalescing per-peer
-// writer goroutines) for real distributed runs.
+// TCP transport (length-prefixed binary frames; senders write, one reader
+// goroutine per connection) for real distributed runs.
 //
-// Payload ownership: Envelope.Payload handed to a Handler is owned by the
-// receiver and may be retained indefinitely. Payloads passed to Send must
-// remain unmodified until the Send completes delivery (TCP sends are
-// asynchronous: the bytes are copied into the wire frame by the writer
-// goroutine after Send returns).
+// Ownership: an Envelope handed to a Handler, with its Payload and Trace,
+// is owned by the receiver and may be retained indefinitely. TCP's Send is
+// synchronous: the frame is encoded and written when it returns, and env,
+// its Payload and its Trace are never read afterwards. The in-memory fabric
+// copies the envelope and its Trace but aliases the Payload straight into
+// the receiver, so code that may run over either leaves a sent payload
+// unmodified until the receiver is provably done with it (the runtime
+// recycles a call's argument buffer only once the reply proves the turn
+// ended).
 package transport
 
 import (
@@ -55,9 +59,13 @@ type Envelope struct {
 	Err string
 
 	// Trace is the hop-carried trace context; nil on unsampled traffic.
-	// Like Payload, a Trace passed to Send must remain unmodified until the
-	// Send completes delivery.
 	Trace *Trace
+
+	// CallerType/CallerKey name the actor whose turn made this call, so the
+	// callee's node can monitor the edge too. Empty on calls from outside
+	// any actor, on replies and on control traffic.
+	CallerType string
+	CallerKey  string
 }
 
 // Trace is the optional per-envelope trace context. Calls carry identity
@@ -97,16 +105,21 @@ func (tr *Trace) clone() *Trace {
 	return &cp
 }
 
-// Handler consumes inbound envelopes. It must not block for long: the
-// runtime hands envelopes to its receive stage immediately.
+// Handler consumes inbound envelopes. It runs on the transport's own
+// delivery goroutine (for TCP, the connection's read loop), so it must not
+// block — least of all in a Send: two nodes whose read loops both wait on a
+// write to the other stop reading, and deadlock once the socket buffers
+// fill. The runtime hands envelopes to its stages with non-blocking submits.
 type Handler func(env *Envelope)
 
 // Transport moves envelopes between nodes.
 type Transport interface {
 	// Node is this endpoint's identity.
 	Node() NodeID
-	// Send delivers env to the given node (asynchronously; delivery errors
-	// surface as returned errors when detectable).
+	// Send hands env to the given node's fabric and returns once it no
+	// longer needs the envelope (the payload: see the package comment).
+	// Delivery itself is asynchronous; errors surface as returned errors
+	// when detectable.
 	Send(to NodeID, env *Envelope) error
 	// SetHandler installs the inbound envelope consumer. Must be called
 	// before any traffic arrives.
