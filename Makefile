@@ -5,19 +5,20 @@
 GO ?= go
 LINT_BIN := bin/actop-lint
 
-.PHONY: check build test vet staticcheck lint lint-cold lint-cache-check race fuzz-smoke bench-msgplane cluster-smoke bench-scale workloads-smoke bench-workloads chaos-smoke bench-recovery obs-smoke converge-smoke
+.PHONY: check build test vet staticcheck lint lint-cold lint-cache-check race seeded fuzz-smoke bench-msgplane cluster-smoke bench-scale workloads-smoke bench-workloads chaos-smoke bench-recovery obs-smoke converge-smoke
 
 # check is the pre-PR gate: vet (+ staticcheck when installed), the
 # domain lint suite, build everything, race-test the concurrency-heavy
 # packages (transport, actor, seda, codec, durable, loadgen, flight,
-# hotspot), then the full tier-1 suite, a short fuzz pass over the wire
-# decoders, a reduced-scale run of the multi-process cluster benchmark,
+# hotspot), the seeded packages twenty times over in shuffled order, then
+# the full tier-1 suite, a short fuzz pass over the wire decoders, a
+# reduced-scale run of the multi-process cluster benchmark,
 # the DES-vs-real workload conformance smoke, the crash-chaos battery
 # over the durability plane, the observability smoke (skewed-workload
 # hot-actor ranking + SLO-breach flight dump), and the placement
 # convergence smoke (Algorithm 1 co-locates call trees, pure callees
 # included, and follows a member swap).
-check: vet staticcheck lint build race test fuzz-smoke cluster-smoke workloads-smoke chaos-smoke obs-smoke converge-smoke
+check: vet staticcheck lint build race seeded test fuzz-smoke cluster-smoke workloads-smoke chaos-smoke obs-smoke converge-smoke
 
 # lint builds the whole-program analyzer suite once into bin/ and runs
 # it over the module with the per-package result cache under
@@ -76,10 +77,17 @@ staticcheck:
 # Send, goroutines per connection). The second repeats the call-path tests
 # (pooled waiters, local value calls, overload, chaos) in shuffled order:
 # waiter ownership bugs show as one call receiving another's outcome, and
-# only under some interleavings.
+# only under some interleavings. The control-plane codec tests and the
+# no-gob cluster test ride along in both lines.
 race:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/loadgen/... ./internal/workload/spec/... ./internal/flight/... ./internal/hotspot/...
-	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|Overload|Chaos' ./internal/actor
+	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|Overload|Chaos|Wire|NoGob' ./internal/actor
+
+# seeded repeats the packages whose results are functions of a seed — the
+# graph and the partition engine — twenty times in shuffled order: a test
+# there that passes by luck (map iteration order deciding a tie) fails here.
+seeded:
+	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition
 
 test:
 	$(GO) test ./...
@@ -93,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFrameRoundTrip -fuzztime 5s ./internal/codec
 	$(GO) test -run XXX -fuzz FuzzHistogramDecode -fuzztime 5s ./internal/metrics
 	$(GO) test -run XXX -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/durable
+	$(GO) test -run XXX -fuzz FuzzControlCodecs -fuzztime 10s ./internal/actor
 
 # obs-smoke exercises the observability plane end to end: a skewed
 # workload on a 3-node in-memory cluster must rank the injected hot actor

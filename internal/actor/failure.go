@@ -91,7 +91,7 @@ func (s *System) pingPeers() {
 		m.inFlight = true
 		s.fdMu.Unlock()
 		if !s.trackGo(func() {
-			err := s.controlCallT(peer, ctlPing, string(s.Node()), nil, s.cfg.HeartbeatInterval)
+			err := s.controlCallT(peer, ctlPing, nil, nil, s.cfg.HeartbeatInterval)
 			s.failures.HeartbeatsSent.Add(1)
 			s.heartbeatResult(peer, err == nil)
 		}) {
@@ -109,6 +109,8 @@ func (s *System) heartbeatResult(peer transport.NodeID, ok bool) {
 	if !ok {
 		s.failures.HeartbeatMisses.Add(1)
 	}
+	s.fdOrder.Lock()
+	defer s.fdOrder.Unlock()
 	s.fdMu.Lock()
 	m := s.members[peer]
 	m.inFlight = false
@@ -148,6 +150,8 @@ func (s *System) markPeerAlive(peer transport.NodeID) {
 	if m.healthy.Load() {
 		return
 	}
+	s.fdOrder.Lock()
+	defer s.fdOrder.Unlock()
 	s.fdMu.Lock()
 	old := m.state
 	m.missed = 0
@@ -160,7 +164,11 @@ func (s *System) markPeerAlive(peer transport.NodeID) {
 }
 
 // peerTransition records a membership change, runs failover on a death,
-// and notifies watchers. Called outside fdMu.
+// and notifies watchers. Called outside fdMu and under fdOrder, which the
+// caller took before reaching its verdict: a verdict and its side effects
+// are one step against every other verdict, so watchers hear transitions in
+// the order the state machine made them — proof of life arriving after a
+// death verdict cannot announce "alive" ahead of that "dead".
 func (s *System) peerTransition(peer transport.NodeID, from, to PeerState) {
 	s.flight.Record(flight.Event{
 		Kind: flight.KindMembership, Peer: string(peer),

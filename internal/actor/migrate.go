@@ -12,7 +12,7 @@ import (
 	"actop/internal/transport"
 )
 
-// migratePayload is the wire form of a live-migration state transfer. ID
+// migratePayload is a live-migration state transfer (wire form in wire.go). ID
 // uniquely names one transfer attempt (initiator node + sequence), so that
 // a later cleanup ("drop") can never remove an activation installed by a
 // different, successful migration.
@@ -86,7 +86,7 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 	// seeded it — so ask the directory owner directly; refusing on error is
 	// always safe (migration is an optimization, not an obligation).
 	if act.installID != "" {
-		var home string
+		var home wireNode
 		//actoplint:ignore lockheldio migration quiesces the turn by design; controlCall is timeout-bounded, so the hold is finite
 		if err := s.controlCall(s.directoryOwner(ref), ctlDirLookup,
 			dirRequest{Type: ref.Type, Key: ref.Key}, &home); err != nil {
@@ -256,7 +256,7 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 		installID := existing.installID
 		sh.mu.Unlock()
 		if installID != "" && installID == p.ID {
-			return codec.Marshal(ctlPlacementOK) // duplicate of our own install
+			return nil, nil // duplicate of our own install
 		}
 		return nil, fmt.Errorf("actor: %s already active on %s", ref, s.Node())
 	}
@@ -287,7 +287,7 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 		s.prof.ObserveMigration(h)
 	}
 	s.flight.Record(flight.Event{Kind: flight.KindMigrationIn, Actor: ref.String(), N: p.Epoch})
-	return codec.Marshal(ctlPlacementOK)
+	return nil, nil
 }
 
 // handleMigrateDrop retires an activation installed by a failed migration
@@ -319,44 +319,27 @@ func (s *System) handleMigrateDrop(payload []byte) ([]byte, error) {
 		for _, inv := range pending {
 			s.forwardInvocation(ref, inv)
 		}
-		return codec.Marshal(ctlPlacementOK)
+		return nil, nil
 	}
 	sh.mu.Unlock()
-	return codec.Marshal(ctlPlacementOK) // nothing to drop: already gone or not ours
+	return nil, nil // nothing to drop: already gone or not ours
 }
 
 // --- ActOp partition-exchange integration (Algorithm 1 over the wire) ---
 
-// wireCandidate mirrors partition.Candidate for gob transfer.
-type wireCandidate struct {
-	V            uint64
-	Edges        map[uint64]float64
-	HomeWeight   float64
-	TargetWeight float64
-}
-
-// exchangeWire is the ctlExchange request payload.
+// exchangeWire is the ctlExchange request payload (wire form in wire.go):
+// Algorithm 1's offer, and the initiator's parameters so both sides decide
+// under the same configuration. Of Req, To stays behind — the receiver is
+// the target; of a candidate, Size; of Opts, only the candidate set size,
+// the imbalance tolerance and the minimum score travel.
 type exchangeWire struct {
-	FromIndex      int // initiator's index in the sorted peer list
-	Candidates     []wireCandidate
-	FromPopulation int
-	Opts           wireOpts
+	Req  partition.ExchangeRequest
+	Opts partition.Options
 }
 
-// wireOpts carries the initiator's partitioning parameters so both sides
-// decide under the same configuration.
-type wireOpts struct {
-	CandidateSetSize   int
-	ImbalanceTolerance int
-	MinScore           float64
-}
-
-// exchangeReply is the ctlExchange response payload.
-type exchangeReply struct {
-	Rejected bool
-	Accepted []uint64 // initiator's vertices the peer will host
-	Counter  []uint64 // peer's vertices it is sending to the initiator
-}
+// exchangeReply is the ctlExchange response payload: the initiator's
+// vertices the peer will host, and the peer's it sends back.
+type exchangeReply partition.ExchangeResponse
 
 var exchangeMu sync.Mutex // serializes exchange decisions per process
 
@@ -479,25 +462,9 @@ func (s *System) ExchangeRound(opts partition.Options, window time.Duration) (in
 		if !s.cfg.DisableFailover && s.PeerStateOf(peer) != PeerAlive {
 			continue // never trade actors with a suspect or dead peer
 		}
-		wire := exchangeWire{
-			FromIndex:      int(self),
-			FromPopulation: prop.FromPopulation,
-			Opts: wireOpts{
-				CandidateSetSize:   opts.CandidateSetSize,
-				ImbalanceTolerance: opts.ImbalanceTolerance,
-				MinScore:           opts.MinScore,
-			},
-		}
-		for _, c := range prop.Candidates {
-			wc := wireCandidate{
-				V: uint64(c.V), HomeWeight: c.HomeWeight, TargetWeight: c.TargetWeight,
-				Edges: make(map[uint64]float64, len(c.Edges)),
-			}
-			for u, w := range c.Edges {
-				wc.Edges[uint64(u)] = w
-			}
-			wire.Candidates = append(wire.Candidates, wc)
-		}
+		wire := exchangeWire{Opts: opts, Req: partition.ExchangeRequest{
+			From: self, Candidates: prop.Candidates, FromPopulation: prop.FromPopulation,
+		}}
 		var reply exchangeReply
 		if err := s.controlCall(peer, ctlExchange, wire, &reply); err != nil {
 			return 0, err
@@ -507,7 +474,7 @@ func (s *System) ExchangeRound(opts partition.Options, window time.Duration) (in
 		}
 		moved := 0
 		for _, v := range reply.Accepted {
-			ref, ok := s.refOf(v)
+			ref, ok := s.refOf(uint64(v))
 			if !ok {
 				continue
 			}
@@ -539,42 +506,18 @@ func (s *System) handleExchange(payload []byte, from transport.NodeID) ([]byte, 
 		// retries a round later if it is actually healthy.
 		return codec.Marshal(exchangeReply{Rejected: true})
 	}
-	opts := partition.Options{
-		CandidateSetSize:   wire.Opts.CandidateSetSize,
-		ImbalanceTolerance: wire.Opts.ImbalanceTolerance,
-		MinScore:           wire.Opts.MinScore,
-	}
-	req := partition.ExchangeRequest{
-		From: graph.ServerID(wire.FromIndex), To: s.selfIndex(),
-		FromPopulation: wire.FromPopulation,
-	}
-	for _, wc := range wire.Candidates {
-		c := partition.Candidate{
-			V: graph.Vertex(wc.V), HomeWeight: wc.HomeWeight, TargetWeight: wc.TargetWeight,
-			Edges: make(map[graph.Vertex]float64, len(wc.Edges)),
-		}
-		for u, w := range wc.Edges {
-			c.Edges[graph.Vertex(u)] = w
-		}
-		req.Candidates = append(req.Candidates, c)
-	}
+	req := wire.Req
+	req.To = s.selfIndex()
 
 	exchangeMu.Lock()
 	s.monMu.Lock()
 	snap := s.monitor.Snapshot()
 	s.monMu.Unlock()
 	local := s.localVertices()
-	resp := partition.DecideExchange(opts, snap, sysLocator{s: s}, req, local, len(local))
+	resp := partition.DecideExchange(wire.Opts, snap, sysLocator{s: s}, req, local, len(local))
 	exchangeMu.Unlock()
 
-	reply := exchangeReply{}
-	for _, v := range resp.Accepted {
-		reply.Accepted = append(reply.Accepted, uint64(v))
-	}
-	for _, v := range resp.Counter {
-		reply.Counter = append(reply.Counter, uint64(v))
-	}
-	if len(reply.Accepted)+len(reply.Counter) > 0 {
+	if len(resp.Accepted)+len(resp.Counter) > 0 {
 		s.markExchanged()
 	}
 	// Counter-migrations run asynchronously: performing them inline would
@@ -589,5 +532,5 @@ func (s *System) handleExchange(payload []byte, from transport.NodeID) ([]byte, 
 			}
 		})
 	}
-	return codec.Marshal(reply)
+	return codec.Marshal(exchangeReply(resp))
 }

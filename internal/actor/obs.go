@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"actop/internal/codec"
 	"actop/internal/flight"
 	"actop/internal/hotspot"
 	"actop/internal/metrics"
@@ -140,8 +141,8 @@ var rankLabels = func() [hotspotRanks]string {
 
 // registerObsMetrics exposes the observability plane's own health on the
 // registry: trace-ring and sampler coverage (dropped spans were silent
-// before), flight-recorder activity, and the top-K hot-actor costs —
-// all refreshed at scrape time via OnCollect.
+// before), flight-recorder activity, the codec's gob-fallback count, and the
+// top-K hot-actor costs — all refreshed at scrape time via OnCollect.
 func (s *System) registerObsMetrics() {
 	reg := s.cfg.Metrics
 	spansRec := reg.Counter("actop_trace_spans_recorded_total",
@@ -160,6 +161,8 @@ func (s *System) registerObsMetrics() {
 		"anomaly-triggered black-box dumps captured")
 	flightSupp := reg.Counter("actop_flight_triggers_suppressed_total",
 		"anomaly triggers debounced away without a dump")
+	gobOps := reg.Counter("actop_codec_gob_ops_total",
+		"values this process encoded or decoded with the gob fallback (message types without Marshaler/Unmarshaler, and the traces and hotspots debug verbs)")
 	var hotCost, hotTracked *metrics.GaugeFamily
 	if s.prof != nil {
 		hotCost = reg.Gauge("actop_hotspot_cost",
@@ -176,6 +179,7 @@ func (s *System) registerObsMetrics() {
 		flightOver.SetTotal(s.flight.Overwritten())
 		flightDumps.SetTotal(s.flight.DumpsTaken())
 		flightSupp.SetTotal(s.flight.Suppressed())
+		gobOps.SetTotal(codec.GobOps())
 		if s.prof != nil {
 			hotTracked.Set(float64(s.prof.Tracked()))
 			top := s.prof.Top(hotspotRanks)

@@ -57,7 +57,6 @@ const (
 	ctlSnap        = "actop.snap"
 	ctlSnapGet     = "actop.snapget"
 	ctlHotspots    = "actop.hotspots"
-	ctlPlacementOK = "ok"
 )
 
 // errPeerDown marks a call attempt that failed because its target is (or
@@ -125,7 +124,10 @@ type System struct {
 	edgeWarm    atomic.Bool
 
 	// Failure detector state (failure.go): per-peer membership records and
-	// change watchers.
+	// change watchers. fdOrder is taken before fdMu by whoever may change a
+	// peer's state and held across the transition's side effects (see
+	// peerTransition); readers of the state take fdMu alone.
+	fdOrder  sync.Mutex
 	fdMu     sync.Mutex
 	members  map[transport.NodeID]*memberEntry
 	watchers []func(transport.NodeID, PeerState)
@@ -357,6 +359,11 @@ type Stats struct {
 	MigrationsOut  uint64
 	Redirects      uint64
 	MonitoredEdges int
+	// GobOps counts the values this process — every node in it — has put
+	// through codec's gob fallback. The runtime's own messages never do, bar
+	// the traces and hotspots debug verbs, so what moves it is application
+	// message types without Marshaler/Unmarshaler.
+	GobOps uint64
 }
 
 // Stats snapshots the node counters.
@@ -374,6 +381,7 @@ func (s *System) Stats() Stats {
 		MigrationsOut:  s.migrationsOut.Load(),
 		Redirects:      s.redirects.Load(),
 		MonitoredEdges: edges,
+		GobOps:         codec.GobOps(),
 	}
 }
 
@@ -1264,7 +1272,7 @@ func (s *System) locateDir(ref Ref, place bool, deadline time.Time) (transport.N
 		return n, nil
 	}
 	// Remote directory lookup (control RPC).
-	var node string
+	var node wireNode
 	err := s.controlCallT(owner, ctlDirLookup, dirRequest{
 		Type: ref.Type, Key: ref.Key, Suggest: string(s.Node()), Place: place,
 	}, &node, s.attemptTimeout(deadline))
@@ -1324,7 +1332,7 @@ type dirEntry struct {
 	epoch uint64
 }
 
-// dirRequest is the directory control payload.
+// dirRequest is the directory control payload (wire form in wire.go).
 type dirRequest struct {
 	Type, Key string
 	Suggest   string
@@ -1340,11 +1348,17 @@ func (s *System) controlCall(node transport.NodeID, verb string, args, reply int
 }
 
 // controlCallT is controlCall with an explicit timeout (heartbeat pings and
-// deadline-bounded directory lookups use shorter budgets).
+// deadline-bounded directory lookups use shorter budgets). Nil args send an
+// empty payload; a nil reply ignores the answer's payload, which for an
+// acknowledgement is empty too.
 func (s *System) controlCallT(node transport.NodeID, verb string, args, reply interface{}, timeout time.Duration) error {
-	data, err := codec.Marshal(args)
-	if err != nil {
-		return err
+	var data []byte
+	if args != nil {
+		// Room for a directory request in one allocation, not four doublings.
+		var err error
+		if data, err = codec.MarshalAppend(make([]byte, 0, 96), args); err != nil {
+			return err
+		}
 	}
 	out, err := s.controlRoundTrip(node, verb, data, timeout)
 	if err != nil || reply == nil {
@@ -1397,7 +1411,7 @@ func (s *System) handleControlVerb(verb string, payload []byte, from transport.N
 		if err != nil {
 			return nil, err
 		}
-		return codec.Marshal(string(node))
+		return codec.Marshal(wireNode(node))
 	case ctlDirUpdate:
 		var req dirRequest
 		if err := codec.Unmarshal(payload, &req); err != nil {
@@ -1415,7 +1429,7 @@ func (s *System) handleControlVerb(verb string, payload []byte, from transport.N
 			s.cacheInsertLocked(sh, ref, transport.NodeID(req.NewNode))
 		}
 		sh.mu.Unlock()
-		return codec.Marshal(ctlPlacementOK)
+		return nil, nil
 	case ctlDirRemove:
 		var req dirRequest
 		if err := codec.Unmarshal(payload, &req); err != nil {
@@ -1427,7 +1441,7 @@ func (s *System) handleControlVerb(verb string, payload []byte, from transport.N
 		delete(sh.dirEntries, ref)
 		delete(sh.locCache, ref)
 		sh.mu.Unlock()
-		return codec.Marshal(ctlPlacementOK)
+		return nil, nil
 	case ctlMigratePut:
 		return s.handleMigratePut(payload)
 	case ctlMigrateDrop:
@@ -1451,15 +1465,12 @@ func (s *System) handleControlVerb(verb string, payload []byte, from transport.N
 		}
 		return codec.Marshal(s.LocalHotspots(n))
 	case ctlPing:
-		var sender string
-		if err := codec.Unmarshal(payload, &sender); err != nil {
-			return nil, err
-		}
 		// Receiving a ping is proof of life for the sender, whatever our
 		// own pings to it have been doing (asymmetric partitions heal both
-		// views faster this way).
-		s.markPeerAlive(transport.NodeID(sender))
-		return codec.Marshal(ctlPlacementOK)
+		// views faster this way) — and onEnvelope has taken it already, from
+		// the envelope's From, as it does for every inbound message. The
+		// empty acknowledgement is all the pinger needs.
+		return nil, nil
 	default:
 		return nil, fmt.Errorf("actor: unknown control verb %q", verb)
 	}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // Marshaler is the fast-path encoder interface: implementations append
@@ -52,6 +53,15 @@ const (
 	tagGob byte = 'G' // gob-encoded fallback
 	tagBin byte = 'B' // Marshaler fast path
 )
+
+// gobOps counts trips through the gob fallback, encodes and decodes alike.
+var gobOps atomic.Uint64
+
+// GobOps reports how many values this process has encoded or decoded with
+// the gob fallback. A message type that implements Marshaler and
+// Unmarshaler never moves it, so a rising count names traffic that pays
+// for reflection and a fresh gob encoder or decoder per value.
+func GobOps() uint64 { return gobOps.Load() }
 
 // Register makes a concrete type encodable when passed through interface
 // fields (a thin wrapper over gob.Register so callers need not import gob).
@@ -100,6 +110,7 @@ func MarshalAppend(dst []byte, v interface{}) ([]byte, error) {
 		}
 		return out, nil
 	}
+	gobOps.Add(1)
 	buf := gobBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
@@ -133,6 +144,7 @@ func Unmarshal(data []byte, v interface{}) error {
 		}
 		return nil
 	case tagGob:
+		gobOps.Add(1)
 		if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(v); err != nil {
 			return fmt.Errorf("codec: unmarshal into %T: %w", v, err)
 		}

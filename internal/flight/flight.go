@@ -182,14 +182,18 @@ func (r *Recorder) Trigger(kind, detail string) bool {
 		return false
 	}
 	r.Record(Event{Kind: kind, Detail: detail})
-	now := time.Now()
+	// The clock is read and the dump counted under the lock that orders the
+	// verdicts: read outside it, an earlier reading could meet a later
+	// lastDump, go negative, and be debounced at a debounce of zero.
 	r.mu.Lock()
+	now := time.Now()
 	if last, ok := r.lastDump[kind]; ok && now.Sub(last) < r.debounce {
 		r.mu.Unlock()
 		r.suppressed.Add(1)
 		return false
 	}
 	r.lastDump[kind] = now
+	r.dumpsTaken.Add(1)
 	r.mu.Unlock()
 	// Runtime context and the ring capture run outside the mutex —
 	// ReadMemStats is not something to hold a lock across.
@@ -211,7 +215,6 @@ func (r *Recorder) Trigger(kind, detail string) bool {
 		r.dumps = append(r.dumps[:0], r.dumps[len(r.dumps)-maxDumps:]...)
 	}
 	r.mu.Unlock()
-	r.dumpsTaken.Add(1)
 	return true
 }
 

@@ -7,7 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,23 +22,38 @@ type Edge struct {
 	Weight float64
 }
 
-// Graph is a weighted undirected multigraph with O(1) weight accumulation.
+// halfEdge is one end of an undirected edge as its owner's adjacency list
+// holds it.
+type halfEdge struct {
+	to Vertex
+	w  float64
+}
+
+// Graph is a weighted undirected multigraph. Each vertex keeps its
+// neighbours in a slice sorted by vertex id, so every walk over adjacency —
+// and with it every sum over neighbours and every tie between two of them —
+// runs in one order, run after run; weight accumulation is a binary search.
 // The zero value is not usable; use New.
 type Graph struct {
-	adj       map[Vertex]map[Vertex]float64
+	adj       map[Vertex][]halfEdge
 	edgeCount int
 	totalW    float64
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{adj: make(map[Vertex]map[Vertex]float64)}
+	return &Graph{adj: make(map[Vertex][]halfEdge)}
+}
+
+// find locates u in v's adjacency list: its index, or where it would go.
+func (g *Graph) find(v, u Vertex) (int, bool) {
+	return slices.BinarySearchFunc(g.adj[v], u, func(e halfEdge, u Vertex) int { return cmp.Compare(e.to, u) })
 }
 
 // AddVertex ensures v exists (possibly with no edges).
 func (g *Graph) AddVertex(v Vertex) {
 	if _, ok := g.adj[v]; !ok {
-		g.adj[v] = make(map[Vertex]float64)
+		g.adj[v] = nil
 	}
 }
 
@@ -52,26 +69,38 @@ func (g *Graph) AddEdge(u, v Vertex, w float64) {
 	if u == v || w == 0 {
 		return
 	}
-	g.AddVertex(u)
-	g.AddVertex(v)
-	if _, existed := g.adj[u][v]; !existed {
+	g.addHalf(u, v, w)
+	if g.addHalf(v, u, w) {
 		g.edgeCount++
 	}
-	g.adj[u][v] += w
-	g.adj[v][u] += w
 	g.totalW += w
+}
+
+// addHalf accumulates w onto u's record of {u,v}, reporting whether the
+// record is new.
+func (g *Graph) addHalf(u, v Vertex, w float64) bool {
+	i, ok := g.find(u, v)
+	if ok {
+		g.adj[u][i].w += w
+	} else {
+		g.adj[u] = slices.Insert(g.adj[u], i, halfEdge{to: v, w: w})
+	}
+	return !ok
 }
 
 // Weight reports the accumulated weight of edge {u,v} (0 if absent).
 func (g *Graph) Weight(u, v Vertex) float64 {
-	return g.adj[u][v]
+	if i, ok := g.find(u, v); ok {
+		return g.adj[u][i].w
+	}
+	return 0
 }
 
-// Neighbors calls fn for every neighbor of v with the edge weight.
-// Iteration order is unspecified.
+// Neighbors calls fn for every neighbor of v with the edge weight, in
+// ascending neighbor order.
 func (g *Graph) Neighbors(v Vertex, fn func(u Vertex, w float64)) {
-	for u, w := range g.adj[v] {
-		fn(u, w)
+	for _, e := range g.adj[v] {
+		fn(e.to, e.w)
 	}
 }
 
@@ -81,17 +110,19 @@ func (g *Graph) Degree(v Vertex) int { return len(g.adj[v]) }
 // WeightedDegree reports the summed edge weight incident to v.
 func (g *Graph) WeightedDegree(v Vertex) float64 {
 	var s float64
-	for _, w := range g.adj[v] {
-		s += w
+	for _, e := range g.adj[v] {
+		s += e.w
 	}
 	return s
 }
 
 // RemoveVertex deletes v and all incident edges.
 func (g *Graph) RemoveVertex(v Vertex) {
-	for u := range g.adj[v] {
-		delete(g.adj[u], v)
-		g.totalW -= g.adj[v][u]
+	for _, e := range g.adj[v] {
+		if i, ok := g.find(e.to, v); ok {
+			g.adj[e.to] = slices.Delete(g.adj[e.to], i, i+1)
+		}
+		g.totalW -= e.w
 		g.edgeCount--
 	}
 	delete(g.adj, v)
@@ -106,32 +137,30 @@ func (g *Graph) NumEdges() int { return g.edgeCount }
 // TotalWeight reports the summed weight over all undirected edges.
 func (g *Graph) TotalWeight() float64 { return g.totalW }
 
-// Vertices returns all vertices in ascending order (deterministic).
-func (g *Graph) Vertices() []Vertex {
-	vs := make([]Vertex, 0, len(g.adj))
-	for v := range g.adj {
+// SortedKeys returns the vertices keying m in ascending order, for walking
+// a vertex-keyed map the same way on every run.
+func SortedKeys[T any](m map[Vertex]T) []Vertex {
+	vs := make([]Vertex, 0, len(m))
+	for v := range m {
 		vs = append(vs, v)
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	return vs
 }
+
+// Vertices returns all vertices in ascending order (deterministic).
+func (g *Graph) Vertices() []Vertex { return SortedKeys(g.adj) }
 
 // Edges returns all undirected edges once each (U < V), sorted.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.edgeCount)
-	for u, nbrs := range g.adj {
-		for v, w := range nbrs {
-			if u < v {
-				es = append(es, Edge{U: u, V: v, Weight: w})
+	for _, u := range g.Vertices() {
+		for _, e := range g.adj[u] {
+			if u < e.to {
+				es = append(es, Edge{U: u, V: e.to, Weight: e.w})
 			}
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
 	return es
 }
 
@@ -141,11 +170,7 @@ func (g *Graph) Clone() *Graph {
 	c.edgeCount = g.edgeCount
 	c.totalW = g.totalW
 	for v, nbrs := range g.adj {
-		m := make(map[Vertex]float64, len(nbrs))
-		for u, w := range nbrs {
-			m[u] = w
-		}
-		c.adj[v] = m
+		c.adj[v] = slices.Clone(nbrs)
 	}
 	return c
 }

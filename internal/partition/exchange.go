@@ -86,10 +86,12 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 	// to p, so the carried HomeWeight is used as-is.
 	sHeap := &scoreHeap{}
 	for _, c := range req.Candidates {
+		// Summed in vertex order: a float sum taken in map order differs in
+		// its last bit from run to run, and that bit decides ties below.
 		var toQ float64
-		for u, w := range c.Edges {
+		for _, u := range graph.SortedKeys(c.Edges) {
 			if s, ok := loc.Server(u); ok && s == q {
-				toQ += w
+				toQ += c.Edges[u]
 			}
 		}
 		c.TargetWeight = toQ
