@@ -1,10 +1,10 @@
-// Benchmarks regenerating the paper's tables and figures at reduced scale
-// (one per evaluation artifact; run `cmd/actop-bench -full <name>` for paper
-// scale), plus micro-benchmarks of ActOp's core primitives.
-//
-// Each figure benchmark executes a full simulated experiment per iteration
-// (seconds of wall time) and reports the headline metric the paper plots as
-// a custom unit, so `go test -bench` output doubles as a results table.
+// Benchmarks of design choices and primitives that nothing else in the
+// repo measures: the ablations EXPERIMENTS.md cites (one-sided migration,
+// sampling capacity, Ja-Be-Ja) and two primitives outside the benchmark
+// ledger's ladder (the DES kernel's event rate, SelectCandidates' scaling in
+// vertices per server). The paper's figures are printed by `actop-bench
+// <figure>` and asserted by the tests in internal/experiments; the live
+// runtime's layers are measured by `go run ./benchmark --trace 1`.
 package actop_test
 
 import (
@@ -13,195 +13,9 @@ import (
 	"time"
 
 	"actop/internal/des"
-	"actop/internal/experiments"
 	"actop/internal/graph"
-	"actop/internal/metrics"
 	"actop/internal/partition"
-	"actop/internal/queuing"
-	"actop/internal/sampling"
 )
-
-// benchHalo is the reduced-scale Halo configuration used by the figure
-// benchmarks: the paper's per-server operating point with 2 servers and
-// short windows.
-func benchHalo() experiments.HaloOpts {
-	return experiments.HaloOpts{
-		Players: 2000, Servers: 2, Load: 1200,
-		Warmup: 90 * time.Second, Measure: time.Minute,
-		FastControl: true, Seed: 1,
-	}
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// BenchmarkSection3Motivation regenerates the §3 random-vs-co-located
-// comparison (paper: median 41→24 ms, p99 736→225 ms, ~90% remote).
-func BenchmarkSection3Motivation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunSection3(benchHalo())
-		b.ReportMetric(ms(r.Baseline.Latency.Median), "base_p50_ms")
-		b.ReportMetric(ms(r.Oracle.Latency.Median), "colo_p50_ms")
-		b.ReportMetric(100*r.Baseline.RemoteFraction, "base_remote_%")
-	}
-}
-
-// BenchmarkFig4Breakdown regenerates the latency breakdown (paper: queues
-// ≈88% of end-to-end latency, network ≈1%).
-func BenchmarkFig4Breakdown(b *testing.B) {
-	o := experiments.DefaultCounterOpts()
-	o.Measure = 30 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig4(o)
-		queues := r.Run.Breakdown.Percent("Recv. queue") +
-			r.Run.Breakdown.Percent("Worker queue") +
-			r.Run.Breakdown.Percent("Sender queue")
-		b.ReportMetric(queues, "queue_share_%")
-		b.ReportMetric(r.Run.Breakdown.Percent("Network"), "network_share_%")
-	}
-}
-
-// BenchmarkFig5HeatMap regenerates the thread-allocation heat map corners
-// (paper: worst/best ≈ 3.9×; the controller's pick lands at the best).
-func BenchmarkFig5HeatMap(b *testing.B) {
-	o := experiments.DefaultCounterOpts()
-	o.Measure = 30 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig5(o, []int{2, 4, 8}, []int{3, 6, 8})
-		best, _, _ := r.Best()
-		worst, _, _ := r.Worst()
-		b.ReportMetric(ms(best), "best_p50_ms")
-		b.ReportMetric(ms(worst), "worst_p50_ms")
-		b.ReportMetric(ms(r.Tuned.Latency.Median), "tuned_p50_ms")
-	}
-}
-
-// BenchmarkFig7QueueController regenerates the controller-instability
-// experiment (paper: queue-threshold controller oscillates; Fig. 7).
-func BenchmarkFig7QueueController(b *testing.B) {
-	o := experiments.DefaultFig7Opts()
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig7(o)
-		b.ReportMetric(float64(r.QueueFlips), "queue_ctl_flips")
-		b.ReportMetric(float64(r.ModelFlips), "model_ctl_flips")
-	}
-}
-
-// BenchmarkFig10aConvergence regenerates the convergence series (paper:
-// remote messages 90%→12% in ~10 min; ≈1%/min of actors moved thereafter).
-func BenchmarkFig10aConvergence(b *testing.B) {
-	o := benchHalo()
-	o.Warmup = 3 * time.Minute
-	o.Measure = time.Minute
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10a(o)
-		pts := r.Partitioned.RemoteSeries.Points
-		b.ReportMetric(100*pts[0].Value, "remote_start_%")
-		b.ReportMetric(100*pts[len(pts)-1].Value, "remote_end_%")
-		b.ReportMetric(r.Partitioned.MoveSeries.Last(), "moves_per_min")
-	}
-}
-
-// BenchmarkFig10bLatencyCDF regenerates the end-to-end latency comparison
-// (paper: median −42%, p99 −69% at top load).
-func BenchmarkFig10bLatencyCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10bc(benchHalo())
-		b.ReportMetric(ms(r.Baseline.Latency.Median), "base_p50_ms")
-		b.ReportMetric(ms(r.Partitioned.Latency.Median), "actop_p50_ms")
-		b.ReportMetric(ms(r.Baseline.Latency.P99), "base_p99_ms")
-		b.ReportMetric(ms(r.Partitioned.Latency.P99), "actop_p99_ms")
-	}
-}
-
-// BenchmarkFig10cActorCallCDF regenerates the server-to-server call
-// latencies (paper: median 5→3 ms, p99 297→56 ms).
-func BenchmarkFig10cActorCallCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10bc(benchHalo())
-		b.ReportMetric(ms(r.Baseline.ActorCall.Median), "base_p50_ms")
-		b.ReportMetric(ms(r.Partitioned.ActorCall.Median), "actop_p50_ms")
-		b.ReportMetric(ms(r.Baseline.ActorCall.P99), "base_p99_ms")
-		b.ReportMetric(ms(r.Partitioned.ActorCall.P99), "actop_p99_ms")
-	}
-}
-
-// BenchmarkFig10dLoadSweep regenerates the improvement-by-load rows
-// (paper: gains grow with load).
-func BenchmarkFig10dLoadSweep(b *testing.B) {
-	o := benchHalo()
-	o.Measure = 45 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10de(o, []float64{400, 1200})
-		lo, hi := r.Rows[0], r.Rows[1]
-		b.ReportMetric(metrics.Improvement(lo.Baseline.Latency.P99, lo.Partitioned.Latency.P99), "lowload_p99_impr_%")
-		b.ReportMetric(metrics.Improvement(hi.Baseline.Latency.P99, hi.Partitioned.Latency.P99), "topload_p99_impr_%")
-	}
-}
-
-// BenchmarkFig10eCPU regenerates the CPU-utilization rows (paper: −25% to
-// −45% relative at 2K–6K req/s).
-func BenchmarkFig10eCPU(b *testing.B) {
-	o := benchHalo()
-	o.Measure = 45 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10de(o, []float64{1200})
-		row := r.Rows[0]
-		b.ReportMetric(100*row.Baseline.CPUUtilization, "base_cpu_%")
-		b.ReportMetric(100*row.Partitioned.CPUUtilization, "actop_cpu_%")
-	}
-}
-
-// BenchmarkFig10fActorScale regenerates the player-count sweep (paper:
-// improvement sustained from 10K to 1M actors).
-func BenchmarkFig10fActorScale(b *testing.B) {
-	o := benchHalo()
-	o.Load = 800
-	o.Measure = 45 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10f(o, []int{1000, 4000})
-		for _, row := range r.Rows {
-			b.ReportMetric(metrics.Improvement(row.Baseline.Latency.Median, row.Partitioned.Latency.Median),
-				fmt.Sprintf("p50_impr_%dplayers_%%", row.Players))
-		}
-	}
-}
-
-// BenchmarkFig11aThreadAlloc regenerates the thread-allocation-only rows
-// (paper: −58% median / −68% p99 at 15K req/s).
-func BenchmarkFig11aThreadAlloc(b *testing.B) {
-	o := experiments.DefaultHeartbeatOpts()
-	o.Measure = 45 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig11a(o, []float64{15000})
-		row := r.Rows[0]
-		b.ReportMetric(metrics.Improvement(row.Baseline.Latency.Median, row.Tuned.Latency.Median), "p50_impr_%")
-		b.ReportMetric(metrics.Improvement(row.Baseline.Latency.P99, row.Tuned.Latency.P99), "p99_impr_%")
-	}
-}
-
-// BenchmarkFig11bCombined regenerates the combined-optimizations comparison
-// (paper: total −55% median / −75% p99).
-func BenchmarkFig11bCombined(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig11b(benchHalo())
-		b.ReportMetric(metrics.Improvement(r.Baseline.Latency.Median, r.Combined.Latency.Median), "p50_impr_%")
-		b.ReportMetric(metrics.Improvement(r.Baseline.Latency.P99, r.Combined.Latency.P99), "p99_impr_%")
-	}
-}
-
-// BenchmarkThroughputPeak regenerates the §6.1 saturation search (paper:
-// peak 6K → 12K req/s, 2×).
-func BenchmarkThroughputPeak(b *testing.B) {
-	o := benchHalo()
-	o.Warmup = 90 * time.Second
-	o.Measure = 45 * time.Second
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunThroughput(o, []float64{1200, 1800, 2400})
-		base, actop := r.Peaks()
-		b.ReportMetric(base, "base_peak_rps")
-		b.ReportMetric(actop, "actop_peak_rps")
-	}
-}
 
 // --- ablations (design choices called out in DESIGN.md) ---
 
@@ -275,59 +89,7 @@ func BenchmarkAblationJaBeJa(b *testing.B) {
 	}
 }
 
-// --- micro-benchmarks of the core primitives ---
-
-func BenchmarkSpaceSavingObserve(b *testing.B) {
-	s := sampling.NewSpaceSaving[uint64](4096)
-	r := des.NewRand(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(uint64(r.Intn(100000)), 1)
-	}
-}
-
-func BenchmarkHistogramRecord(b *testing.B) {
-	var h metrics.Histogram
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Record(time.Duration(i%1000) * time.Microsecond)
-	}
-}
-
-func BenchmarkTheorem2ClosedForm(b *testing.B) {
-	m := &queuing.Model{
-		Stages: []queuing.Stage{
-			{Lambda: 1000, ServiceRate: 5000, Beta: 1},
-			{Lambda: 1000, ServiceRate: 2000, Beta: 0.9},
-			{Lambda: 1000, ServiceRate: 4000, Beta: 1},
-		},
-		Processors: 8, Eta: 1e-4,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := queuing.Solve(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExchangeDecision(b *testing.B) {
-	g := graph.NoisyCliques(8, 8, 5, 0.3, 100, 23)
-	a := graph.HashAssignment(g, []graph.ServerID{0, 1})
-	opts := partition.DefaultOptions()
-	view := partition.GraphView{G: g}
-	local0 := a.VerticesOn(0)
-	props := partition.SelectCandidates(opts, view, a, 0, local0, len(local0))
-	if len(props) == 0 {
-		b.Skip("no proposals on this fixture")
-	}
-	req := partition.ExchangeRequest{From: 0, To: 1, Candidates: props[0].Candidates, FromPopulation: len(local0)}
-	local1 := a.VerticesOn(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.DecideExchange(opts, view, a, req, local1, len(local1))
-	}
-}
+// --- micro-benchmarks of primitives outside the ladder ---
 
 func BenchmarkDESEventThroughput(b *testing.B) {
 	var k des.Kernel

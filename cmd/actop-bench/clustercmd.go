@@ -343,22 +343,6 @@ type scaleReport struct {
 	Scales      []scaleResult `json:"scales"`
 }
 
-// envRequireSpeedup supplies -require-speedup's default from the
-// ACTOP_REQUIRE_SPEEDUP environment variable: unset = 0 (report only),
-// "1" = 1.0, any other value = the required factor. The shard-plane
-// speedup test in internal/actor honors the same gate.
-func envRequireSpeedup() float64 {
-	v := os.Getenv("ACTOP_REQUIRE_SPEEDUP")
-	if v == "" {
-		return 0
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f <= 0 {
-		return 1.0
-	}
-	return f
-}
-
 func runClusterBench(args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	var (
@@ -370,8 +354,8 @@ func runClusterBench(args []string) {
 		cache   = fs.Int("cache", 0, "per-node location cache bound (0 = runtime default)")
 		out     = fs.String("out", "BENCH_scale.json", "result file")
 		cost    = fs.Bool("cost", true, "also run the single-threaded COST baseline")
-		require = fs.Float64("require-speedup", envRequireSpeedup(),
-			"fail unless cluster beats COST by this factor (0 = report only; default from ACTOP_REQUIRE_SPEEDUP)")
+		require = fs.Float64("require-speedup", 0,
+			"fail unless cluster beats COST by this factor (0 = report only)")
 	)
 	fs.Parse(args)
 

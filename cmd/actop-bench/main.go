@@ -9,15 +9,11 @@
 //
 // Experiments: section3, fig4, fig5, fig7, fig10a, fig10b (alias fig10c),
 // fig10d (alias fig10e), fig10f, fig11a, fig11b, throughput, all. Two extra
-// subcommands target the real runtime instead of a paper figure: msgplane
-// micro-benchmarks the message plane (codec, TCP transport, local/remote
-// calls), and trace prints a live three-node cluster's end-to-end latency
-// decomposition assembled from hop-carried call tracing. The workloads
-// subcommand runs the declarative workload-spec library through both the
-// simulator and a real loopback-TCP cluster, cross-checks the two, and
-// writes BENCH_workloads.json. The recovery subcommand measures durable
-// snapshot overhead and time-to-recover after a node kill, and writes
-// BENCH_recovery.json.
+// subcommands target the real runtime instead of a paper figure, covering
+// what the benchmark ledger (go run ./benchmark) does not measure yet:
+// cluster drives a multi-process loopback-TCP cluster and writes
+// BENCH_scale.json, and recovery measures durable snapshot overhead and
+// time-to-recover after a node kill and writes BENCH_recovery.json.
 //
 // By default experiments run at "quick" scale — the same per-server
 // operating point as the paper (load/server, CPU utilization) with a
@@ -47,14 +43,8 @@ func main() {
 		case "cluster":
 			runClusterBench(os.Args[2:])
 			return
-		case "workloads":
-			runWorkloadsBench(os.Args[2:])
-			return
 		case "recovery":
 			runRecoveryBench(os.Args[2:])
-			return
-		case "top":
-			runTopCmd(os.Args[2:])
 			return
 		}
 	}
@@ -154,10 +144,6 @@ func main() {
 			fmt.Print(experiments.RunFig11b(base).Render())
 		case "throughput":
 			fmt.Print(experiments.RunThroughput(base, throughputLoads).Render())
-		case "msgplane":
-			runMsgPlane(*measure)
-		case "trace":
-			runTraceBench(*measure)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			usage()
@@ -179,6 +165,11 @@ func main() {
 	run(target)
 }
 
+func fatalf(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: actop-bench [flags] <experiment>
 
@@ -194,17 +185,12 @@ experiments:
   fig11a      thread-allocation-only improvement (heartbeat)
   fig11b      combined optimizations
   throughput  peak throughput baseline vs ActOp
-  msgplane    real-runtime message-plane micro-benchmarks (codec/TCP/calls)
-  trace       live-cluster latency decomposition from hop-carried tracing
   cluster     multi-process loopback-TCP cluster at 100K–1M live actors
               (own flags; see actop-bench cluster -h)
-  workloads   declarative workload specs through DES and a real cluster,
-              conformance-checked, with GOMAXPROCS=1 COST baselines
-              (own flags; see actop-bench workloads -h)
   recovery    durable-snapshot overhead at 0/1/2 replicas and time to
               recover 10K durable actors after a node kill
               (own flags; see actop-bench recovery -h)
-  all         every figure above (not msgplane/trace/cluster)
+  all         every figure above (not cluster/recovery)
 
 flags:`)
 	flag.PrintDefaults()

@@ -7,14 +7,12 @@
 //
 // Usage:
 //
-//	actop-lint [-list] [-only name,name] [-cache dir] [-jobs n] [-time] [packages]
+//	actop-lint [-list] [-only name,name] [-jobs n] [-time] [packages]
 //
 // Analysis is whole-program: packages are analyzed in parallel in
 // dependency order, facts flow along import edges, and cross-package
 // Finish passes (e.g. the synchronous-call-cycle check) see every
-// package. -cache enables the per-package result cache keyed on source
-// and dependency export data, so warm re-runs skip unchanged packages;
-// -time prints per-analyzer wall time and cache statistics to stderr.
+// package. -time prints per-analyzer wall time to stderr.
 //
 // Packages default to ./... relative to the current directory. Exit
 // status is 0 when clean, 1 when findings survive suppression, 2 on a
@@ -45,9 +43,8 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("actop-lint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "print the analyzer suite and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	cacheDir := fs.String("cache", "", "directory for the per-package analysis cache (empty: no cache)")
 	jobs := fs.Int("jobs", 0, "max packages analyzed concurrently (0: GOMAXPROCS)")
-	times := fs.Bool("time", false, "print per-analyzer wall time and cache stats to stderr")
+	times := fs.Bool("time", false, "print per-analyzer wall time to stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,8 +82,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "actop-lint: %v\n", err)
 		return 2
 	}
-	findings, stats, err := lint.RunProgram(cwd, patterns, analyzers,
-		lint.Options{CacheDir: *cacheDir, Jobs: *jobs})
+	findings, stats, err := lint.RunProgram(cwd, patterns, analyzers, lint.Options{Jobs: *jobs})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "actop-lint: %v\n", err)
 		return 2
@@ -104,11 +100,11 @@ func run(args []string) int {
 	return 0
 }
 
-// printStats reports wall time per analyzer (in suite order) plus the
-// cache hit/miss split, all on stderr so finding output stays parseable.
+// printStats reports the run's wall time and the time per analyzer (in
+// suite order), all on stderr so finding output stays parseable.
 func printStats(stats *lint.Stats, analyzers []*lint.Analyzer) {
-	fmt.Fprintf(os.Stderr, "actop-lint: %d package(s) in %s (%d cached, %d analyzed)\n",
-		stats.Packages, stats.Total.Round(time.Millisecond), stats.CacheHits, stats.Loaded)
+	fmt.Fprintf(os.Stderr, "actop-lint: %d package(s) in %s\n",
+		stats.Packages, stats.Total.Round(time.Millisecond))
 	for _, a := range analyzers {
 		if d, ok := stats.AnalyzerTime[a.Name]; ok {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, d.Round(time.Microsecond))

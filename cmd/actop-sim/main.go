@@ -51,8 +51,7 @@ func main() {
 	fmt.Printf("simulated %v of cluster time in %v\n", *warmup+*measure, time.Since(start).Round(time.Millisecond))
 }
 
-// printCDF renders one latency CDF as percentile rows (the simulated
-// counterpart of the live decomposition printed by actop-bench trace).
+// printCDF renders one latency CDF as percentile rows.
 func printCDF(name string, points []metrics.CDFPoint) {
 	fmt.Printf("%s latency CDF (%d points):\n", name, len(points))
 	fmt.Printf("  %8s %12s\n", "fraction", "latency")

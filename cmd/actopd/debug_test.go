@@ -175,7 +175,7 @@ func TestHotspotsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, path := range []string{"/debug/actop/hotspots?n=5", "/debug/actop/hotspots?cluster=1&n=5"} {
+	for path, cluster := range map[string]bool{"/debug/actop/hotspots?n=5": false, "/debug/actop/hotspots?cluster=1&n=5": true} {
 		code, body := getBody(t, srv, path)
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, code)
@@ -184,7 +184,7 @@ func TestHotspotsEndpoint(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &p); err != nil {
 			t.Fatalf("%s: bad JSON: %v\n%s", path, err, body)
 		}
-		if p.Node != "node-a" || p.Tracked == 0 {
+		if p.Node != "node-a" || p.Tracked == 0 || p.Cluster != cluster {
 			t.Fatalf("%s: payload header wrong: %+v", path, p)
 		}
 		if len(p.Top) == 0 || p.Top[0].Actor != "kv/hot" {

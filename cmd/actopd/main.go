@@ -71,14 +71,11 @@ func main() {
 		hbIvl    = flag.Duration("heartbeat-interval", time.Second, "failure detector ping period (and per-ping timeout)")
 		suspect  = flag.Int("suspect-after", 2, "consecutive missed heartbeats before a peer is suspect")
 		deadAft  = flag.Int("dead-after", 5, "consecutive missed heartbeats before a peer is declared dead")
-		noFail   = flag.Bool("no-failover", false, "disable the failure detector, call retries, and actor failover")
 		durRepl  = flag.Int("durable-replicas", 0, "peer replicas per durable actor snapshot (0 disables durability)")
 		snapIvl  = flag.Duration("snapshot-interval", 0, "wall-clock bound on durable snapshot staleness (0 = runtime default)")
 		debug    = flag.String("debug", "", "serve /debug/actop, /metrics + pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		sample   = flag.Float64("trace-sample", 0.01, "fraction of root calls traced for /debug/actop/traces (0 disables)")
 		noHot    = flag.Bool("no-hotspots", false, "disable the per-actor hot-spot profiler")
-		hotK     = flag.Int("hotspot-k", 0, "hot-spot sketch capacity per node (0 = runtime default)")
-		fltRing  = flag.Int("flight-ring", 0, "flight recorder ring size in events (0 = runtime default)")
 		sloTgt   = flag.Duration("slo", 0, "p99 call-latency SLO; breaches trigger a flight dump (0 disables)")
 		stats    = flag.Duration("stats", 10*time.Second, "stats logging period")
 		call     = flag.String("call", "", "one-shot: call type/key instead of serving")
@@ -113,20 +110,16 @@ func main() {
 	metrics.RegisterRuntimeGauges(reg)
 	sys, err := actor.NewSystem(actor.Config{
 		Transport: tr, Peers: uniq, Seed: time.Now().UnixNano(),
-		DisableThreadControl:  *noTune,
-		ThreadControlInterval: *tuneIvl,
-		HeartbeatInterval:     *hbIvl,
-		SuspectAfter:          *suspect,
-		DeadAfter:             *deadAft,
-		DisableFailover:       *noFail,
-		DurableReplicas:       *durRepl,
-		SnapshotInterval:      *snapIvl,
-		TraceSampleRate:       *sample,
-		DisableHotspots:       *noHot,
-		HotspotK:              *hotK,
-		FlightRingSize:        *fltRing,
-		SLOTarget:             *sloTgt,
-		Metrics:               reg,
+		DisableThreadControl: *noTune,
+		HeartbeatInterval:    *hbIvl,
+		SuspectAfter:         *suspect,
+		DeadAfter:            *deadAft,
+		DurableReplicas:      *durRepl,
+		SnapshotInterval:     *snapIvl,
+		TraceSampleRate:      *sample,
+		DisableHotspots:      *noHot,
+		SLOTarget:            *sloTgt,
+		Metrics:              reg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -161,6 +154,9 @@ func main() {
 		opts := core.DefaultOptions()
 		opts.Metrics = reg
 		opts.Flight = sys.FlightRecorder()
+		if *tuneIvl > 0 {
+			opts.ThreadPeriod = *tuneIvl
+		}
 		opt = core.NewOptimizer(sys, opts)
 		opt.Start()
 		defer opt.Stop()

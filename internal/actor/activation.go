@@ -437,6 +437,13 @@ func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, err
 	if again, ok := sh.activations[ref]; ok {
 		return again, nil
 	}
+	// The resolution above is only as fresh as its reads: if it named this
+	// node because the actor was active here, and the actor has migrated out
+	// since, installing now would fork a second incarnation beside the one
+	// that left. The tombstone that migration recorded is the newer fact.
+	if f, ok := sh.forwards[ref]; ok && time.Now().Before(f.expires) {
+		return nil, nil
+	}
 	sh.activations[ref] = act
 	sh.vertexRefs[h] = ref
 	// Any leftover tombstone is obsolete the moment a live activation

@@ -119,10 +119,6 @@ type Config struct {
 	// Placement selects the new-activation policy (default PlaceRandom).
 	Placement PlacementPolicy
 
-	// MonitorCapacity sizes the per-node Space-Saving edge summary
-	// (default 4096).
-	MonitorCapacity int
-
 	// LocCacheSize bounds the node's location cache (resident routes across
 	// all state shards; default 128K). Eviction is per-shard clock
 	// (second-chance): hot routes survive, cold ones are recycled one at a
@@ -147,10 +143,6 @@ type Config struct {
 	// pointing at the peer is purged, its directory ranges rehash to
 	// survivors, and its actors re-activate elsewhere on next call.
 	DeadAfter int
-	// DisableFailover turns the whole failure-tolerance layer off: no
-	// heartbeats, no membership states, no call retries, no reply dedup —
-	// the pre-failover static-cluster behavior.
-	DisableFailover bool
 	// RetryBackoff is the initial delay between call retry attempts;
 	// backoff doubles per retry (with ±50% jitter) up to 16× this value,
 	// always within the CallTimeout budget (default 10ms).
@@ -169,9 +161,6 @@ type Config struct {
 	// time has passed since its last capture, even below SnapshotEvery
 	// (default 2s).
 	SnapshotInterval time.Duration
-	// SnapshotWorkers sizes the background snapshotter pool that encodes
-	// and ships captures off the turn path (default 2).
-	SnapshotWorkers int
 	// RecoveryConcurrency bounds concurrent failover recovery pulls so a
 	// hot dead node cannot thundering-herd the surviving replicas
 	// (default 8).
@@ -181,10 +170,6 @@ type Config struct {
 	// loop (§5) that core.NewOptimizer attaches to this node's stages; the
 	// initial Workers/ReceiverWorkers/SenderWorkers split then stays fixed.
 	DisableThreadControl bool
-	// ThreadControlInterval is the controller's measure→solve→resize
-	// period (default 10s, the paper's cadence). It overrides the
-	// optimizer's ThreadPeriod when set.
-	ThreadControlInterval time.Duration
 
 	// TraceSampleRate is the fraction of root calls that carry a trace
 	// (0 disables tracing entirely — the default; unsampled calls pay one
@@ -201,16 +186,11 @@ type Config struct {
 
 	// DisableHotspots turns off the per-actor hot-spot profiler. On by
 	// default: per-turn accounting batched per mailbox drain into a
-	// bounded heavy-hitter sketch (internal/hotspot), O(HotspotK) memory.
+	// bounded heavy-hitter sketch (internal/hotspot) of 512 entries.
 	DisableHotspots bool
-	// HotspotK sizes the hot-spot sketch — roughly how many actors the
-	// node tracks as candidates for the hot table (default 512).
-	HotspotK int
 	// HotspotDecay is the profiler's cost half-life: every interval, all
 	// tracked costs halve, so the table reads "hot now" (default 30s).
 	HotspotDecay time.Duration
-	// FlightRingSize caps the flight recorder's event ring (default 1024).
-	FlightRingSize int
 	// FlightDebounce is the minimum gap between anomaly dumps of the same
 	// trigger kind (default 30s) — a storm of violations produces one
 	// black-box dump, not one per violation.
@@ -256,9 +236,6 @@ func (c *Config) fill() error {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 5 * time.Second
 	}
-	if c.MonitorCapacity <= 0 {
-		c.MonitorCapacity = 4096
-	}
 	if c.LocCacheSize <= 0 {
 		c.LocCacheSize = 1 << 17
 	}
@@ -283,23 +260,14 @@ func (c *Config) fill() error {
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 2 * time.Second
 	}
-	if c.SnapshotWorkers <= 0 {
-		c.SnapshotWorkers = 2
-	}
 	if c.RecoveryConcurrency <= 0 {
 		c.RecoveryConcurrency = 8
 	}
 	if c.TraceRingSize <= 0 {
 		c.TraceRingSize = 4096
 	}
-	if c.HotspotK <= 0 {
-		c.HotspotK = 512
-	}
 	if c.HotspotDecay <= 0 {
 		c.HotspotDecay = 30 * time.Second
-	}
-	if c.FlightRingSize <= 0 {
-		c.FlightRingSize = 1024
 	}
 	if c.FlightDebounce <= 0 {
 		c.FlightDebounce = 30 * time.Second

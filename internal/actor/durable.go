@@ -96,7 +96,7 @@ func (s *System) shipSnapshot(ref Ref, epoch, seq uint64, state []byte) {
 		// ship withheld from a falsely-accused peer costs one interval of
 		// replica freshness and the next capture repairs it, while a
 		// recovery read that wrongly skips a replica is irreversible.
-		if !s.cfg.DisableFailover && s.PeerStateOf(p) == PeerDead {
+		if s.PeerStateOf(p) == PeerDead {
 			continue
 		}
 		if _, err := s.controlRoundTrip(p, ctlSnap, payload, s.cfg.CallTimeout); err != nil {
@@ -274,13 +274,11 @@ func (s *System) recoverSnapshot(ref Ref) (*durable.Record, error) {
 		if p == s.Node() {
 			continue
 		}
-		if !s.cfg.DisableFailover {
-			if at, dead := s.peerDeadSince(p); dead {
-				if time.Since(at) < s.snapDeadGrace() {
-					deferred = append(deferred, p)
-				}
-				continue
+		if at, dead := s.peerDeadSince(p); dead {
+			if time.Since(at) < s.snapDeadGrace() {
+				deferred = append(deferred, p)
 			}
+			continue
 		}
 		consult(p)
 	}

@@ -357,7 +357,7 @@ func (s *System) livePeers() []transport.NodeID {
 // and call retries.
 func (s *System) directoryOwner(ref Ref) transport.NodeID {
 	owner := s.peers[uint64(ref.Vertex())%uint64(len(s.peers))]
-	if s.cfg.DisableFailover || owner == s.Node() || s.PeerStateOf(owner) != PeerDead {
+	if owner == s.Node() || s.PeerStateOf(owner) != PeerDead {
 		return owner
 	}
 	live := s.livePeers() // non-empty: always includes self

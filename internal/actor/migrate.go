@@ -50,7 +50,7 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 	if to == s.Node() {
 		return nil
 	}
-	if !s.cfg.DisableFailover && s.PeerStateOf(to) != PeerAlive {
+	if s.PeerStateOf(to) != PeerAlive {
 		// Never ship state toward a node the detector distrusts: a transfer
 		// into a dying node strands the actor behind its failover.
 		return fmt.Errorf("%w: migrate %s to %s (%s)", errPeerDown, ref, to, s.PeerStateOf(to))
@@ -216,7 +216,7 @@ func (s *System) dropOrphan(node transport.NodeID, ref Ref, id string) {
 	s.trackGo(func() {
 		backoff := 100 * time.Millisecond
 		for attempt := 0; attempt < 50; attempt++ {
-			if !s.cfg.DisableFailover && s.PeerStateOf(node) == PeerDead {
+			if s.PeerStateOf(node) == PeerDead {
 				return
 			}
 			if s.controlCall(node, ctlMigrateDrop, migratePayload{
@@ -459,7 +459,7 @@ func (s *System) ExchangeRound(opts partition.Options, window time.Duration) (in
 			continue
 		}
 		peer := s.peers[peerIdx]
-		if !s.cfg.DisableFailover && s.PeerStateOf(peer) != PeerAlive {
+		if s.PeerStateOf(peer) != PeerAlive {
 			continue // never trade actors with a suspect or dead peer
 		}
 		wire := exchangeWire{Opts: opts, Req: partition.ExchangeRequest{
@@ -500,7 +500,7 @@ func (s *System) handleExchange(payload []byte, from transport.NodeID) ([]byte, 
 	if s.exchangeCooling(s.cfg.ExchangeRejectWindow) {
 		return codec.Marshal(exchangeReply{Rejected: true})
 	}
-	if !s.cfg.DisableFailover && s.PeerStateOf(from) != PeerAlive {
+	if s.PeerStateOf(from) != PeerAlive {
 		// An exchange proposal from a peer we distrust: accepting would ship
 		// actors toward (or from) a node mid-failure. Reject; the initiator
 		// retries a round later if it is actually healthy.

@@ -47,7 +47,7 @@ func newObsCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*Syst
 // TestObsSmoke is the skewed-workload acceptance check: one injected hot
 // actor among a field of background actors must surface at rank 1 in the
 // cluster-wide hot-actor table, and the observability metric families
-// must appear on a scrape. Wired into `make obs-smoke` / `make check`.
+// must appear on a scrape.
 func TestObsSmoke(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sys := newObsCluster(t, 3, func(i int, cfg *Config) {
@@ -186,7 +186,8 @@ func TestSLOBreachDump(t *testing.T) {
 // the always-on observability plane. It compares local-call latency with
 // the profiler + flight recorder at defaults against DisableHotspots, on
 // the same process. Timing-sensitive, so gated behind
-// ACTOP_OVERHEAD_GUARD=1; a recorded run lives in BENCH_obs.json.
+// ACTOP_OVERHEAD_GUARD=1; the benchmark ledger reads the same cost per
+// event as hotspot.observe_ns and metrics.record_ns.
 func TestObsOverheadGuard(t *testing.T) {
 	if os.Getenv("ACTOP_OVERHEAD_GUARD") == "" {
 		t.Skip("set ACTOP_OVERHEAD_GUARD=1 to run the overhead guard")

@@ -2,7 +2,6 @@ package actor
 
 import (
 	"math/rand"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -179,37 +178,15 @@ func BenchmarkLocalCallSteadyState(b *testing.B) {
 	}
 }
 
-// requiredSpeedup reads the ACTOP_REQUIRE_SPEEDUP gate: unset (or 0) means
-// report-only; "1" means any speedup ≥ 1.0 must hold; any other value is
-// the required factor. The same variable feeds the cluster benchmark's
-// -require-speedup default (see cmd/actop-bench and EXPERIMENTS.md).
-func requiredSpeedup() float64 {
-	v := os.Getenv("ACTOP_REQUIRE_SPEEDUP")
-	if v == "" {
-		return 0
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f <= 0 {
-		return 1.0
-	}
-	return f
-}
-
 // TestShardedRoutingSpeedup measures hot-path routing throughput with one
 // goroutine against GOMAXPROCS goroutines over the lock-striped state
-// plane. By default it only reports the ratio; with ACTOP_REQUIRE_SPEEDUP
-// set it fails unless the parallel configuration beats the serial one by
-// the required factor — the regression tripwire for reintroducing a
-// coarse lock on the routing path.
+// plane and reports the ratio. It asserts no factor: the ratio depends on
+// how many dedicated cores the host has (ROADMAP "Many-core").
 func TestShardedRoutingSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed throughput comparison")
 	}
-	require := requiredSpeedup()
 	procs := runtime.GOMAXPROCS(0)
-	if require > 0 && procs < 2 {
-		t.Skipf("ACTOP_REQUIRE_SPEEDUP set but only %d proc(s); parallel speedup impossible", procs)
-	}
 
 	sys := newScaleBenchSystem(t)
 	const population = 16384
@@ -259,10 +236,6 @@ func TestShardedRoutingSpeedup(t *testing.T) {
 	speedup := float64(parallel) / float64(serial)
 	t.Logf("routing lookups: 1 goroutine %d ops, %d goroutines %d ops, speedup %.2f× (%d procs)",
 		serial, procs, parallel, speedup, procs)
-	if require > 0 && speedup < require {
-		t.Fatalf("parallel routing speedup %.2f× below required %.2f× (ACTOP_REQUIRE_SPEEDUP)",
-			speedup, require)
-	}
 }
 
 // TestAllocsPerActivation pins the per-activation allocation budget so the

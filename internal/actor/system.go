@@ -185,6 +185,20 @@ type System struct {
 	callsLocal, callsRemote, migrationsIn, migrationsOut, redirects atomic.Uint64
 }
 
+// Sizes no test, smoke or workload varies.
+const (
+	// monitorCapacity sizes the per-node Space-Saving edge summary.
+	monitorCapacity = 4096
+	// hotspotK sizes the hot-spot sketch — roughly how many actors the
+	// node tracks as candidates for the hot table.
+	hotspotK = 512
+	// flightRingSize caps the flight recorder's event ring.
+	flightRingSize = 1024
+	// snapshotWorkers sizes the background snapshotter pool that encodes
+	// and ships captures off the turn path.
+	snapshotWorkers = 2
+)
+
 // NewSystem starts a node. The transport's handler is installed here; do
 // not share a transport between systems.
 func NewSystem(cfg Config) (*System, error) {
@@ -199,7 +213,7 @@ func NewSystem(cfg Config) (*System, error) {
 		peers:       peers,
 		types:       make(map[string]Factory),
 		rng:         rand.New(rand.NewSource(cfg.Seed ^ int64(hashNode(cfg.Transport.Node())))),
-		monitor:     partition.NewMonitor(cfg.MonitorCapacity),
+		monitor:     partition.NewMonitor(monitorCapacity),
 		edgeSampler: trace.NewSampler(1.0 / edgeSample),
 		members:     make(map[transport.NodeID]*memberEntry, len(peers)),
 		done:        make(chan struct{}),
@@ -209,15 +223,15 @@ func NewSystem(cfg Config) (*System, error) {
 		// behalf of peers even if none of its own types are durable.
 		snapStore: durable.NewStore(),
 	}
-	s.flight = flight.NewRecorder(cfg.FlightRingSize, cfg.FlightDebounce)
+	s.flight = flight.NewRecorder(flightRingSize, cfg.FlightDebounce)
 	if !cfg.DisableHotspots {
-		s.prof = hotspot.New(cfg.HotspotK)
+		s.prof = hotspot.New(hotspotK)
 	}
 	if cfg.SLOTarget > 0 {
 		s.sloWin = &metrics.ConcurrentHistogram{}
 	}
 	if cfg.DurableReplicas > 0 {
-		s.snapPool = durable.NewPool(cfg.SnapshotWorkers, 1024)
+		s.snapPool = durable.NewPool(snapshotWorkers, 1024)
 		s.recoverySem = make(chan struct{}, cfg.RecoveryConcurrency)
 		s.snapProbeFail = make(map[transport.NodeID]time.Time)
 	}
@@ -247,7 +261,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// keep its workers precisely when every adaptive stage is starved.
 	s.ctlStage = seda.NewStage("control", cfg.QueueCap, ctlStageWorkers(cfg.ReceiverWorkers))
 	s.tr.SetHandler(s.onEnvelope)
-	if !cfg.DisableFailover && len(peers) > 1 {
+	if len(peers) > 1 {
 		s.bg.Add(1)
 		go func() {
 			defer s.bg.Done()
@@ -323,7 +337,7 @@ func (s *System) Stages() (recv, work, send *seda.Stage) {
 }
 
 // Config returns a copy of the node's (filled) configuration, so attached
-// controllers can honor DisableThreadControl / ThreadControlInterval.
+// controllers can honor DisableThreadControl.
 func (s *System) Config() Config { return s.cfg }
 
 // Stop shuts the node down: background loops (heartbeats, retry/cleanup
@@ -574,7 +588,7 @@ func (s *System) dispatchRetry(from *Ref, to Ref, method string, args []byte, sp
 		if err == nil {
 			return res, nil, attempt == 0
 		}
-		if s.cfg.DisableFailover || !retryable(err) {
+		if !retryable(err) {
 			return res, err, attempt == 0 && !errors.Is(err, ErrTimeout)
 		}
 		if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, errPeerDown) {
@@ -662,9 +676,6 @@ func (s *System) jitter(d time.Duration) time.Duration {
 // reply or gets the deduped recorded one.
 func (s *System) attemptTimeout(deadline time.Time) time.Duration {
 	remaining := time.Until(deadline)
-	if s.cfg.DisableFailover {
-		return remaining
-	}
 	cap := 2 * s.cfg.HeartbeatInterval
 	if floor := 4 * s.cfg.RetryBackoff; cap < floor {
 		cap = floor
@@ -701,7 +712,7 @@ func (s *System) dispatch(from *Ref, to Ref, method string, args []byte, depth i
 		s.callsLocal.Add(1)
 		res, err = s.invokeLocal(to, method, args, deadline, sp)
 	} else {
-		if !s.cfg.DisableFailover && s.PeerStateOf(node) == PeerDead {
+		if s.PeerStateOf(node) == PeerDead {
 			// Fail fast instead of waiting out a timeout against a node the
 			// detector already declared dead; the retry re-resolves through
 			// the (purged) directory to a live host.
@@ -741,24 +752,30 @@ func (e redirectError) Error() string { return "actor: redirected to " + string(
 // the caller's full deadline — local execution has no lost-message failure
 // mode, so chunked attempts would only risk double-enqueueing the turn.
 func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.Time, sp *trace.Span) ([]byte, error) {
-	act, err := s.activationFor(to, true, true)
-	if err != nil {
-		return nil, err
-	}
-	if act == nil {
+	for attempt := 0; ; attempt++ {
+		act, err := s.activationFor(to, true, true)
+		if err != nil {
+			return nil, err
+		}
+		if act != nil {
+			out, err := s.runLocal(act, invocation{method: method, args: args}, sp, time.Until(deadline))
+			return out.data, err
+		}
 		// We are not (or no longer) the host: redirect with the routed
 		// resolution's answer (tombstone or directory — see locateDir).
 		node, err := s.locateDir(to, false, deadline)
 		if err != nil {
 			return nil, err
 		}
-		if node == s.Node() {
+		if node != s.Node() {
+			return nil, redirectError{node: node}
+		}
+		// The actor arrived here between the two resolutions (as in
+		// serverCall.handle): resolve again rather than fail the call.
+		if attempt == 2 {
 			return nil, fmt.Errorf("actor: routing loop for %s", to)
 		}
-		return nil, redirectError{node: node}
 	}
-	out, err := s.runLocal(act, invocation{method: method, args: args}, sp, time.Until(deadline))
-	return out.data, err
 }
 
 // remoteCall performs one RPC attempt through the send stage and waits up
@@ -1046,24 +1063,22 @@ func (c *serverCall) handle(recvWait time.Duration) {
 			Start: time.Now(), RecvQueue: recvWait,
 		}
 	}
-	if !s.cfg.DisableFailover {
-		proceed, prior := s.dedupBegin(c.key)
-		if !proceed {
-			s.failures.DedupHits.Add(1)
-			if prior == nil {
-				// Still executing: drop the duplicate; the running turn's
-				// reply answers the caller's current attempt (same id).
-				c.release()
-				return
-			}
-			var flags uint64
-			if c.sp != nil {
-				c.sp.DedupHit = true
-				flags = transport.TraceFlagDedupHit
-			}
-			c.send(prior.payload, prior.errStr, flags)
+	proceed, prior := s.dedupBegin(c.key)
+	if !proceed {
+		s.failures.DedupHits.Add(1)
+		if prior == nil {
+			// Still executing: drop the duplicate; the running turn's
+			// reply answers the caller's current attempt (same id).
+			c.release()
 			return
 		}
+		var flags uint64
+		if c.sp != nil {
+			c.sp.DedupHit = true
+			flags = transport.TraceFlagDedupHit
+		}
+		c.send(prior.payload, prior.errStr, flags)
+		return
 	}
 	if s.srvDur != nil {
 		c.srvStart = time.Now()
@@ -1122,23 +1137,21 @@ func (c *serverCall) complete(data []byte, _ interface{}, err error) {
 	if s.srvDur != nil {
 		s.srvDur.Observe(time.Since(c.srvStart), c.env.Method)
 	}
-	if !s.cfg.DisableFailover {
-		// Redirects and routing dead ends are answers about where the
-		// actor was, not what its turn returned. Recording them would
-		// replay a stale route to every retry of this call id for the
-		// rest of the window — a retried chase could orbit the cluster
-		// on echoes long after the actor settled. Release the slot so
-		// the retry re-resolves; only executed turns (and real
-		// application errors) are deduplicated. Pre-turn failures are
-		// the same kind of transient: no turn ran, so a retry must
-		// re-attempt the activation, not replay this snapshot of it.
-		if strings.HasPrefix(errStr, redirectPrefix) ||
-			strings.HasPrefix(errStr, "actor: cannot route") ||
-			(c.preTurn && errStr != "") {
-			s.dedupCancel(c.key)
-		} else {
-			s.dedupResolve(c.key, data, errStr)
-		}
+	// Redirects and routing dead ends are answers about where the
+	// actor was, not what its turn returned. Recording them would
+	// replay a stale route to every retry of this call id for the
+	// rest of the window — a retried chase could orbit the cluster
+	// on echoes long after the actor settled. Release the slot so
+	// the retry re-resolves; only executed turns (and real
+	// application errors) are deduplicated. Pre-turn failures are
+	// the same kind of transient: no turn ran, so a retry must
+	// re-attempt the activation, not replay this snapshot of it.
+	if strings.HasPrefix(errStr, redirectPrefix) ||
+		strings.HasPrefix(errStr, "actor: cannot route") ||
+		(c.preTurn && errStr != "") {
+		s.dedupCancel(c.key)
+	} else {
+		s.dedupResolve(c.key, data, errStr)
 	}
 	c.send(data, errStr, 0)
 }
@@ -1277,7 +1290,7 @@ func (s *System) locateDir(ref Ref, place bool, deadline time.Time) (transport.N
 		Type: ref.Type, Key: ref.Key, Suggest: string(s.Node()), Place: place,
 	}, &node, s.attemptTimeout(deadline))
 	if err != nil {
-		if errors.Is(err, ErrTimeout) && !s.cfg.DisableFailover && s.PeerStateOf(owner) != PeerAlive {
+		if errors.Is(err, ErrTimeout) && s.PeerStateOf(owner) != PeerAlive {
 			return "", fmt.Errorf("%w: directory owner %s: %w", errPeerDown, owner, err)
 		}
 		return "", err
@@ -1292,9 +1305,7 @@ func (s *System) locateDir(ref Ref, place bool, deadline time.Time) (transport.N
 // re-placed among live peers — the failover path for entries created (or
 // re-learned) after the death purge.
 func (s *System) dirLookupLocal(ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
-	dead := func(n transport.NodeID) bool {
-		return !s.cfg.DisableFailover && s.PeerStateOf(n) == PeerDead
-	}
+	dead := func(n transport.NodeID) bool { return s.PeerStateOf(n) == PeerDead }
 	sh := s.shardOf(ref)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -150,9 +150,9 @@ func TestTraceEndToEndThreeNodes(t *testing.T) {
 	if server.Exec <= 0 {
 		t.Fatalf("relay server exec not measured: %+v", server)
 	}
-	if root.Exec != server.Exec || root.WorkQueue != server.WorkQueue {
-		t.Fatalf("reply did not carry callee timings: root{exec %v wq %v} server{exec %v wq %v}",
-			root.Exec, root.WorkQueue, server.Exec, server.WorkQueue)
+	if root.Exec != server.Exec || root.WorkQueue != server.WorkQueue || root.RecvQueue != server.RecvQueue {
+		t.Fatalf("reply did not carry callee timings: root{exec %v wq %v rq %v} server{exec %v wq %v rq %v}",
+			root.Exec, root.WorkQueue, root.RecvQueue, server.Exec, server.WorkQueue, server.RecvQueue)
 	}
 
 	// The nested hop: a client span on node-1 whose parent is the relay's

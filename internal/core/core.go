@@ -112,8 +112,7 @@ type Optimizer struct {
 }
 
 // NewOptimizer binds an optimizer to a node. The node's actor.Config can
-// pre-wire the thread controller: DisableThreadControl forces ThreadTuning
-// off and ThreadControlInterval (when set) overrides ThreadPeriod.
+// pre-wire the thread controller: DisableThreadControl forces ThreadTuning off.
 func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 	if opts.Processors <= 0 {
 		opts.Processors = runtime.NumCPU()
@@ -136,9 +135,6 @@ func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 	cfg := sys.Config()
 	if cfg.DisableThreadControl {
 		opts.ThreadTuning = false
-	}
-	if cfg.ThreadControlInterval > 0 {
-		opts.ThreadPeriod = cfg.ThreadControlInterval
 	}
 	o := &Optimizer{sys: sys, opts: opts, stop: make(chan struct{})}
 	recv, work, send := sys.Stages()

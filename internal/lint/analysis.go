@@ -66,9 +66,9 @@ type Analyzer struct {
 	// packages through pass.ExportObjectFact/ExportPackageFact.
 	Run func(pass *Pass) error
 
-	// FactTypes lists a prototype of every fact type Run exports, so
-	// the cache knows how to deserialize them. An analyzer that exports
-	// an unlisted fact type will not see it survive a cached run.
+	// FactTypes lists a prototype of every fact type Run exports — the
+	// analyzer's declared cross-package surface, as in x/tools. Facts
+	// stay in memory for the length of a run, so nothing decodes by it.
 	FactTypes []Fact
 
 	// Finish, when non-nil, runs once after every package, with the

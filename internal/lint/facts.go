@@ -11,23 +11,23 @@ import (
 
 // The facts layer turns the per-package suite into a whole-program one,
 // mirroring golang.org/x/tools/go/analysis facts on the standard library
-// alone. A fact is a serializable statement an analyzer proves about an
-// exported object ("this function blocks") or about a package as a whole
+// alone. A fact is a statement an analyzer proves about an exported
+// object ("this function blocks") or about a package as a whole
 // ("this package registers actor kind X and calls kind Y from a turn").
 // Packages are analyzed in dependency order, so when an analyzer runs on
 // an importer, every fact its dependencies exported is already available
 // — a helper in internal/codec that blocks is visible from a Receive
 // body in internal/actor, which the old per-package suite could not see.
 
-// A Fact is a pointer to a gob-serializable struct carrying one unit of
-// derived knowledge. The AFact marker method mirrors x/tools and keeps
+// A Fact is a pointer to a struct carrying one unit of derived
+// knowledge. The AFact marker method mirrors x/tools and keeps
 // arbitrary values out of the fact store.
 type Fact interface{ AFact() }
 
-// A Site is a serializable source position, used inside facts so a
+// A Site is a resolved source position, used inside facts so a
 // diagnostic in the importing package can point back at the evidence in
-// the exporting one (token.Pos values do not survive serialization or
-// cross-FileSet transport).
+// the exporting one (token.Pos values do not survive cross-FileSet
+// transport).
 type Site struct {
 	File string
 	Line int
@@ -49,9 +49,8 @@ func (s Site) String() string { return fmt.Sprintf("%s:%d", s.File, s.Line) }
 // objKey canonicalizes an object for fact addressing: package-level
 // objects by name, methods as (T).name. Name-based keys (rather than
 // object identity) are what lets a fact computed from source match the
-// same object materialized later from compiler export data, and what
-// lets facts round-trip through the analysis cache. Locals and struct
-// fields have no stable cross-package name and get no key.
+// same object materialized later from compiler export data. Locals and
+// struct fields have no stable cross-package name and get no key.
 func objKey(obj types.Object) (string, bool) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", false
@@ -160,7 +159,7 @@ func (prog *Program) getPkgFact(pkg string, dst Fact) bool {
 // ExportObjectFact attaches f to obj for importing packages to consume.
 // Only exported objects declared in the current package are eligible:
 // those are the only ones a cross-package call site can reach, and the
-// only ones whose name-based key survives export data and the cache.
+// only ones whose name-based key survives export data.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	if p.prog == nil || obj == nil || obj.Pkg() == nil || p.Pkg == nil ||
 		obj.Pkg().Path() != p.Pkg.Path() || !obj.Exported() {
@@ -241,37 +240,4 @@ func (p *FinishPass) EachPackageFact(proto Fact, visit func(pkgPath string, f Fa
 		p.prog.mu.Unlock()
 		visit(path, f)
 	}
-}
-
-// factsOfPackage snapshots every fact declared by pkg, in deterministic
-// order — the unit the analysis cache persists.
-func (prog *Program) factsOfPackage(pkg string) (objs []struct {
-	Obj  string
-	Fact Fact
-}, pkgFacts []Fact) {
-	prog.mu.Lock()
-	for k, f := range prog.objFacts {
-		if k.pkg == pkg {
-			objs = append(objs, struct {
-				Obj  string
-				Fact Fact
-			}{k.obj, f})
-		}
-	}
-	for k, f := range prog.pkgFacts {
-		if k.pkg == pkg {
-			pkgFacts = append(pkgFacts, f)
-		}
-	}
-	prog.mu.Unlock()
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].Obj != objs[j].Obj {
-			return objs[i].Obj < objs[j].Obj
-		}
-		return factType(objs[i].Fact).Elem().Name() < factType(objs[j].Fact).Elem().Name()
-	})
-	sort.Slice(pkgFacts, func(i, j int) bool {
-		return factType(pkgFacts[i]).Elem().Name() < factType(pkgFacts[j]).Elem().Name()
-	})
-	return objs, pkgFacts
 }

@@ -83,7 +83,7 @@ func newLoader(moduleDir, srcRoot string) *loader {
 		if !ok {
 			// Lazy path: a fixture imported something go list has not
 			// described yet (linttest mode only).
-			if _, err := l.goList(true, path); err != nil {
+			if _, err := l.goList(path); err != nil {
 				return nil, err
 			}
 			l.mu.Lock()
@@ -98,16 +98,14 @@ func newLoader(moduleDir, srcRoot string) *loader {
 	return l
 }
 
-// goList runs `go list -e -deps -json` over patterns and returns every
-// listed package — targets and dependencies alike; callers filter. With
-// export true it adds -export, which makes go list build/locate compiler
-// export data for every dependency (markedly slower) and records each
-// export-data file for the importer. A fully-warm cached run never needs
-// export data, so RunProgram lists without it first and only re-lists
-// with export once a package actually has to be type-checked. Repeat
-// calls with identical arguments are memoized to nil.
-func (l *loader) goList(export bool, patterns ...string) ([]listPkg, error) {
-	key := fmt.Sprintf("%v\x00%s", export, strings.Join(patterns, "\x00"))
+// goList runs `go list -e -export -deps -json` over patterns and returns
+// every listed package — targets and dependencies alike; callers filter.
+// -export makes go list build/locate compiler export data for every
+// dependency (most of a run's wall time) and each export-data file is
+// recorded for the importer. Repeat calls with identical arguments are
+// memoized to nil.
+func (l *loader) goList(patterns ...string) ([]listPkg, error) {
+	key := strings.Join(patterns, "\x00")
 	l.mu.Lock()
 	seen := l.listed[key]
 	l.listed[key] = true
@@ -115,11 +113,7 @@ func (l *loader) goList(export bool, patterns ...string) ([]listPkg, error) {
 	if seen {
 		return nil, nil
 	}
-	args := []string{"list", "-e"}
-	if export {
-		args = append(args, "-export")
-	}
-	args = append(args, "-deps", "-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Error")
+	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Error"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.moduleDir
@@ -239,7 +233,7 @@ func (l *loader) checkDir(importPath, dir string, files []string) (*Package, err
 // is the directory go list runs in.
 func LoadPackages(moduleDir string, patterns []string) ([]*Package, error) {
 	l := newLoader(moduleDir, "")
-	listed, err := l.goList(true, patterns...)
+	listed, err := l.goList(patterns...)
 	if err != nil {
 		return nil, err
 	}

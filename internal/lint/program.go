@@ -11,14 +11,6 @@ import (
 
 // Options tunes a whole-program run.
 type Options struct {
-	// CacheDir, when non-empty, enables the per-package analysis cache:
-	// a package whose key (suite fingerprint + its sources + the keys
-	// of its module dependencies + the export data of its stdlib
-	// dependencies) is unchanged skips parsing, type-checking, and
-	// analysis entirely — its raw findings, directives, and facts are
-	// restored from disk.
-	CacheDir string
-
 	// Jobs caps how many packages analyze concurrently. <= 0 means
 	// GOMAXPROCS. Dependencies still complete before dependents start,
 	// so facts always flow in order.
@@ -27,10 +19,8 @@ type Options struct {
 
 // Stats reports what one run did — the CLI's -time output.
 type Stats struct {
-	Packages  int // target packages analyzed (or restored)
-	CacheHits int // restored from the cache
-	Loaded    int // parsed + type-checked this run
-	Total     time.Duration
+	Packages int // target packages parsed, type-checked and analyzed
+	Total    time.Duration
 
 	// AnalyzerTime accumulates wall time per analyzer across all
 	// packages (concurrent package runs sum, so this can exceed Total).
@@ -62,12 +52,8 @@ func RunProgram(moduleDir string, patterns []string, analyzers []*Analyzer, opts
 	stats := &Stats{AnalyzerTime: map[string]time.Duration{}}
 	tm := &timings{m: map[string]time.Duration{}}
 
-	// First listing runs without -export: cache keys need only sources
-	// and the import graph, and a fully-warm run never type-checks, so
-	// making go list build/locate export data up front would put its
-	// cost on every run instead of only cold ones.
 	l := newLoader(moduleDir, "")
-	listed, err := l.goList(false, patterns...)
+	listed, err := l.goList(patterns...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,28 +83,6 @@ func RunProgram(moduleDir string, patterns []string, analyzers []*Analyzer, opts
 	}
 	prog := newProgram(paths)
 
-	// Probe the cache before scheduling; any miss means type-checking,
-	// which needs dependency export data, so only then re-list with
-	// -export. entries is read-only once the workers start.
-	entries := map[string]*cacheEntry{}
-	var cache *analysisCache
-	if opts.CacheDir != "" {
-		cache, err = newAnalysisCache(opts.CacheDir, analyzers, listed)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, t := range targets {
-			if e, ok := cache.load(t.ImportPath); ok {
-				entries[t.ImportPath] = e
-			}
-		}
-	}
-	if len(entries) < len(targets) {
-		if _, err := l.goList(true, patterns...); err != nil {
-			return nil, nil, err
-		}
-	}
-
 	known := knownNames(analyzers)
 	jobs := opts.Jobs
 	if jobs <= 0 {
@@ -130,7 +94,6 @@ func RunProgram(moduleDir string, patterns []string, analyzers []*Analyzer, opts
 		raw  []Finding
 		dirs []directive
 		err  error
-		hit  bool
 	}
 	results := make(map[string]*pkgResult, len(targets))
 	var resMu sync.Mutex
@@ -167,13 +130,6 @@ func RunProgram(moduleDir string, patterns []string, analyzers []*Analyzer, opts
 				resMu.Unlock()
 			}()
 
-			if entry, ok := entries[t.ImportPath]; ok {
-				res.raw = entry.findings
-				res.dirs = entry.directives
-				entry.install(prog, t.ImportPath)
-				res.hit = true
-				return
-			}
 			pkg, err := l.checkDir(t.ImportPath, t.Dir, t.GoFiles)
 			if err != nil {
 				res.err = err
@@ -186,9 +142,6 @@ func RunProgram(moduleDir string, patterns []string, analyzers []*Analyzer, opts
 			}
 			res.raw = raw
 			res.dirs = scanDirectives(pkg, known)
-			if cache != nil {
-				cache.store(t.ImportPath, prog, res.raw, res.dirs)
-			}
 		}()
 	}
 	wg.Wait()
@@ -203,11 +156,6 @@ func RunProgram(moduleDir string, patterns []string, analyzers []*Analyzer, opts
 		if res.err != nil {
 			errs = append(errs, res.err.Error())
 			continue
-		}
-		if res.hit {
-			stats.CacheHits++
-		} else {
-			stats.Loaded++
 		}
 		all = append(all, res.raw...)
 		dirs = append(dirs, res.dirs...)

@@ -13,9 +13,9 @@ import (
 // writeTempModule lays out a self-contained two-package module —
 // tmpmod/actor/inner exporting a wire sentinel and an ungated spin
 // loop, tmpmod/actor/outer importing both hazards — so RunProgram can
-// exercise go list, cross-package facts, caching, and the stale-
-// directive check against a real module on disk (RunPackages, which the
-// fixture harness uses, deliberately keeps staleness off).
+// exercise go list, cross-package facts, and the stale-directive check
+// against a real module on disk (RunPackages, which the fixture harness
+// uses, deliberately keeps staleness off).
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -75,9 +75,9 @@ func Spawn() {
 	return dir
 }
 
-func runTempModule(t *testing.T, dir string, opts lint.Options) ([]lint.Finding, *lint.Stats) {
+func runTempModule(t *testing.T, dir string) ([]lint.Finding, *lint.Stats) {
 	t.Helper()
-	findings, stats, err := lint.RunProgram(dir, []string{"./..."}, lint.Analyzers(), opts)
+	findings, stats, err := lint.RunProgram(dir, []string{"./..."}, lint.Analyzers(), lint.Options{})
 	if err != nil {
 		t.Fatalf("RunProgram: %v", err)
 	}
@@ -90,9 +90,9 @@ func runTempModule(t *testing.T, dir string, opts lint.Options) ([]lint.Finding,
 // nothing is itself reported.
 func TestRunProgramStaleDirective(t *testing.T) {
 	dir := writeTempModule(t)
-	findings, stats := runTempModule(t, dir, lint.Options{})
-	if stats.Packages != 2 || stats.Loaded != 2 {
-		t.Fatalf("expected 2 packages loaded, got %+v", stats)
+	findings, stats := runTempModule(t, dir)
+	if stats.Packages != 2 {
+		t.Fatalf("expected 2 packages analyzed, got %+v", stats)
 	}
 	if len(findings) != 3 {
 		t.Fatalf("expected 3 findings (errident, goleak, stale directive), got %d:\n%v", len(findings), findings)
@@ -119,58 +119,12 @@ func assertFinding(t *testing.T, findings []lint.Finding, analyzer, substr strin
 
 // TestRunProgramDeterministic runs the identical program twice and
 // requires byte-identical findings in identical order — the property
-// CI diffs and the cache both lean on.
+// CI diffs lean on.
 func TestRunProgramDeterministic(t *testing.T) {
 	dir := writeTempModule(t)
-	a, _ := runTempModule(t, dir, lint.Options{})
-	b, _ := runTempModule(t, dir, lint.Options{})
+	a, _ := runTempModule(t, dir)
+	b, _ := runTempModule(t, dir)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two runs over the same program disagree:\nrun1: %v\nrun2: %v", a, b)
-	}
-}
-
-// TestRunProgramCache pins the cache contract: a warm re-run restores
-// every package without loading, produces identical findings, and
-// editing a package invalidates exactly its dependents — inner's key
-// feeds outer's, so touching inner misses both while touching outer
-// leaves inner's entry live.
-func TestRunProgramCache(t *testing.T) {
-	dir := writeTempModule(t)
-	opts := lint.Options{CacheDir: filepath.Join(dir, ".lintcache")}
-
-	cold, stats := runTempModule(t, dir, opts)
-	if stats.CacheHits != 0 || stats.Loaded != 2 {
-		t.Fatalf("cold run: expected 0 hits / 2 loaded, got %+v", stats)
-	}
-	warm, stats := runTempModule(t, dir, opts)
-	if stats.CacheHits != 2 || stats.Loaded != 0 {
-		t.Fatalf("warm run: expected 2 hits / 0 loaded, got %+v", stats)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached findings diverge:\ncold: %v\nwarm: %v", cold, warm)
-	}
-
-	touch := func(rel string) {
-		t.Helper()
-		p := filepath.Join(dir, filepath.FromSlash(rel))
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, append(src, []byte("\n// touched\n")...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	touch("actor/inner/inner.go")
-	_, stats = runTempModule(t, dir, opts)
-	if stats.CacheHits != 0 || stats.Loaded != 2 {
-		t.Fatalf("after touching inner: expected 0 hits (outer depends on inner), got %+v", stats)
-	}
-
-	touch("actor/outer/outer.go")
-	_, stats = runTempModule(t, dir, opts)
-	if stats.CacheHits != 1 || stats.Loaded != 1 {
-		t.Fatalf("after touching only outer: expected inner hit + outer miss, got %+v", stats)
 	}
 }

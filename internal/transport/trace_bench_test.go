@@ -87,7 +87,8 @@ func BenchmarkTCPSendThroughputTraceAll(b *testing.B) {
 // TestTraceOverheadGuard asserts 1% sampling costs <2% of message-plane
 // throughput against the tracing-off baseline. Timing-sensitive by nature,
 // so it only runs when ACTOP_OVERHEAD_GUARD=1 (CI noise would flake it);
-// the committed BENCH_trace.json records a reference run.
+// the benchmark ledger reads tracing's end-to-end cost as
+// trace.overhead_pct.
 func TestTraceOverheadGuard(t *testing.T) {
 	if os.Getenv("ACTOP_OVERHEAD_GUARD") != "1" {
 		t.Skip("set ACTOP_OVERHEAD_GUARD=1 to run the timing guard")
