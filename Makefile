@@ -53,10 +53,11 @@ race:
 	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|Overload|Chaos|Wire|NoGob' ./internal/actor
 
 # seeded repeats the packages whose results are functions of a seed — the
-# graph and the partition engine — twenty times in shuffled order: a test
-# there that passes by luck (map iteration order deciding a tie) fails here.
+# graph, the partition engine, the discrete-event simulator and the workload
+# spec's schedules — twenty times in shuffled order: a test there that passes
+# by luck (map iteration order deciding a tie) fails here.
 seeded:
-	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition
+	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/des ./internal/workload/spec
 
 test:
 	$(GO) test ./...

@@ -189,8 +189,10 @@ func (a *activation) schedule(s *System) {
 func (a *activation) drain(s *System) {
 	pf := s.prof
 	var turns, execNs, waitNs, bytesIn uint64
-	// One Context serves the batch: serial turns differ only in trace identity.
-	ctx := &Context{sys: s, self: a.ref}
+	// One pooled Context serves the batch: serial turns differ only in trace identity.
+	ctx := contexts.Get().(*Context)
+	ctx.sys, ctx.self = s, a.ref
+	defer func() { *ctx = Context{}; contexts.Put(ctx) }()
 	for i := 0; i < turnBatch; i++ {
 		a.mu.Lock()
 		if a.queueLen() == 0 || a.forwarded {
@@ -459,7 +461,10 @@ func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, err
 // out; after Stop the invocation fails with ErrStopped instead.
 func (s *System) forwardInvocation(ref Ref, inv invocation) {
 	run := func() {
-		args := inv.args
+		// A copy: the lender of inv.args (a request's pooled payload, a local
+		// caller's buffer) takes it back when the invocation completes, while
+		// a send task of an attempt that timed out below may still hold it.
+		args := append([]byte(nil), inv.args...)
 		if inv.isVal {
 			var err error
 			if args, err = marshalArgs(inv.argsVal); err != nil {

@@ -11,6 +11,7 @@ package actor
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"actop/internal/graph"
@@ -37,9 +38,12 @@ func (r Ref) String() string { return r.Type + "/" + r.Key }
 func (r Ref) Vertex() graph.Vertex { return graph.Vertex(refHash(r)) }
 
 // Actor is the application-facing actor contract: a single Receive method
-// dispatching on the method name with gob-encoded arguments. Activations
+// dispatching on the method name with codec-encoded arguments. Activations
 // are single-threaded: the runtime never calls Receive concurrently for
-// one activation.
+// one activation. args is a view into a pooled buffer the runtime recycles
+// once the turn is answered: Receive must not keep it, or any slice of it,
+// past its return (codec's Unmarshaler contract asks the same). The slice
+// it returns must be the actor's to give away: the caller recycles it.
 type Actor interface {
 	Receive(ctx *Context, method string, args []byte) ([]byte, error)
 }
@@ -285,6 +289,8 @@ type Context struct {
 	// the turn join the same trace (nil when the turn is unsampled).
 	trc *traceCtx
 }
+
+var contexts = sync.Pool{New: func() interface{} { return new(Context) }}
 
 // Self reports the receiving actor's reference.
 func (c *Context) Self() Ref { return c.self }

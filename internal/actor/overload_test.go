@@ -56,6 +56,48 @@ func TestOverloadBackpressure(t *testing.T) {
 	}
 }
 
+// TestOverloadRejectionReachesCaller fills a TCP callee's receive queue (its
+// one receive worker is parked in an actor factory) and expects every call it
+// then refuses to fail fast with ErrOverloaded. The refused request's
+// envelope is released on the spot, so the rejection must be addressed from
+// what was read before the release: built from the recycled envelope it goes
+// to nobody, and the caller sits out its timeout instead.
+func TestOverloadRejectionReachesCaller(t *testing.T) {
+	sys := newEchoPair(t, true, Config{Seed: 1, CallTimeout: 2 * time.Second}, func(i int, c *Config) {
+		if i == 1 {
+			c.ReceiverWorkers, c.QueueCap = 1, 2
+		}
+	})
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate) }) // before the nodes stop: Stop waits for the parked worker
+	for _, s := range sys {
+		s.RegisterType("gated", func() Actor { <-gate; return echoActor{} })
+	}
+	call := func(i int) error {
+		ref := Ref{Type: "gated", Key: fmt.Sprint(i)}
+		sys[0].cachePut(ref, sys[1].Node()) // route across the wire; the callee's first delivery activates
+		return sys[0].Call(ref, "Echo", echoMsg{Key: ref.Key}, nil)
+	}
+	// One delivery parks the worker in the factory, two more fill the queue.
+	admitted := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		i := i
+		go func() { admitted <- call(i) }()
+	}
+	recv, _, _ := sys[1].Stages()
+	for deadline := time.Now().Add(time.Second); recv.QueueLen() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("receive queue holds %d deliveries, want 2 behind the parked worker", recv.QueueLen())
+		}
+	}
+	for i := 3; i < 8; i++ {
+		begin := time.Now()
+		if err := call(i); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("refused call %d: %v after %v, want ErrOverloaded", i, err, time.Since(begin))
+		}
+	}
+}
+
 func TestRedirectAfterMigrationFromThirdNode(t *testing.T) {
 	sys := newCluster(t, 3, PlaceRandom)
 	ref := Ref{Type: "counter", Key: "third"}

@@ -151,7 +151,7 @@ func (s *System) initShards(cacheSize int) {
 		s.pend[i].m = make(map[uint64]*callWaiter)
 	}
 	for i := range s.dedupShards {
-		s.dedupShards[i].m = make(map[dedupKey]*dedupEntry)
+		s.dedupShards[i].m = make(map[dedupKey]int)
 	}
 }
 

@@ -143,10 +143,10 @@ func TestDedupWindowBounded(t *testing.T) {
 	for i := range s.dedupShards {
 		d := &s.dedupShards[i]
 		d.mu.Lock()
-		n, live := len(d.m), len(d.order)-d.head
+		n, live := len(d.m), len(d.slots)
 		d.mu.Unlock()
 		if n != live {
-			t.Fatalf("stripe %d: map %d vs order window %d", i, n, live)
+			t.Fatalf("stripe %d: %d resident keys vs a wrapped ring of %d slots", i, n, live)
 		}
 		if n > perStripe {
 			t.Fatalf("stripe %d over budget: %d > %d", i, n, perStripe)
@@ -161,6 +161,72 @@ func TestDedupWindowBounded(t *testing.T) {
 	proceed, prior := s.dedupBegin(key)
 	if proceed || prior == nil || string(prior.payload) != "ok" {
 		t.Fatalf("resident key re-admitted: proceed=%v prior=%+v", proceed, prior)
+	}
+}
+
+// TestDedupWindowWrapsInPlace wraps every stripe's ring several times with
+// replies of varying size while retrying recent ids: each retry must get a
+// copy of its own recorded reply — not what a later call wrote over a reused
+// slot, and not a view a later call can write into — and an id the window
+// has dropped runs again as new.
+func TestDedupWindowWrapsInPlace(t *testing.T) {
+	s := newShardTestSystem(t, 0, nil)
+	reply := func(id uint64) []byte {
+		b := make([]byte, 1+id%40)
+		for i := range b {
+			b[i] = byte(id + uint64(i)*7)
+		}
+		return b
+	}
+	key := func(id uint64) dedupKey { return dedupKey{from: "peer-a", id: id} }
+	var held []*dedupSlot // retried replies, checked again once their slots were reused
+	var heldIDs []uint64
+	for id := uint64(0); id < 5*dedupWindow; id++ {
+		if proceed, prior := s.dedupBegin(key(id)); !proceed || prior != nil {
+			t.Fatalf("fresh id %d not admitted (proceed=%v prior=%v)", id, proceed, prior)
+		}
+		if proceed, prior := s.dedupBegin(key(id)); proceed || prior != nil {
+			t.Fatalf("duplicate of running id %d: proceed=%v prior=%v, want dropped", id, proceed, prior)
+		}
+		if id%97 == 0 {
+			// A routing verdict, not a turn: the retry runs as new, in the same slot.
+			s.dedupCancel(key(id))
+			if proceed, prior := s.dedupBegin(key(id)); !proceed || prior != nil {
+				t.Fatalf("retry of canceled id %d: proceed=%v prior=%v, want admitted", id, proceed, prior)
+			}
+		}
+		errStr := ""
+		if id%5 == 0 {
+			errStr = fmt.Sprint("err-", id)
+		}
+		s.dedupResolve(key(id), reply(id), errStr)
+		if id%3 != 0 || id < 100 {
+			continue
+		}
+		// Retry an id 100 calls back: resident (a stripe holds its last 512).
+		old := id - 100
+		proceed, prior := s.dedupBegin(key(old))
+		if proceed || prior == nil {
+			t.Fatalf("retry of resident id %d re-admitted: proceed=%v prior=%v", old, proceed, prior)
+		}
+		wantErr := ""
+		if old%5 == 0 {
+			wantErr = fmt.Sprint("err-", old)
+		}
+		if !bytes.Equal(prior.payload, reply(old)) || prior.errStr != wantErr {
+			t.Fatalf("retry of id %d got (%x, %q), want (%x, %q)", old, prior.payload, prior.errStr, reply(old), wantErr)
+		}
+		if old%600 == 0 {
+			held, heldIDs = append(held, prior), append(heldIDs, old)
+		}
+	}
+	for i, prior := range held {
+		if !bytes.Equal(prior.payload, reply(heldIDs[i])) {
+			t.Fatalf("recorded reply of id %d changed after its slot was reused: %x", heldIDs[i], prior.payload)
+		}
+	}
+	if proceed, prior := s.dedupBegin(key(0)); !proceed || prior != nil {
+		t.Fatalf("evicted id 0: proceed=%v prior=%v, want admitted as new", proceed, prior)
 	}
 }
 

@@ -450,13 +450,15 @@ func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, 
 	}
 	var data []byte
 	if args != nil {
-		var err error
 		ms := start
 		if sp != nil {
 			ms = time.Now()
 		}
-		data, err = codec.MarshalAppend(codec.GetBuffer(), args)
-		if err != nil {
+		buf := codec.GetBuffer()
+		var err error
+		if data, err = codec.MarshalAppend(buf, args); err != nil {
+			codec.PutBuffer(buf) // nothing was sent: no one else has seen it
+			s.finishCall(sp, start, method, err)
 			return err
 		}
 		if sp != nil {
@@ -778,41 +780,69 @@ func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.T
 	}
 }
 
+// clientCall is the caller-side half of one remote call attempt on its way
+// out: the envelope and the send task, built once per object. Pooled, one
+// owner at a time: remoteCall fills and submits it, the send worker sends it
+// and returns it to the pool. After a successful submit the caller never
+// touches it again (DESIGN.md "Call waiters" rule 7); the task reports a
+// failed send through the pending table, by id, and a traced attempt's queue
+// wait through sendWait, a cell of the attempt's own.
+type clientCall struct {
+	s        *System
+	node     transport.NodeID
+	env      transport.Envelope
+	sendWait *atomic.Int64
+	sendTask func(wait time.Duration)
+}
+
+var clientCalls sync.Pool
+
+func (c *clientCall) send(wait time.Duration) {
+	if c.sendWait != nil {
+		c.sendWait.Store(int64(wait))
+	}
+	if err := c.s.tr.Send(c.node, &c.env); err != nil {
+		// Surface transport failures (ErrUnreachable on a dead peer's
+		// address) instead of waiting out the timeout.
+		c.s.pendDeliver(c.env.ID, outcome{err: err})
+	}
+	c.release()
+}
+
+func (c *clientCall) release() {
+	*c = clientCall{sendTask: c.sendTask}
+	clientCalls.Put(c)
+}
+
 // remoteCall performs one RPC attempt through the send stage and waits up
 // to timeout for the correlated reply. The id is owned by the caller so
 // retries of one logical call share it (the callee's dedup window keys on
 // it); concurrent attempts cannot overlap because attempts are sequential
-// within dispatchRetry.
+// within dispatchRetry. The returned payload is the caller's to recycle.
 func (s *System) remoteCall(node transport.NodeID, from *Ref, to Ref, method string, args []byte, id uint64, timeout time.Duration, sp *trace.Span) ([]byte, error) {
 	w := s.waiter(id)
-	env := &transport.Envelope{
+	c, ok := clientCalls.Get().(*clientCall)
+	if !ok {
+		c = new(clientCall)
+		c.sendTask = c.send
+	}
+	c.s, c.node = s, node
+	c.env = transport.Envelope{
 		Kind: transport.KindCall, ID: id,
 		ActorType: to.Type, ActorKey: to.Key,
 		Method: method, Payload: args,
 	}
 	if from != nil {
-		env.CallerType, env.CallerKey = from.Type, from.Key
+		c.env.CallerType, c.env.CallerKey = from.Type, from.Key
 	}
-	// The send task reports through the pending table and, traced, its queue
-	// wait (measured anyway for the stage estimators) through a cell of its
-	// own — never through the waiter or the span, which the caller may have
-	// recycled or timed out on by then.
 	var sendWait *atomic.Int64
 	if sp != nil {
-		env.Trace = &transport.Trace{TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID}
+		c.env.Trace = &transport.Trace{TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID}
 		sendWait = new(atomic.Int64)
 	}
-	send := func(wait time.Duration) {
-		if sendWait != nil {
-			sendWait.Store(int64(wait))
-		}
-		if err := s.tr.Send(node, env); err != nil {
-			// Surface transport failures (ErrUnreachable on a dead peer's
-			// address) instead of waiting out the timeout.
-			s.pendDeliver(id, outcome{err: err})
-		}
-	}
-	if s.sendStage.SubmitTimed(send) != nil {
+	c.sendWait = sendWait
+	if s.sendStage.SubmitTimed(c.sendTask) != nil {
+		c.release()
 		s.pendDeliver(id, outcome{err: fmt.Errorf("%w: send queue", ErrOverloaded)})
 	}
 	out, err := s.await(w, timeout)
@@ -836,13 +866,23 @@ func (s *System) remoteCall(node transport.NodeID, from *Ref, to Ref, method str
 			sp.Snapshot = rt.Flags&transport.TraceFlagSnapshot != 0
 		}
 	}
-	if reply.Err != "" {
-		if strings.HasPrefix(reply.Err, redirectPrefix) {
-			return nil, redirectError{node: transport.NodeID(strings.TrimPrefix(reply.Err, redirectPrefix))}
+	payload, errStr := detachReply(reply)
+	if errStr != "" {
+		if strings.HasPrefix(errStr, redirectPrefix) {
+			return nil, redirectError{node: transport.NodeID(strings.TrimPrefix(errStr, redirectPrefix))}
 		}
-		return nil, rehydrateWireErr(reply.Err)
+		return nil, rehydrateWireErr(errStr)
 	}
-	return reply.Payload, nil
+	return payload, nil
+}
+
+// detachReply releases a reply envelope, keeping what its waiting caller
+// needs: the error text and the payload, which is then the caller's own.
+func detachReply(r *transport.Envelope) (payload []byte, errStr string) {
+	payload, errStr = r.Payload, r.Err
+	r.Payload = nil
+	transport.Release(r)
+	return payload, errStr
 }
 
 // onEnvelope is the transport inbound handler. Calls and control verbs
@@ -873,6 +913,7 @@ func (s *System) onEnvelope(env *transport.Envelope) {
 		return
 	}
 	var err error
+	from, id := e.From, e.ID // a refused call releases e before the rejection is built
 	switch e.Kind {
 	case transport.KindControl:
 		// Control verbs ride their own stage (see ctlStage): they are the
@@ -891,7 +932,7 @@ func (s *System) onEnvelope(env *transport.Envelope) {
 		// (transport.Handler), so the rejection rides the send stage; if that
 		// is full too it is dropped and the caller's attempt timeout stands
 		// in for it.
-		_ = s.sendStage.Submit(func() { s.reply(e, nil, ErrOverloaded) })
+		_ = s.sendStage.Submit(func() { s.reply(from, id, nil, ErrOverloaded) })
 	}
 }
 
@@ -904,17 +945,17 @@ type dedupKey struct {
 	id   uint64
 }
 
-// dedupEntry records a call's outcome. While the turn is still running the
-// entry is pending (done=false) and duplicate deliveries are simply
-// dropped — the running turn's reply carries the same id the retrying
-// caller is waiting on. Once done, duplicates are answered from the record.
-// canceled marks a delivery that resolved without a turn (see dedupCancel);
-// the next delivery of the key runs as if it were the first.
-type dedupEntry struct {
-	done     bool
-	canceled bool
-	payload  []byte
-	errStr   string
+// dedupSlot records a call's outcome, in place in its stripe's ring. While
+// the turn is still running the slot is pending (done=false) and duplicate
+// deliveries are simply dropped — the running turn's reply carries the same
+// id the retrying caller is waiting on. Once done, duplicates are answered
+// from the record. canceled marks a delivery that resolved without a turn
+// (see dedupCancel); the next delivery of the key runs as if it were first.
+type dedupSlot struct {
+	key            dedupKey
+	done, canceled bool
+	errStr         string
+	payload        []byte // the slot's own copy; its capacity serves the slot's next call
 }
 
 // dedupWindow bounds the recorded-reply window (FIFO eviction, split
@@ -924,13 +965,13 @@ type dedupEntry struct {
 // any load the queues admit.
 const dedupWindow = 8192
 
-// dedupShard is one stripe of the reply-dedup window, with its own FIFO
-// order ring (head-indexed so eviction never leaks the backing array).
+// dedupShard is one stripe of the window: a ring of slots (made on first
+// use) whose oldest is overwritten in place, and an index of their keys.
 type dedupShard struct {
 	mu    sync.Mutex
-	m     map[dedupKey]*dedupEntry
-	order []dedupKey
-	head  int
+	m     map[dedupKey]int // resident key → its slot
+	slots []dedupSlot
+	next  int // the slot the next new key takes
 }
 
 // dedupShardOf stripes by caller identity XOR call id: one caller's
@@ -941,70 +982,69 @@ func (s *System) dedupShardOf(key dedupKey) *dedupShard {
 }
 
 // dedupBegin claims the dedup slot for a call delivery. It returns
-// proceed=true exactly once per key while the entry is resident — the
-// caller must finish with dedupResolve. Duplicate deliveries return the
-// recorded entry (nil while the original is still executing).
-func (s *System) dedupBegin(key dedupKey) (proceed bool, prior *dedupEntry) {
+// proceed=true exactly once per key while the key is resident — the
+// caller must finish with dedupResolve or dedupCancel. Duplicate deliveries
+// return the recorded reply (nil while the original is still executing), as
+// a copy taken under the stripe lock: the slot may be reused once it is gone.
+func (s *System) dedupBegin(key dedupKey) (proceed bool, prior *dedupSlot) {
 	d := s.dedupShardOf(key)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e, ok := d.m[key]; ok {
-		if e.canceled {
+	if i, ok := d.m[key]; ok {
+		sl := &d.slots[i]
+		if sl.canceled {
 			// A prior delivery answered with routing control flow, not a
 			// turn; revive the slot so this delivery resolves fresh.
-			*e = dedupEntry{}
+			sl.canceled = false
 			return true, nil
 		}
-		if !e.done {
+		if !sl.done {
 			return false, nil
 		}
-		return false, e
+		return false, &dedupSlot{payload: append([]byte(nil), sl.payload...), errStr: sl.errStr}
 	}
-	d.m[key] = &dedupEntry{}
-	d.order = append(d.order, key)
-	if len(d.order)-d.head > dedupWindow/dedupShardCount {
-		delete(d.m, d.order[d.head])
-		d.order[d.head] = dedupKey{}
-		d.head++
-		if d.head >= len(d.order)/2 && d.head > 64 {
-			d.order = append(d.order[:0], d.order[d.head:]...)
-			d.head = 0
-		}
+	if d.slots == nil {
+		d.slots = make([]dedupSlot, dedupWindow/dedupShardCount)
 	}
+	sl := &d.slots[d.next]
+	delete(d.m, sl.key) // the oldest resident key, once the ring has wrapped
+	if cap(sl.payload) > 4<<10 {
+		sl.payload = nil // not handed on: one large reply would stay pinned for good
+	}
+	*sl = dedupSlot{key: key, payload: sl.payload[:0]}
+	d.m[key] = d.next
+	d.next = (d.next + 1) % len(d.slots)
 	return true, nil
 }
 
 // dedupResolve records a call's reply so later duplicate deliveries resend
-// it instead of re-executing. The payload is copied: the original slice is
-// recycled by the caller once its reply round trip completes.
+// it instead of re-executing. The payload is copied into the slot: the
+// original slice is recycled by the caller once its reply round trip
+// completes. A key the window has evicted meanwhile records nothing.
 func (s *System) dedupResolve(key dedupKey, payload []byte, errStr string) {
-	var cp []byte
-	if len(payload) > 0 {
-		cp = append(make([]byte, 0, len(payload)), payload...)
-	}
 	d := s.dedupShardOf(key)
 	d.mu.Lock()
-	if e, ok := d.m[key]; ok {
-		e.done = true
-		e.payload = cp
-		e.errStr = errStr
+	if i, ok := d.m[key]; ok {
+		sl := &d.slots[i]
+		sl.done, sl.errStr = true, errStr
+		sl.payload = append(sl.payload[:0], payload...)
 	}
 	d.mu.Unlock()
 }
 
-// dedupCancel releases a pending dedup entry whose delivery resolved
+// dedupCancel releases a pending dedup slot whose delivery resolved
 // without executing a turn (a redirect or a routing dead end). Those
 // outcomes describe the routing plane at one instant, not the call: a
 // retried id must re-consult routing, not replay a recorded redirect —
 // recording one pins every retry of that call to a stale route for the
-// rest of the window (the actor has often arrived here by then). The entry
-// is marked rather than deleted so its slot in the eviction order stays
+// rest of the window (the actor has often arrived here by then). The slot
+// is marked rather than vacated so its place in the eviction order stays
 // unique; dedupBegin revives it as pending on the next delivery.
 func (s *System) dedupCancel(key dedupKey) {
 	d := s.dedupShardOf(key)
 	d.mu.Lock()
-	if e, ok := d.m[key]; ok {
-		e.canceled = true
+	if i, ok := d.m[key]; ok {
+		d.slots[i].canceled = true
 	}
 	d.mu.Unlock()
 }
@@ -1196,19 +1236,22 @@ func (c *serverCall) flush(wait time.Duration) {
 	c.release()
 }
 
+// release ends the delivery: the request envelope and its payload (the
+// turn's args) go back to the transport's pools, and c to its own.
 func (c *serverCall) release() {
+	transport.Release(c.env)
 	*c = serverCall{recvTask: c.recvTask, sendTask: c.sendTask}
 	serverCalls.Put(c)
 }
 
-// reply answers env inline, outside the send stage: control verbs, and
-// whatever the receive plane refused.
-func (s *System) reply(env *transport.Envelope, payload []byte, err error) {
-	r := &transport.Envelope{Kind: transport.KindReply, ID: env.ID, Payload: payload}
+// reply answers request id of node `to` inline, outside the send stage:
+// control verbs, and whatever the receive plane refused.
+func (s *System) reply(to transport.NodeID, id uint64, payload []byte, err error) {
+	r := &transport.Envelope{Kind: transport.KindReply, ID: id, Payload: payload}
 	if err != nil {
 		r.Err = err.Error()
 	}
-	_ = s.tr.Send(env.From, r)
+	_ = s.tr.Send(to, r)
 }
 
 // --- placement directory (hash-homed entries + per-node location cache) ---
@@ -1400,15 +1443,17 @@ func (s *System) controlRoundTrip(node transport.NodeID, verb string, payload []
 		return nil, err
 	case r == nil:
 		return nil, out.err // the send failed
-	case r.Err != "":
-		return nil, rehydrateWireErr(r.Err)
 	}
-	return r.Payload, nil
+	reply, errStr := detachReply(r) // the payload is kept for good: a snapshot record aliases it
+	if errStr != "" {
+		return nil, rehydrateWireErr(errStr)
+	}
+	return reply, nil
 }
 
 func (s *System) handleControl(env *transport.Envelope) {
 	out, err := s.handleControlVerb(env.Method, env.Payload, env.From)
-	s.reply(env, out, err)
+	s.reply(env.From, env.ID, out, err)
 }
 
 func (s *System) handleControlVerb(verb string, payload []byte, from transport.NodeID) ([]byte, error) {

@@ -17,14 +17,18 @@ import (
 	"actop/internal/transport"
 )
 
-// Warm-call allocation counts, pinned exactly: one more allocation on
-// either path fails the test. The seed commit measured 13 and 35 here
+// Warm-call allocation counts, pinned exactly: one more allocation on any
+// path fails the test. The seed commit measured 13 and 35 on the first two
 // (a timer, one or two channels and two to four closures per call). What is
-// left locally: boxing the argument copy and the result copy, and the drain
-// batch's Context; remotely gob and the in-memory transport dominate.
+// left locally: boxing the argument copy and the result copy. Over the
+// in-memory fabric gob and the fabric's own envelope copy and goroutine
+// dominate. Over TCP with a message that encodes itself — the path the
+// ledger measures — the one allocation is the actor's: the reply buffer it
+// gives away. The runtime's share of a warm remote call is zero.
 const (
-	localValueCallAllocs = 3
-	memRemoteCallAllocs  = 38
+	localValueCallAllocs = 2
+	memRemoteCallAllocs  = 33
+	tcpRemoteCallAllocs  = 1
 )
 
 // warmAllocs reports the allocations of one call to fn once everything fn
@@ -76,6 +80,112 @@ func TestWaiterRemoteCallAllocs(t *testing.T) {
 	})
 	if got != memRemoteCallAllocs {
 		t.Fatalf("warm in-memory remote call: %.1f allocs, pinned at %d", got, memRemoteCallAllocs)
+	}
+}
+
+// newEchoPair starts two nodes with the echo type registered, over loopback
+// TCP or the in-memory fabric; tune, when set, adjusts node i's config (its
+// transport included) before the node starts.
+func newEchoPair(t *testing.T, tcp bool, cfg Config, tune func(i int, c *Config)) []*System {
+	t.Helper()
+	trs := make([]transport.Transport, 2)
+	net := transport.NewNetwork(0)
+	for i := range trs {
+		if tcp {
+			tr, err := transport.ListenTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs[i] = tr
+		} else {
+			trs[i] = net.Join(transport.NodeID(fmt.Sprintf("w%d", i)))
+		}
+	}
+	cfg.Peers = []transport.NodeID{trs[0].Node(), trs[1].Node()}
+	cfg.Placement = PlaceLocal
+	sys := make([]*System, len(trs))
+	for i, tr := range trs {
+		c := cfg
+		c.Transport = tr
+		if tune != nil {
+			tune(i, &c)
+		}
+		s, err := NewSystem(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RegisterType("echo", func() Actor { return echoActor{} })
+		t.Cleanup(s.Stop)
+		sys[i] = s
+	}
+	return sys
+}
+
+// leanMsg is a message that encodes itself and decodes into storage it
+// already has, and leanActor an actor that keeps the last one: between them
+// a warm call allocates once, for the reply buffer Receive gives away.
+type leanMsg struct {
+	Seq uint64
+	Pad []byte
+}
+
+func (m leanMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return codec.AppendBytes(codec.AppendUvarint(dst, m.Seq), m.Pad), nil
+}
+
+func (m *leanMsg) UnmarshalBinary(data []byte) error {
+	var err error
+	if m.Seq, data, err = codec.ReadUvarint(data); err != nil {
+		return err
+	}
+	pad, _, err := codec.ReadBytes(data)
+	m.Pad = append(m.Pad[:0], pad...)
+	return err
+}
+
+type leanActor struct{ last leanMsg }
+
+func (a *leanActor) Receive(_ *Context, _ string, args []byte) ([]byte, error) {
+	if err := codec.Unmarshal(args, &a.last); err != nil {
+		return nil, err
+	}
+	return codec.Marshal(binCount(a.last.Seq))
+}
+
+// TestWaiterTCPRemoteCallAllocs pins the path the ledger's remote-call rung
+// measures: a warm call over loopback TCP whose messages encode themselves.
+// Every per-call object of the runtime — both envelopes and payload buffers
+// of each direction, the client call record, the dedup slot, the turn's
+// Context — comes from a pool or lives in one that does.
+func TestWaiterTCPRemoteCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	sys := newEchoPair(t, true, Config{Seed: 1, CallTimeout: 3 * time.Second}, nil)
+	for _, s := range sys {
+		s.RegisterType("lean", func() Actor { return &leanActor{} })
+	}
+	ref := Ref{Type: "lean", Key: "pinned"}
+	var args interface{} = leanMsg{Seq: 7, Pad: make([]byte, 64)} // boxed once, as the ledger's probe does
+	got := new(binCount)
+	call := func() {
+		if err := sys[0].Call(ref, "Put", args, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys[1].Call(ref, "Put", args, nil); err != nil { // PlaceLocal: the first caller hosts
+		t.Fatal(err)
+	}
+	// Warm every slot of the callee's dedup window, not just the pools: a
+	// slot's first reply sizes the capacity its later ones reuse.
+	for i := 0; i < dedupWindow; i++ {
+		call()
+	}
+	if n := warmAllocs(t, call); n != tcpRemoteCallAllocs {
+		t.Fatalf("warm TCP remote call: %.1f allocs, pinned at %d", n, tcpRemoteCallAllocs)
+	}
+	if *got != 7 || !sys[1].HostsActor(ref) {
+		t.Fatalf("reply %d (want 7), hosted across the wire: %v", *got, sys[1].HostsActor(ref))
 	}
 }
 
@@ -198,24 +308,70 @@ func TestWaiterNoTimeAfterInRuntime(t *testing.T) {
 	}
 }
 
-// echoMsg names the call it belongs to; echoActor returns it unchanged
-// through both receive paths, after a pause the caller asked for.
+// echoMsg names the call it belongs to and carries a pad derived from that
+// name; echoActor returns it unchanged through both receive paths, after a
+// pause the caller asked for. It encodes itself, so over TCP every byte of
+// it passes through the pooled envelopes and buffers.
 type echoMsg struct {
 	Key         string
 	Caller, Seq int
 	Pause       time.Duration
+	Pad         string
+}
+
+// echoPad is the pad of call (caller, seq): its length and every byte
+// depend on both, so bytes of another call's buffer cannot pass for it.
+func echoPad(caller, seq int) string {
+	pad := make([]byte, 1+(caller*31+seq*7)%90)
+	for i := range pad {
+		pad[i] = byte(caller*131 + seq*17 + i)
+	}
+	return string(pad)
 }
 
 func (m echoMsg) CopyValue() interface{} { return m }
 
+func (m echoMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = codec.AppendString(dst, m.Key)
+	dst = codec.AppendVarint(dst, int64(m.Caller))
+	dst = codec.AppendVarint(dst, int64(m.Seq))
+	dst = codec.AppendVarint(dst, int64(m.Pause))
+	return codec.AppendString(dst, m.Pad), nil
+}
+
+func (m *echoMsg) UnmarshalBinary(data []byte) error {
+	var caller, seq, pause int64
+	var err error
+	if m.Key, data, err = codec.ReadString(data); err != nil {
+		return err
+	}
+	if caller, data, err = codec.ReadVarint(data); err != nil {
+		return err
+	}
+	if seq, data, err = codec.ReadVarint(data); err != nil {
+		return err
+	}
+	if pause, data, err = codec.ReadVarint(data); err != nil {
+		return err
+	}
+	m.Caller, m.Seq, m.Pause = int(caller), int(seq), time.Duration(pause)
+	m.Pad, _, err = codec.ReadString(data)
+	return err
+}
+
 type echoActor struct{}
 
+// Receive reads args again after the pause: the buffer is the request's
+// pooled payload, and must still be this call's when the turn ends.
 func (echoActor) Receive(_ *Context, _ string, args []byte) ([]byte, error) {
 	var m echoMsg
 	if err := codec.Unmarshal(args, &m); err != nil {
 		return nil, err
 	}
 	time.Sleep(m.Pause)
+	if err := codec.Unmarshal(args, &m); err != nil {
+		return nil, err
+	}
 	return codec.Marshal(m)
 }
 
@@ -235,49 +391,43 @@ func (d dupReplies) Send(to transport.NodeID, env *transport.Envelope) error {
 	return d.Transport.Send(to, env)
 }
 
-// TestWaiterOwnershipStress hammers the pooled waiters from one node with
-// local value calls and remote calls whose replies come back duplicated
-// and, for a seeded share, later than an attempt waits; some turns outlast
-// the whole call budget, so waiters time out on both paths while others
-// are recycled at full rate. Whatever a caller receives must be the echo
-// of its own call: a reply that reached a recycled waiter would carry
-// another call's (key, caller, seq).
+// TestWaiterOwnershipStress hammers the pooled call objects from one node —
+// waiters, client call records, and over TCP the envelopes and payload
+// buffers of both directions — with local value calls and remote calls
+// whose replies come back duplicated and, for a seeded share, later than an
+// attempt waits; some turns outlast the whole call budget, so waiters time
+// out on both paths while others are recycled at full rate. Whatever a
+// caller receives must be the echo of its own call, pad included: a reply
+// that reached a recycled waiter, or bytes read from a recycled envelope or
+// buffer, would carry another call's.
 func TestWaiterOwnershipStress(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { waiterOwnershipStress(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Run("mem", func(t *testing.T) { waiterOwnershipStress(t, false, seed) })
+			t.Run("tcp", func(t *testing.T) { waiterOwnershipStress(t, true, seed) })
+		})
 	}
 }
 
-func waiterOwnershipStress(t *testing.T, seed int64) {
+func waiterOwnershipStress(t *testing.T, tcp bool, seed int64) {
 	const (
 		callTimeout = 80 * time.Millisecond
 		callers     = 8
 		callsEach   = 120
 		keys        = 6
 	)
-	net := transport.NewNetwork(0)
-	peers := []transport.NodeID{"w0", "w1"}
-	fl := transport.NewFlaky(net.Join("w1"), seed)
-	// A fifth of w1's sends (replies, mostly) arrive after the attempt
-	// that asked has given up: attempts wait 2×HeartbeatInterval.
-	fl.SetDelay(0.2, 30*time.Millisecond)
-	trs := []transport.Transport{net.Join("w0"), dupReplies{fl}}
-	sys := make([]*System, len(peers))
-	for i := range peers {
-		s, err := NewSystem(Config{
-			Transport: trs[i], Peers: peers, Seed: seed, Placement: PlaceLocal,
-			CallTimeout: callTimeout, RetryBackoff: time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 1 << 20,
-			Workers: 2 * callers,
-		})
-		if err != nil {
-			t.Fatal(err)
+	var fl *transport.Flaky
+	sys := newEchoPair(t, tcp, Config{
+		Seed: seed, CallTimeout: callTimeout, RetryBackoff: time.Millisecond,
+		HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 1 << 20,
+		Workers: 2 * callers,
+	}, func(i int, c *Config) {
+		if i == 1 {
+			fl = transport.NewFlaky(c.Transport, seed)
+			c.Transport = dupReplies{fl}
 		}
-		s.RegisterType("echo", func() Actor { return echoActor{} })
-		t.Cleanup(s.Stop)
-		sys[i] = s
-	}
+	})
 	// PlaceLocal: the first caller hosts. L* live with the callers, R* across.
 	for k := 0; k < keys; k++ {
 		for i, prefix := range []string{"L", "R"} {
@@ -287,6 +437,9 @@ func waiterOwnershipStress(t *testing.T, seed int64) {
 			}
 		}
 	}
+	// From here a fifth of the callee's sends (replies, mostly) arrive after
+	// the attempt that asked has given up: attempts wait 2×HeartbeatInterval.
+	fl.SetDelay(0.2, 30*time.Millisecond)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -297,7 +450,7 @@ func waiterOwnershipStress(t *testing.T, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed<<8 | int64(c)))
 			for i := 0; i < callsEach; i++ {
-				msg := echoMsg{Key: fmt.Sprintf("%c%d", "LR"[rng.Intn(2)], rng.Intn(keys)), Caller: c, Seq: i}
+				msg := echoMsg{Key: fmt.Sprintf("%c%d", "LR"[rng.Intn(2)], rng.Intn(keys)), Caller: c, Seq: i, Pad: echoPad(c, i)}
 				if rng.Intn(30) == 0 {
 					msg.Pause = callTimeout + callTimeout/2 // this call, and those queued behind it, time out
 				}
@@ -324,4 +477,123 @@ func waiterOwnershipStress(t *testing.T, seed int64) {
 	if answered == 0 || timedOut == 0 || retries == 0 {
 		t.Fatalf("seed %d: the stress missed a path: %d answered, %d timed out, %d retried", seed, answered, timedOut, retries)
 	}
+}
+
+// gatedSends holds every Send while its gate is shut.
+type gatedSends struct {
+	transport.Transport
+	mu   sync.Mutex
+	gate chan struct{} // nil when open
+}
+
+func (g *gatedSends) shut() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedSends) open() {
+	g.mu.Lock()
+	close(g.gate)
+	g.gate = nil
+	g.mu.Unlock()
+}
+
+func (g *gatedSends) Send(to transport.NodeID, env *transport.Envelope) error {
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return g.Transport.Send(to, env)
+}
+
+// TestWaiterAttemptOutlivedByQueuedSend: an attempt times out while its
+// send task still waits behind a stalled sender, so the task runs — and
+// returns its client call record to the pool — after its caller has moved
+// on to the next attempt. The caller must leave that record alone (it is
+// the send worker's from the submit on): every stale request goes out as
+// the call it was, and the calls that follow echo their own bytes.
+func TestWaiterAttemptOutlivedByQueuedSend(t *testing.T) {
+	for _, fabric := range []string{"mem", "tcp"} {
+		fabric := fabric
+		t.Run(fabric, func(t *testing.T) {
+			var gated *gatedSends
+			sys := newEchoPair(t, fabric == "tcp", Config{
+				Seed: 1, CallTimeout: 2 * time.Second, RetryBackoff: time.Millisecond,
+				HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 1 << 20,
+				SenderWorkers: 1,
+			}, func(i int, c *Config) {
+				if i == 0 {
+					gated = &gatedSends{Transport: c.Transport}
+					c.Transport = gated
+				}
+			})
+			ref := Ref{Type: "echo", Key: "far"}
+			if err := sys[1].Call(ref, "Echo", echoMsg{Key: ref.Key}, nil); err != nil {
+				t.Fatal(err)
+			}
+			echo := func(caller, seq int) error {
+				msg := echoMsg{Key: ref.Key, Caller: caller, Seq: seq, Pad: echoPad(caller, seq)}
+				var got echoMsg
+				if err := sys[0].Call(ref, "Echo", msg, &got); err != nil {
+					return err
+				}
+				if got != msg {
+					return fmt.Errorf("call %+v received the reply to %+v", msg, got)
+				}
+				return nil
+			}
+			if err := echo(0, 0); err != nil { // routes warm: what follows is one send task per attempt
+				t.Fatal(err)
+			}
+			// The lone send worker stalls in the first call's Send; the second
+			// call's attempts (20 ms each) time out with their tasks queued.
+			gated.shut()
+			errs := make(chan error, 2)
+			for c := 1; c <= 2; c++ {
+				c := c
+				go func() { errs <- echo(c, 0) }()
+				time.Sleep(5 * time.Millisecond)
+			}
+			time.Sleep(70 * time.Millisecond)
+			before := sys[0].Failures().Retries
+			gated.open()
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+			if before == 0 {
+				t.Fatal("no attempt timed out behind the stalled sender")
+			}
+			for seq := 1; seq <= 200; seq++ {
+				if err := echo(3, seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// unencodable is an argument whose encoding fails.
+type unencodable struct{}
+
+func (unencodable) AppendBinary([]byte) ([]byte, error) { return nil, errors.New("no wire form") }
+
+// TestWaiterEncodeFailureIsAccounted: a sampled call whose argument cannot
+// be encoded ends like every other call, with a span that records why.
+func TestWaiterEncodeFailureIsAccounted(t *testing.T) {
+	sys := newEchoPair(t, false, Config{Seed: 1, CallTimeout: time.Second, TraceSampleRate: 1}, nil)
+	err := sys[0].Call(Ref{Type: "echo", Key: "k"}, "Echo", unencodable{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "no wire form") {
+		t.Fatalf("call = %v, want the encode error", err)
+	}
+	for _, sp := range sys[0].TraceRing().Snapshot(0) {
+		if sp.Method == "Echo" && strings.Contains(sp.Err, "no wire form") {
+			return
+		}
+	}
+	t.Fatalf("no span records the failed call: %+v", sys[0].TraceRing().Snapshot(0))
 }

@@ -69,30 +69,46 @@ func Register(v interface{}) { gob.Register(v) }
 
 // --- pooled buffers ---
 
-// maxPooledBuf bounds the capacity of recycled buffers so one huge payload
-// doesn't pin memory in the pool forever.
-const maxPooledBuf = 64 << 10
+// Pooled buffers have between minPooledBuf and maxPooledBuf of capacity:
+// every GetBuffer starts with room for a typical message, whatever was put
+// before it, and one huge payload does not pin memory in the pool forever.
+const (
+	minPooledBuf = 512
+	maxPooledBuf = 64 << 10
+)
 
-var bufPool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 512)
-	return &b
-}}
+// bufPool holds buffers in *[]byte cells (a bare slice would be boxed on
+// every Put); bufCells holds the cells GetBuffer emptied, so a warm
+// Put/Get cycle allocates nothing.
+var bufPool, bufCells sync.Pool
 
 // GetBuffer returns a zero-length buffer with pooled capacity. Pass it to
 // MarshalAppend and return it with PutBuffer when no reference to it (or
 // any slice of it) remains live.
 func GetBuffer() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	cell, ok := bufPool.Get().(*[]byte)
+	if !ok {
+		return make([]byte, 0, minPooledBuf)
+	}
+	b := *cell
+	*cell = nil
+	bufCells.Put(cell)
+	return b
 }
 
 // PutBuffer recycles a buffer obtained from GetBuffer (or anywhere else —
-// the pool does not care about provenance). Oversized buffers are dropped.
+// the pool does not care about provenance). Buffers outside the pooled
+// capacity range are dropped.
 func PutBuffer(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
+	if cap(b) < minPooledBuf || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	cell, ok := bufCells.Get().(*[]byte)
+	if !ok {
+		cell = new([]byte)
+	}
+	*cell = b[:0]
+	bufPool.Put(cell)
 }
 
 // gobBufPool recycles the scratch buffers behind gob fallback encoding.

@@ -25,12 +25,12 @@ const MaxFrameSize = 64 << 20
 const frameBufSize = 64 << 10
 
 // FrameWriter writes length-prefixed frames through a buffered writer.
-// Writes accumulate in the buffer until Flush — the transport flushes only
-// when its outbound queue drains, coalescing back-to-back messages into
-// single syscalls. Not safe for concurrent use; the transport serializes
-// access through the per-peer writer goroutine.
+// Writes accumulate in the buffer until Flush. Not safe for concurrent use:
+// the transport's senders write under the peer's write mutex, and a sender
+// that sees another queued behind it leaves the flush to that one.
 type FrameWriter struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	hdr [4]byte // length-prefix scratch: a local would escape through Write
 }
 
 // NewFrameWriter wraps w (typically a net.Conn).
@@ -44,9 +44,8 @@ func (f *FrameWriter) WriteFrame(frame []byte) error {
 	if len(frame) > MaxFrameSize {
 		return fmt.Errorf("codec: frame of %d bytes exceeds limit", len(frame))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := f.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(f.hdr[:], uint32(len(frame)))
+	if _, err := f.w.Write(f.hdr[:]); err != nil {
 		return err
 	}
 	_, err := f.w.Write(frame)
@@ -61,6 +60,7 @@ func (f *FrameWriter) Flush() error { return f.w.Flush() }
 type FrameReader struct {
 	r   *bufio.Reader
 	buf []byte
+	hdr [4]byte // length-prefix scratch, as in FrameWriter
 }
 
 // NewFrameReader wraps r (typically a net.Conn).
@@ -78,11 +78,10 @@ const frameAllocChunk = 1 << 20
 // reader's scratch buffer: it is valid only until the next ReadFrame, and
 // anything retained from it (e.g. an envelope payload) must be copied out.
 func (f *FrameReader) ReadFrame() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(f.r, f.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(f.hdr[:]))
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("codec: frame of %d bytes exceeds limit", n)
 	}

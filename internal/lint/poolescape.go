@@ -17,6 +17,9 @@ import (
 // spawned goroutine — of a buffer the function also releases, since the
 // retained alias dangles into the pool's next user. Returning a pooled
 // buffer transfers ownership and stays legal.
+// transport.Release(env) ends env and env.Payload the same way: a local
+// envelope the function releases is tracked like a buffer it puts back, and
+// env.Payload counts as an alias of it.
 // Cross-package: a function that stashes a []byte parameter (stores it
 // in a field, a container, a global, or sends it on a channel) exports
 // a RetainsFact naming the parameter indices, so passing a pooled
@@ -24,7 +27,7 @@ import (
 // escape at the call site.
 var PoolEscape = &Analyzer{
 	Name:      "poolescape",
-	Doc:       "pooled codec buffers must not be used after PutBuffer nor escape through an alias that outlives their release — including via a callee that retains its []byte argument (RetainsFact)",
+	Doc:       "pooled codec buffers and released transport envelopes must not be used after PutBuffer/Release nor escape through an alias that outlives their release — including via a callee that retains its []byte argument (RetainsFact)",
 	Run:       runPoolEscape,
 	FactTypes: []Fact{(*RetainsFact)(nil)},
 }
@@ -124,9 +127,18 @@ type poolState struct {
 }
 
 type bufState struct {
-	released bool // a non-deferred PutBuffer has executed (source order)
-	everPut  bool // PutBuffer appears anywhere in the function (incl. defer)
+	released bool // a non-deferred PutBuffer/Release has executed (source order)
+	everPut  bool // PutBuffer/Release appears anywhere in the function (incl. defer)
+	envelope bool // a *transport.Envelope ended by transport.Release, not a buffer
 	escapes  []escape
+}
+
+// names returns the tracked object and the call that ends it, for diagnostics.
+func (bs *bufState) names() (what, by string) {
+	if bs.envelope {
+		return "released envelope", "transport.Release"
+	}
+	return "pooled buffer", "codec.PutBuffer"
 }
 
 type escape struct {
@@ -143,10 +155,10 @@ func checkPoolFunc(pass *Pass, body *ast.BlockStmt, retains map[*types.Func][]in
 		case *ast.AssignStmt:
 			st.recordPooledAssign(n)
 		case *ast.CallExpr:
-			if v := st.putBufferArg(n); v != nil {
-				if bs, ok := st.pooled[v]; ok {
-					bs.everPut = true
-				}
+			if v, envelope := st.endArg(n); v != nil && envelope {
+				st.pooled[v] = &bufState{everPut: true, envelope: true}
+			} else if bs, ok := st.pooled[v]; ok {
+				bs.everPut = true
 			}
 		}
 		return true
@@ -193,9 +205,10 @@ func checkPoolFunc(pass *Pass, body *ast.BlockStmt, retains map[*types.Func][]in
 		if !bs.everPut {
 			continue // ownership kept or transferred; nothing dangles
 		}
+		what, by := bs.names()
 		for _, e := range bs.escapes {
 			st.pass.Reportf(e.pos.Pos(),
-				"pooled buffer %s but is also returned to the pool with PutBuffer in this function; the retained alias will alias the pool's next user", e.kind)
+				"%s %s but is also returned to the pool with %s in this function; the retained alias will alias the pool's next user", what, e.kind, by)
 		}
 	}
 }
@@ -239,14 +252,27 @@ func (st *poolState) isCodecFunc(fn *types.Func, name string) bool {
 		pathHasSegment(funcPkgPath(fn), "codec")
 }
 
-// putBufferArg returns the pooled local released by a codec.PutBuffer
-// call, or nil.
-func (st *poolState) putBufferArg(call *ast.CallExpr) *types.Var {
+// endArg returns the local whose life call ends — the buffer of a
+// codec.PutBuffer, the envelope of a transport.Release — or nil.
+func (st *poolState) endArg(call *ast.CallExpr) (v *types.Var, envelope bool) {
 	fn := calleeFunc(st.pass.TypesInfo, call)
-	if !st.isCodecFunc(fn, "PutBuffer") || len(call.Args) != 1 {
-		return nil
+	envelope = fn != nil && fn.Name() == "Release" && recvTypeName(fn) == "" &&
+		pathHasSegment(funcPkgPath(fn), "transport")
+	if (!envelope && !st.isCodecFunc(fn, "PutBuffer")) || len(call.Args) != 1 {
+		return nil, false
 	}
-	return st.localVar(call.Args[0])
+	return st.localVar(call.Args[0]), envelope
+}
+
+// aliasOf resolves e to the tracked local it aliases: the local itself, or,
+// for a released envelope env, env.Payload.
+func (st *poolState) aliasOf(e ast.Expr) *types.Var {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && sel.Sel.Name == "Payload" {
+		if v := st.localVar(sel.X); v != nil && st.pooled[v] != nil && st.pooled[v].envelope {
+			return v
+		}
+	}
+	return st.localVar(e)
 }
 
 // localVar resolves e to the *types.Var of a plain local identifier.
@@ -277,7 +303,7 @@ func (st *poolState) walkStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if v := st.putBufferArg(call); v != nil {
+			if v, _ := st.endArg(call); v != nil {
 				if bs, ok := st.pooled[v]; ok {
 					bs.released = true
 				}
@@ -289,7 +315,7 @@ func (st *poolState) walkStmt(s ast.Stmt) {
 		// defer codec.PutBuffer(buf) is the blessed idiom: release at
 		// return. Uses between here and return precede the release, so
 		// rule (a) does not fire; rule (b) already covers aliases.
-		if v := st.putBufferArg(s.Call); v != nil {
+		if v, _ := st.endArg(s.Call); v != nil {
 			return
 		}
 		st.checkUses(s.Call)
@@ -311,7 +337,7 @@ func (st *poolState) walkStmt(s ast.Stmt) {
 	case *ast.SendStmt:
 		st.checkUses(s.Chan)
 		st.checkUses(s.Value)
-		if v := st.localVar(s.Value); v != nil {
+		if v := st.aliasOf(s.Value); v != nil {
 			if bs, ok := st.pooled[v]; ok {
 				bs.escapes = append(bs.escapes, escape{s, "is sent on a channel"})
 			}
@@ -374,7 +400,7 @@ func (st *poolState) walkStmt(s ast.Stmt) {
 // outlives the statement: struct fields, globals, slice/map elements.
 func (st *poolState) checkAliasingStore(a *ast.AssignStmt) {
 	for i, rhs := range a.Rhs {
-		v := st.localVar(rhs)
+		v := st.aliasOf(rhs)
 		if v == nil {
 			continue
 		}
@@ -418,8 +444,9 @@ func (st *poolState) checkUsesNode(n ast.Node) {
 			return true
 		}
 		if bs, ok := st.pooled[v]; ok && bs.released {
+			what, by := bs.names()
 			st.pass.Reportf(id.Pos(),
-				"use of pooled buffer %s after codec.PutBuffer: the pool may already have handed it to another goroutine", id.Name)
+				"use of %s %s after %s: the pool may already have handed it to another goroutine", what, id.Name, by)
 		}
 		return true
 	})

@@ -1,10 +1,13 @@
-// Fixture for the poolescape analyzer, importing the real codec package
-// so GetBuffer/PutBuffer resolve to the genuine pool API. Covers
-// use-after-release, aliases that outlive a release, and the sanctioned
-// ownership-transfer shapes.
+// Fixture for the poolescape analyzer, importing the real codec and
+// transport packages so GetBuffer/PutBuffer and Release resolve to the
+// genuine pool API. Covers use-after-release, aliases that outlive a
+// release, and the sanctioned ownership-transfer shapes.
 package a
 
-import "actop/internal/codec"
+import (
+	"actop/internal/codec"
+	"actop/internal/transport"
+)
 
 type holder struct{ buf []byte }
 
@@ -80,4 +83,26 @@ func reacquire() byte {
 	b := buf[0]
 	codec.PutBuffer(buf)
 	return b
+}
+
+// useAfterEnvelopeRelease reads the payload of an envelope it gave back.
+func useAfterEnvelopeRelease(env *transport.Envelope) int {
+	transport.Release(env)
+	return len(env.Payload) // want `use of released envelope env after transport\.Release`
+}
+
+// payloadAliasOutlivesRelease keeps the payload of an envelope it gives
+// back: Release recycles both.
+func payloadAliasOutlivesRelease(h *holder, env *transport.Envelope) {
+	h.buf = env.Payload // want `released envelope is stored in a field but is also returned to the pool with transport\.Release`
+	transport.Release(env)
+}
+
+// detachThenRelease is a near miss: the payload moves to a local and leaves
+// the envelope before the release, so only the envelope goes back.
+func detachThenRelease(h *holder, env *transport.Envelope) {
+	payload := env.Payload
+	env.Payload = nil
+	transport.Release(env)
+	h.buf = payload
 }

@@ -2,6 +2,9 @@ package partition
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -343,6 +346,52 @@ func TestMonitorSnapshotSymmetry(t *testing.T) {
 	}
 	if m.EdgeCount() != 1 {
 		t.Fatalf("EdgeCount = %d", m.EdgeCount())
+	}
+}
+
+// TestMonitorSnapshotDeterministic: the live runtime selects candidates off
+// a monitor snapshot, so two snapshots of one monitor must walk every
+// vertex's edges in one order — ascending — and yield the same proposals,
+// candidate for candidate, weight for weight. (Monitor counts are integers,
+// whose float sums are exact in any order below 2^53, so the proposals alone
+// would not show a map-ordered walk; the order checks do.)
+func TestMonitorSnapshotDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewMonitor(1024)
+	assign := graph.NewAssignment(servers(3)...)
+	const n = 120
+	for v := graph.Vertex(0); v < n; v++ {
+		assign.Place(v, graph.ServerID(rng.Intn(3)))
+	}
+	for i := 0; i < 4000; i++ {
+		m.ObserveMessage(graph.Vertex(rng.Intn(n)), graph.Vertex(rng.Intn(n)), uint64(1+rng.Intn(1<<20)))
+	}
+	local := assign.VerticesOn(0)
+	propose := func() []Proposal {
+		snap := m.Snapshot()
+		vs := snap.Vertices()
+		if !sort.SliceIsSorted(vs, func(i, j int) bool { return vs[i] < vs[j] }) {
+			t.Fatalf("Vertices() not ascending: %v", vs)
+		}
+		for _, v := range vs {
+			last, first := graph.Vertex(0), true
+			snap.VertexEdges(v, func(u graph.Vertex, _ float64) {
+				if !first && u <= last {
+					t.Fatalf("edges of %d not ascending: %d after %d", v, u, last)
+				}
+				last, first = u, false
+			})
+		}
+		return SelectCandidates(DefaultOptions(), snap, assign, 0, local, len(local))
+	}
+	first := propose()
+	if len(first) == 0 || len(first[0].Candidates) == 0 {
+		t.Fatalf("no proposals from %d local vertices", len(local))
+	}
+	for i := 0; i < 5; i++ {
+		if again := propose(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("snapshot %d proposes differently:\n%+v\nvs\n%+v", i+2, again, first)
+		}
 	}
 }
 

@@ -64,44 +64,28 @@ func (m *Monitor) EdgeCount() int { return m.summary.Len() }
 func (m *Monitor) TotalObserved() uint64 { return m.summary.Total() }
 
 // Snapshot materializes the summary into an adjacency view for one
-// partitioning round. The snapshot is O(k) to build and supports O(deg)
-// per-vertex edge iteration, which SelectCandidates needs.
+// partitioning round. The snapshot is O(k log k) to build and supports
+// O(deg) per-vertex edge iteration, which SelectCandidates needs.
 func (m *Monitor) Snapshot() *MonitorSnapshot {
-	adj := make(map[graph.Vertex]map[graph.Vertex]float64)
-	add := func(a, b graph.Vertex, w float64) {
-		nb := adj[a]
-		if nb == nil {
-			nb = make(map[graph.Vertex]float64)
-			adj[a] = nb
-		}
-		nb[b] += w
-	}
+	g := graph.New()
 	for _, e := range m.summary.Entries() {
-		w := float64(e.Count)
-		add(e.Key.A, e.Key.B, w)
-		add(e.Key.B, e.Key.A, w)
+		g.AddEdge(e.Key.A, e.Key.B, float64(e.Count))
 	}
-	return &MonitorSnapshot{adj: adj}
+	return &MonitorSnapshot{g: g}
 }
 
 // MonitorSnapshot is an immutable adjacency view over a monitor's heavy
-// edges. It implements EdgeView.
+// edges: a graph, so each vertex's neighbours are walked in ascending order
+// and two snapshots of one monitor sum every candidate's weights in the
+// same order. It implements EdgeView.
 type MonitorSnapshot struct {
-	adj map[graph.Vertex]map[graph.Vertex]float64
+	g *graph.Graph
 }
 
-// VertexEdges implements EdgeView.
+// VertexEdges implements EdgeView, in ascending order of u.
 func (s *MonitorSnapshot) VertexEdges(v graph.Vertex, fn func(u graph.Vertex, w float64)) {
-	for u, w := range s.adj[v] {
-		fn(u, w)
-	}
+	s.g.Neighbors(v, fn)
 }
 
-// Vertices returns the vertices with at least one monitored edge.
-func (s *MonitorSnapshot) Vertices() []graph.Vertex {
-	vs := make([]graph.Vertex, 0, len(s.adj))
-	for v := range s.adj {
-		vs = append(vs, v)
-	}
-	return vs
-}
+// Vertices returns the vertices with at least one monitored edge, ascending.
+func (s *MonitorSnapshot) Vertices() []graph.Vertex { return s.g.Vertices() }

@@ -115,13 +115,21 @@ func readInterned(data []byte, in *interner) (string, []byte, error) {
 
 // decodeEnvelope parses one envelope from a frame. The frame buffer is
 // transient (it belongs to the connection's FrameReader), so the payload is
-// copied into a fresh buffer the receiver owns outright and the strings are
-// interned through the connection's table.
+// copied out and the strings are interned through the connection's table.
+// Calls and replies are decoded into a pooled envelope and payload buffer,
+// which the receiver may hand back with Release; control envelopes are plain
+// allocations, because their handlers keep payloads and release nothing.
 func decodeEnvelope(frame []byte, in *interner) (*Envelope, error) {
 	if len(frame) < 1 {
 		return nil, fmt.Errorf("transport: empty frame")
 	}
-	env := &Envelope{Kind: Kind(frame[0])}
+	var env *Envelope
+	if kind := Kind(frame[0]); kind == KindControl {
+		env = &Envelope{Kind: kind}
+	} else {
+		env = envPool.Get().(*Envelope)
+		env.Kind, env.pooled = kind, true
+	}
 	data := frame[1:]
 	var err error
 	var id uint64
@@ -152,7 +160,11 @@ func decodeEnvelope(frame []byte, in *interner) (*Envelope, error) {
 	if p, data, err = codec.ReadBytes(data); err != nil {
 		return nil, fmt.Errorf("transport: decode envelope payload: %w", err)
 	}
-	if len(p) > 0 {
+	switch {
+	case len(p) == 0:
+	case env.pooled:
+		env.Payload = append(codec.GetBuffer(), p...)
+	default:
 		env.Payload = append(make([]byte, 0, len(p)), p...)
 	}
 	// Optional trailing sections; an unknown tag byte means a future format

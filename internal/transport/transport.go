@@ -5,7 +5,9 @@
 // goroutine per connection) for real distributed runs.
 //
 // Ownership: an Envelope handed to a Handler, with its Payload and Trace,
-// is owned by the receiver and may be retained indefinitely. TCP's Send is
+// is owned by the receiver and may be retained indefinitely; a receiver that
+// is done with it may hand it to Release, which recycles what the TCP read
+// path drew from a pool and ignores everything else. TCP's Send is
 // synchronous: the frame is encoded and written when it returns, and env,
 // its Payload and its Trace are never read afterwards. The in-memory fabric
 // copies the envelope and its Trace but aliases the Payload straight into
@@ -21,6 +23,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"actop/internal/codec"
 )
 
 // NodeID names a cluster node (host:port for TCP, any label in-memory).
@@ -43,6 +47,10 @@ const (
 // Envelope is the wire message of the actor runtime.
 type Envelope struct {
 	Kind Kind
+	// pooled marks what Release recycles: an envelope the TCP read path drew
+	// from envPool, with a Payload from codec's buffer pool. Beside Kind it
+	// costs the struct no word (160 bytes, one size class).
+	pooled bool
 	// ID correlates calls with replies and control requests with responses.
 	ID   uint64
 	From NodeID
@@ -53,7 +61,8 @@ type Envelope struct {
 	ActorKey  string
 	// Method is the invoked method name (calls) or control verb.
 	Method string
-	// Payload is the gob-encoded argument/result.
+	// Payload is the encoded argument or result (codec.Marshal's tagged
+	// form for calls and replies; control verbs define their own).
 	Payload []byte
 	// Err carries an application or runtime error back on replies.
 	Err string
@@ -66,6 +75,22 @@ type Envelope struct {
 	// any actor, on replies and on control traffic.
 	CallerType string
 	CallerKey  string
+}
+
+var envPool = sync.Pool{New: func() interface{} { return new(Envelope) }}
+
+// Release ends the receiver's ownership of env: an envelope decoded off a
+// TCP connection goes back to its pool and its Payload to codec's, so
+// neither may be touched afterwards (to keep the payload, set env.Payload
+// to nil first). Any other envelope is left alone, and whatever is never
+// released is simply collected.
+func Release(env *Envelope) {
+	if !env.pooled {
+		return
+	}
+	codec.PutBuffer(env.Payload)
+	*env = Envelope{}
+	envPool.Put(env)
 }
 
 // Trace is the optional per-envelope trace context. Calls carry identity
@@ -213,6 +238,7 @@ func (m *memNode) Send(to NodeID, env *Envelope) error {
 	}
 	cp := *env
 	cp.From = m.id
+	cp.pooled = false            // the payload stays the sender's: see Release
 	cp.Trace = env.Trace.clone() // receiver owns its envelope outright
 	deliver := func() {
 		dest.mu.RLock()
