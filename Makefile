@@ -8,20 +8,23 @@ LINT_BIN := bin/actop-lint
 .PHONY: check build test vet staticcheck lint race seeded fuzz-smoke cluster-smoke bench-scale bench-recovery
 
 # check is the pre-PR gate, and the whole of CI: vet (+ staticcheck when
-# installed), the domain lint suite, build everything, race-test the
+# installed), the six-analyzer domain lint suite (the invariants no other
+# step here fails on), build everything, race-test the
 # concurrency-heavy packages (transport, actor, seda, codec, durable,
 # loadgen, flight, hotspot) — a fresh run, so the crash-chaos battery
 # (TestChaosKill*), the observability smoke (TestObsSmoke,
 # TestSLOBreachDump), placement convergence (TestConverge*) and DES-vs-real
 # workload conformance (TestConformanceAllScenarios) are never answered
 # from the test cache — the seeded packages twenty times over in shuffled
-# order, then the full tier-1 suite, a short fuzz pass over the wire
-# decoders, and a reduced-scale run of the multi-process cluster benchmark.
+# order (the determinism guard), then the full tier-1 suite, a short fuzz
+# pass over the wire decoders, and a reduced-scale run of the multi-process
+# cluster benchmark.
 check: vet staticcheck lint build race seeded test fuzz-smoke cluster-smoke
 
-# lint builds the whole-program analyzer suite into bin/ and runs it over
-# the module; -time prints the per-analyzer wall-time split. See DESIGN.md
-# "Static analysis".
+# lint builds the whole-program analyzer suite (turnblock, lockheldio,
+# poolescape, metriclabel, snapblock, calldag) into bin/ and runs it over
+# the module, one package at a time in dependency order; -time prints the
+# per-analyzer wall-time split. See DESIGN.md "Static analysis".
 lint:
 	$(GO) build -o $(LINT_BIN) ./cmd/actop-lint
 	./$(LINT_BIN) -time ./...
@@ -55,9 +58,12 @@ race:
 # seeded repeats the packages whose results are functions of a seed — the
 # graph, the partition engine, the discrete-event simulator and the workload
 # spec's schedules — twenty times in shuffled order: a test there that passes
-# by luck (map iteration order deciding a tie) fails here.
+# by luck (map iteration order deciding a tie) fails here. The second line
+# repeats only the determinism tests of the cluster simulator and the
+# simulated workloads (seconds; their full suites twenty times over are not).
 seeded:
 	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/des ./internal/workload/spec
+	$(GO) test -count=20 -shuffle=on -run Determinis ./internal/sim ./internal/workload
 
 test:
 	$(GO) test ./...

@@ -74,7 +74,7 @@ type cellActor struct {
 	work int
 }
 
-var spinSink uint64
+var spinSink atomic.Uint64
 
 func spin(n int) uint64 {
 	x := uint64(0x9e3779b97f4a7c15)
@@ -90,7 +90,7 @@ func spin(n int) uint64 {
 func (c *cellActor) Receive(ctx *actor.Context, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "Ping":
-		atomic.AddUint64(&spinSink, spin(c.work))
+		spinSink.Add(spin(c.work))
 		c.n++
 		return nil, nil
 	}

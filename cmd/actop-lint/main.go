@@ -1,15 +1,16 @@
 // Command actop-lint is the multichecker for actop's domain-specific
 // analyzers: the invariants of the actor runtime (no blocking inside a
-// turn), the DES (determinism), the transport (no I/O under a lock, no
-// pooled-buffer escapes), and the metrics plane (bounded label
-// cardinality). It is built on the standard library only — see
-// internal/lint and DESIGN.md "Static analysis".
+// turn, an acyclic kind graph, no encode or I/O in a turn-locked
+// capture), the transport (no I/O under a lock, no pooled-buffer
+// escapes), and the metrics plane (bounded label cardinality). It is
+// built on the standard library only — see internal/lint and DESIGN.md
+// "Static analysis".
 //
 // Usage:
 //
-//	actop-lint [-list] [-only name,name] [-jobs n] [-time] [packages]
+//	actop-lint [-list] [-only name,name] [-time] [packages]
 //
-// Analysis is whole-program: packages are analyzed in parallel in
+// Analysis is whole-program: packages are analyzed one at a time in
 // dependency order, facts flow along import edges, and cross-package
 // Finish passes (e.g. the synchronous-call-cycle check) see every
 // package. -time prints per-analyzer wall time to stderr.
@@ -43,7 +44,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("actop-lint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "print the analyzer suite and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jobs := fs.Int("jobs", 0, "max packages analyzed concurrently (0: GOMAXPROCS)")
 	times := fs.Bool("time", false, "print per-analyzer wall time to stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -82,7 +82,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "actop-lint: %v\n", err)
 		return 2
 	}
-	findings, stats, err := lint.RunProgram(cwd, patterns, analyzers, lint.Options{Jobs: *jobs})
+	findings, stats, err := lint.RunProgram(cwd, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "actop-lint: %v\n", err)
 		return 2

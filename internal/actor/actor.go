@@ -192,13 +192,6 @@ type Config struct {
 	// default: per-turn accounting batched per mailbox drain into a
 	// bounded heavy-hitter sketch (internal/hotspot) of 512 entries.
 	DisableHotspots bool
-	// HotspotDecay is the profiler's cost half-life: every interval, all
-	// tracked costs halve, so the table reads "hot now" (default 30s).
-	HotspotDecay time.Duration
-	// FlightDebounce is the minimum gap between anomaly dumps of the same
-	// trigger kind (default 30s) — a storm of violations produces one
-	// black-box dump, not one per violation.
-	FlightDebounce time.Duration
 	// SLOTarget, when non-zero, arms the p99 SLO watcher: call latency
 	// feeds a rolling window, and a window whose p99 exceeds the target
 	// triggers a debounced flight-recorder dump. Zero (the default)
@@ -269,12 +262,6 @@ func (c *Config) fill() error {
 	}
 	if c.TraceRingSize <= 0 {
 		c.TraceRingSize = 4096
-	}
-	if c.HotspotDecay <= 0 {
-		c.HotspotDecay = 30 * time.Second
-	}
-	if c.FlightDebounce <= 0 {
-		c.FlightDebounce = 30 * time.Second
 	}
 	return nil
 }

@@ -37,9 +37,6 @@ func (s *System) isDurable(inst Actor) bool {
 // Durables snapshots the node's durability counters.
 func (s *System) Durables() metrics.DurableSnapshot { return s.durables.Snapshot() }
 
-// ReplicaStore exposes the node's replica store (debug endpoints, benches).
-func (s *System) ReplicaStore() *durable.Store { return s.snapStore }
-
 // captureSnapshotLocked captures a Durable activation's state. Called from
 // drain with a.turnMu held, so the only work done here is the state copy:
 // actors implementing codec.Copier pay one deep copy and the gob encode

@@ -28,13 +28,13 @@ const sloMinSamples = 16
 
 // obsLoop is the background observability ticker: SLO-window checks every
 // obsTick (when a target is armed) and profiler cost decay every
-// HotspotDecay. Runs on a tracked goroutine, gated on s.done.
+// hotspotDecay. Runs on a tracked goroutine, gated on s.done.
 func (s *System) obsLoop() {
 	tick := obsTick
 	if s.sloWin == nil {
 		// No SLO watcher: the only periodic duty is decay, so tick at its
 		// cadence instead of waking every second for nothing.
-		tick = s.cfg.HotspotDecay
+		tick = hotspotDecay
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
@@ -47,7 +47,7 @@ func (s *System) obsLoop() {
 			if s.sloWin != nil {
 				s.sloCheck()
 			}
-			if s.prof != nil && time.Since(lastDecay) >= s.cfg.HotspotDecay {
+			if s.prof != nil && time.Since(lastDecay) >= hotspotDecay {
 				s.prof.Decay()
 				lastDecay = time.Now()
 			}

@@ -51,7 +51,6 @@ func newObsCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*Syst
 func TestObsSmoke(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sys := newObsCluster(t, 3, func(i int, cfg *Config) {
-		cfg.HotspotDecay = time.Hour // no decay mid-test
 		if i == 0 {
 			cfg.Metrics = reg
 		}
@@ -133,7 +132,6 @@ func TestObsSmoke(t *testing.T) {
 func TestSLOBreachDump(t *testing.T) {
 	sys := newObsCluster(t, 1, func(i int, cfg *Config) {
 		cfg.SLOTarget = time.Nanosecond // every real call breaches
-		cfg.FlightDebounce = time.Hour
 	})[0]
 
 	var out int
@@ -198,7 +196,6 @@ func TestObsOverheadGuard(t *testing.T) {
 	newSys := func(disable bool) *System {
 		return newObsCluster(t, 1, func(i int, cfg *Config) {
 			cfg.DisableHotspots = disable
-			cfg.HotspotDecay = time.Hour
 		})[0]
 	}
 	// Persistent systems, tightly interleaved chunks: each round times an

@@ -192,8 +192,15 @@ const (
 	// hotspotK sizes the hot-spot sketch — roughly how many actors the
 	// node tracks as candidates for the hot table.
 	hotspotK = 512
+	// hotspotDecay is the profiler's cost half-life: every interval, all
+	// tracked costs halve, so the table reads "hot now".
+	hotspotDecay = 30 * time.Second
 	// flightRingSize caps the flight recorder's event ring.
 	flightRingSize = 1024
+	// flightDebounce is the minimum gap between anomaly dumps of the same
+	// trigger kind — a storm of violations produces one black-box dump,
+	// not one per violation.
+	flightDebounce = 30 * time.Second
 	// snapshotWorkers sizes the background snapshotter pool that encodes
 	// and ships captures off the turn path.
 	snapshotWorkers = 2
@@ -223,7 +230,7 @@ func NewSystem(cfg Config) (*System, error) {
 		// behalf of peers even if none of its own types are durable.
 		snapStore: durable.NewStore(),
 	}
-	s.flight = flight.NewRecorder(flightRingSize, cfg.FlightDebounce)
+	s.flight = flight.NewRecorder(flightRingSize, flightDebounce)
 	if !cfg.DisableHotspots {
 		s.prof = hotspot.New(hotspotK)
 	}

@@ -30,18 +30,13 @@ type ControllerConfig struct {
 	// (no retune on noise).
 	MinSamples uint64
 	// Alpha is the EWMA smoothing factor for arrival rates and service
-	// times across windows (§5.4's epoch estimator, smoothed).
+	// times across windows (§5.4's epoch estimator, smoothed; default 0.5).
 	Alpha float64
 	// Hysteresis is the dead band that prevents thrash: the solved target
 	// is only installed when some stage moves by MORE than
 	// max(1, ⌈Hysteresis·current⌉) threads. ±1-thread solver jitter on a
 	// small pool, or proportionally small drift on a big one, is held.
 	Hysteresis float64
-	// MaxWorkers caps any single stage's allocation (0 = uncapped).
-	MaxWorkers int
-	// FallbackServiceRate is used for stages with no completed samples yet
-	// (default 1000 events/sec, the estimator package's convention).
-	FallbackServiceRate float64
 	// Metrics, when set, receives per-stage gauges (workers, queue length,
 	// smoothed rates, utilization, window wait/busy quantiles) refreshed on
 	// every tick. Nil publishes nothing.
@@ -51,6 +46,10 @@ type ControllerConfig struct {
 	// moves around the incident. Nil (or a nil recorder) records nothing.
 	Flight *flight.Recorder
 }
+
+// fallbackServiceRate stands in for a stage with no completed samples yet
+// (events/sec, the estimator package's convention).
+const fallbackServiceRate = 1000
 
 func (c *ControllerConfig) fill(nStages int) error {
 	if c.Interval <= 0 {
@@ -70,9 +69,6 @@ func (c *ControllerConfig) fill(nStages int) error {
 	}
 	if c.Hysteresis < 0 {
 		c.Hysteresis = 0
-	}
-	if c.FallbackServiceRate <= 0 {
-		c.FallbackServiceRate = 1000
 	}
 	return nil
 }
@@ -320,7 +316,7 @@ func (c *ThreadController) Tick() TickOutcome {
 		if c.service[i].Defined() && c.service[i].Value() > 0 {
 			qs.ServiceRate = 1 / c.service[i].Value()
 		} else {
-			qs.ServiceRate = c.cfg.FallbackServiceRate
+			qs.ServiceRate = fallbackServiceRate
 		}
 		model.Stages = append(model.Stages, qs)
 
@@ -363,15 +359,7 @@ func (c *ThreadController) Tick() TickOutcome {
 	c.status.UsedClosedForm = sol.UsedClosedForm
 	c.status.Objective = sol.Objective
 
-	target := make([]int, len(sol.Integer))
-	copy(target, sol.Integer)
-	if c.cfg.MaxWorkers > 0 {
-		for i := range target {
-			if target[i] > c.cfg.MaxWorkers {
-				target[i] = c.cfg.MaxWorkers
-			}
-		}
-	}
+	target := sol.Integer
 	c.status.Target = target
 
 	// Hysteresis dead band: install only when some stage moves by more

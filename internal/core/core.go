@@ -63,11 +63,6 @@ type Options struct {
 	// Hysteresis is the controller's reallocation dead band (see
 	// ControllerConfig.Hysteresis; default 0.25).
 	Hysteresis float64
-	// SmoothingAlpha is the EWMA factor for the live λ/s estimates
-	// (default 0.5).
-	SmoothingAlpha float64
-	// MaxStageWorkers caps any one stage's pool (0 = uncapped).
-	MaxStageWorkers int
 	// Metrics, when set, receives the thread controller's per-stage gauges
 	// (see ControllerConfig.Metrics). Nil publishes nothing.
 	Metrics *metrics.Registry
@@ -92,7 +87,6 @@ func DefaultOptions() Options {
 		WorkerBeta:      1.0,
 		MinSamples:      64,
 		Hysteresis:      0.25,
-		SmoothingAlpha:  0.5,
 	}
 }
 
@@ -146,9 +140,7 @@ func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 			Processors: float64(opts.Processors) * opts.BudgetFactor,
 			Betas:      []float64{1, opts.WorkerBeta, 1},
 			MinSamples: opts.MinSamples,
-			Alpha:      opts.SmoothingAlpha,
 			Hysteresis: opts.Hysteresis,
-			MaxWorkers: opts.MaxStageWorkers,
 			Metrics:    opts.Metrics,
 			Flight:     opts.Flight,
 		})

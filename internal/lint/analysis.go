@@ -1,18 +1,18 @@
-// Package lint is actop's domain-specific static-analysis suite: ten
-// analyzers that enforce runtime invariants generic tooling (vet,
-// staticcheck) cannot see — "never block inside an actor turn", "the DES
-// stays deterministic", "no I/O while a mutex is held", "pooled buffers
-// don't outlive their release", "metric labels stay low-cardinality",
-// "no encode or I/O on the turn-locked snapshot-capture path", "the
-// actor-kind call graph is a DAG", "no mixed atomic/plain field access",
-// "no goroutine Stop cannot terminate", "wire errors are classified
-// with errors.Is, never compared by identity".
+// Package lint is actop's domain-specific static-analysis suite: six
+// analyzers that enforce runtime invariants nothing else in the gate
+// (vet, staticcheck, the race and seeded batteries) can see — "never
+// block inside an actor turn", "no I/O while a mutex is held", "pooled
+// buffers don't outlive their release", "metric labels stay
+// low-cardinality", "no encode or I/O on the turn-locked
+// snapshot-capture path", "the actor-kind call graph is a DAG".
+// Invariants a runtime gate already fails on are left to that gate (see
+// DESIGN.md "Static analysis" for the invariant → guard table).
 // Each invariant here was first paid for as a runtime bug found by the
 // chaos/race batteries of earlier PRs; the analyzers move those classes
 // of failure to compile time.
 //
-// The suite is whole-program: packages are analyzed in dependency order
-// and exchange serializable facts (see facts.go), so a helper in
+// The suite is whole-program: packages are analyzed one at a time in
+// dependency order and exchange facts (see facts.go), so a helper in
 // internal/codec that blocks is visible from a Receive body in
 // internal/actor, and properties no package can see alone (a
 // synchronous call cycle between two sibling packages that never import
@@ -65,11 +65,6 @@ type Analyzer struct {
 	// findings through pass.Reportf and exporting facts for importing
 	// packages through pass.ExportObjectFact/ExportPackageFact.
 	Run func(pass *Pass) error
-
-	// FactTypes lists a prototype of every fact type Run exports — the
-	// analyzer's declared cross-package surface, as in x/tools. Facts
-	// stay in memory for the length of a run, so nothing decodes by it.
-	FactTypes []Fact
 
 	// Finish, when non-nil, runs once after every package, with the
 	// complete fact store in view — for whole-program properties like
@@ -138,14 +133,10 @@ func sortFindings(fs []Finding) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		TurnBlock,
-		SimDet,
 		LockHeldIO,
 		PoolEscape,
 		MetricLabel,
 		SnapBlock,
 		CallDag,
-		AtomicMix,
-		GoLeak,
-		ErrIdent,
 	}
 }

@@ -17,11 +17,6 @@ func TestTurnBlock(t *testing.T) {
 	linttest.Run(t, "turnblock/a", lint.TurnBlock)
 }
 
-func TestSimDet(t *testing.T) {
-	linttest.CheckAnalyzer(t, lint.SimDet)
-	linttest.Run(t, "simdet/des", lint.SimDet)
-}
-
 func TestLockHeldIO(t *testing.T) {
 	linttest.CheckAnalyzer(t, lint.LockHeldIO)
 	linttest.Run(t, "lockheldio/a", lint.LockHeldIO)
@@ -50,43 +45,12 @@ func TestCallDag(t *testing.T) {
 	linttest.RunMulti(t, []string{"calldag/a", "calldag/b"}, lint.CallDag)
 }
 
-func TestAtomicMix(t *testing.T) {
-	linttest.CheckAnalyzer(t, lint.AtomicMix)
-	linttest.RunMulti(t, []string{"atomicmix/dep", "atomicmix/a"}, lint.AtomicMix)
-}
-
-func TestGoLeak(t *testing.T) {
-	linttest.CheckAnalyzer(t, lint.GoLeak)
-	linttest.RunMulti(t, []string{"goleak/actor/dep", "goleak/actor"}, lint.GoLeak)
-}
-
-func TestErrIdent(t *testing.T) {
-	linttest.CheckAnalyzer(t, lint.ErrIdent)
-	linttest.Run(t, "errident/actor", lint.ErrIdent)
-}
-
 // TestCrossPackageFacts pins the facts plumbing end to end: facts/a
 // exports Blocker/EncodeIO/Retains/DirectIO facts, and every want in
 // facts/b fires only because the importing pass consumed them.
 func TestCrossPackageFacts(t *testing.T) {
 	linttest.RunMulti(t, []string{"facts/a", "facts/b"},
 		lint.TurnBlock, lint.SnapBlock, lint.PoolEscape, lint.LockHeldIO)
-}
-
-// TestSimDetScope pins the Match scoping: the same wall-clock calls that
-// fire inside a /des package must be invisible when the package path is
-// outside the simulation tree.
-func TestSimDetScope(t *testing.T) {
-	if lint.SimDet.Match("actop/internal/des") == false ||
-		lint.SimDet.Match("actop/internal/sim") == false ||
-		lint.SimDet.Match("actop/internal/workload") == false {
-		t.Fatal("simdet must match the simulation packages")
-	}
-	if lint.SimDet.Match("actop/internal/actor") ||
-		lint.SimDet.Match("actop/internal/transport") ||
-		lint.SimDet.Match("actop/internal/metrics") {
-		t.Fatal("simdet must not match runtime packages (they may read the wall clock)")
-	}
 }
 
 // TestSuiteNamesUnique guards the directive namespace: duplicate or
@@ -102,7 +66,7 @@ func TestSuiteNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 10 {
-		t.Fatalf("expected the 10-analyzer suite, got %d", len(seen))
+	if len(seen) != 6 {
+		t.Fatalf("expected the 6-analyzer suite, got %d", len(seen))
 	}
 }

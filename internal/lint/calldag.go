@@ -29,11 +29,10 @@ import (
 // dynamically (loadgen's table-driven refs) contribute no edge. Those
 // workloads are covered at the data level by spec.Validate's kindCycle.
 var CallDag = &Analyzer{
-	Name:      "calldag",
-	Doc:       "synchronous actor calls must form a DAG at kind level; a kind-level cycle (A's turn calls B, B's calls A) deadlocks both activations on the real runtime",
-	Run:       runCallDag,
-	FactTypes: []Fact{(*CallDagFact)(nil), (*RefKindFact)(nil)},
-	Finish:    finishCallDag,
+	Name:   "calldag",
+	Doc:    "synchronous actor calls must form a DAG at kind level; a kind-level cycle (A's turn calls B, B's calls A) deadlocks both activations on the real runtime",
+	Run:    runCallDag,
+	Finish: finishCallDag,
 }
 
 // A KindReg binds a concrete actor type to the kind string it was

@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"reflect"
 	"sort"
-	"sync"
 )
 
 // The facts layer turns the per-package suite into a whole-program one,
@@ -78,36 +77,20 @@ type pkgFactKey struct {
 	typ reflect.Type
 }
 
-// A Program is the whole-program analysis state: which packages are
-// under analysis and every fact exported so far. It is shared by all
-// passes of one run and safe for concurrent use (independent packages
-// analyze in parallel; the dependency order guarantees a fact is fully
-// exported before any importer can ask for it).
+// A Program is the whole-program analysis state: every fact exported so
+// far, shared by all passes of one run. Packages are analyzed one at a
+// time in dependency order, so a fact is fully exported before any
+// importer can ask for it.
 type Program struct {
-	mu       sync.Mutex
 	objFacts map[objFactKey]Fact
 	pkgFacts map[pkgFactKey]Fact
-	targets  map[string]bool
 }
 
-func newProgram(targetPaths []string) *Program {
-	p := &Program{
+func newProgram() *Program {
+	return &Program{
 		objFacts: map[objFactKey]Fact{},
 		pkgFacts: map[pkgFactKey]Fact{},
-		targets:  map[string]bool{},
 	}
-	for _, t := range targetPaths {
-		p.targets[t] = true
-	}
-	return p
-}
-
-// isTarget reports whether path is one of the packages under analysis
-// (as opposed to a stdlib or export-data-only dependency).
-func (prog *Program) isTarget(path string) bool {
-	prog.mu.Lock()
-	defer prog.mu.Unlock()
-	return prog.targets[path]
 }
 
 func factType(f Fact) reflect.Type {
@@ -119,17 +102,11 @@ func factType(f Fact) reflect.Type {
 }
 
 func (prog *Program) setObjFact(pkg, obj string, f Fact) {
-	k := objFactKey{pkg, obj, factType(f)}
-	prog.mu.Lock()
-	prog.objFacts[k] = f
-	prog.mu.Unlock()
+	prog.objFacts[objFactKey{pkg, obj, factType(f)}] = f
 }
 
 func (prog *Program) getObjFact(pkg, obj string, dst Fact) bool {
-	k := objFactKey{pkg, obj, factType(dst)}
-	prog.mu.Lock()
-	src, ok := prog.objFacts[k]
-	prog.mu.Unlock()
+	src, ok := prog.objFacts[objFactKey{pkg, obj, factType(dst)}]
 	if !ok {
 		return false
 	}
@@ -138,17 +115,11 @@ func (prog *Program) getObjFact(pkg, obj string, dst Fact) bool {
 }
 
 func (prog *Program) setPkgFact(pkg string, f Fact) {
-	k := pkgFactKey{pkg, factType(f)}
-	prog.mu.Lock()
-	prog.pkgFacts[k] = f
-	prog.mu.Unlock()
+	prog.pkgFacts[pkgFactKey{pkg, factType(f)}] = f
 }
 
 func (prog *Program) getPkgFact(pkg string, dst Fact) bool {
-	k := pkgFactKey{pkg, factType(dst)}
-	prog.mu.Lock()
-	src, ok := prog.pkgFacts[k]
-	prog.mu.Unlock()
+	src, ok := prog.pkgFacts[pkgFactKey{pkg, factType(dst)}]
 	if !ok {
 		return false
 	}
@@ -225,19 +196,14 @@ func (p *FinishPass) Reportf(pos token.Position, format string, args ...interfac
 // construction. The visited fact is shared state: read, don't mutate.
 func (p *FinishPass) EachPackageFact(proto Fact, visit func(pkgPath string, f Fact)) {
 	t := factType(proto)
-	p.prog.mu.Lock()
 	var paths []string
 	for k := range p.prog.pkgFacts {
 		if k.typ == t {
 			paths = append(paths, k.pkg)
 		}
 	}
-	p.prog.mu.Unlock()
 	sort.Strings(paths)
 	for _, path := range paths {
-		p.prog.mu.Lock()
-		f := p.prog.pkgFacts[pkgFactKey{path, t}]
-		p.prog.mu.Unlock()
-		visit(path, f)
+		visit(path, p.prog.pkgFacts[pkgFactKey{path, t}])
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
@@ -88,12 +89,12 @@ func (d directive) targetLine() int {
 
 // resolveDirectives drops findings covered by a well-formed directive
 // and appends one DirectiveAnalyzer finding per malformed directive.
-// With stale true, a well-formed directive that suppressed nothing is
-// itself reported — suppressions must not rot in place as the code they
-// silenced moves or gets fixed. Staleness is only judged for analyzers
-// in the running set: a directive naming an analyzer this run did not
-// execute might suppress perfectly live findings of a full run.
-func resolveDirectives(findings []Finding, dirs []directive, running map[string]bool, stale bool) []Finding {
+// With running non-nil, a well-formed directive that suppressed nothing
+// is itself reported — suppressions must not rot in place as the code
+// they silenced moves or gets fixed. Staleness is only judged for the
+// analyzers running names: a directive naming an analyzer this run did
+// not execute might suppress perfectly live findings of a full run.
+func resolveDirectives(findings []Finding, dirs []directive, running map[string]bool) []Finding {
 	type key struct {
 		file string
 		line int
@@ -126,18 +127,22 @@ func resolveDirectives(findings []Finding, dirs []directive, running map[string]
 		}
 		out = append(out, f)
 	}
-	if stale {
-		for i, d := range dirs {
-			if d.bad || used[i] || (running != nil && !running[d.name]) {
-				continue
-			}
-			out = append(out, Finding{
-				Pos:      positionOnLine(d.file, d.line),
-				Analyzer: DirectiveAnalyzer,
-				Message: fmt.Sprintf("stale actoplint:ignore %s: it suppresses no finding on its target line — delete it, or re-anchor it to the code it was justifying (reason was: %s)",
-					d.name, d.reason),
-			})
+	for i, d := range dirs {
+		if d.bad || used[i] || !running[d.name] {
+			continue
 		}
+		out = append(out, Finding{
+			Pos:      positionOnLine(d.file, d.line),
+			Analyzer: DirectiveAnalyzer,
+			Message: fmt.Sprintf("stale actoplint:ignore %s: it suppresses no finding on its target line — delete it, or re-anchor it to the code it was justifying (reason was: %s)",
+				d.name, d.reason),
+		})
 	}
 	return out
+}
+
+// positionOnLine fabricates a position for line-anchored findings (used
+// for directive errors, which have no AST node).
+func positionOnLine(file string, line int) token.Position {
+	return token.Position{Filename: file, Line: line, Column: 1}
 }

@@ -10,29 +10,31 @@ import (
 	"actop/internal/lint/linttest"
 )
 
-// TestIgnoreScoping runs simdet over a fixture whose findings are
+// TestIgnoreScoping runs metriclabel over a fixture whose findings are
 // variously suppressed: an own-line directive must cover exactly the
 // next line, an inline directive exactly its own line, and a directive
 // naming a different analyzer (or sitting too far away) must leave the
 // finding live. The fixture's want comments encode all four cases.
 func TestIgnoreScoping(t *testing.T) {
-	linttest.Run(t, "ignoredemo/des", lint.SimDet)
+	linttest.Run(t, "ignoredemo/a", lint.MetricLabel)
 }
 
 // TestIgnoreMalformed checks that broken directives are themselves
-// diagnostics: unknown analyzer names, missing reasons, and attempts to
-// name the directive pseudo-analyzer all surface as "actoplint"
+// diagnostics: unknown analyzer names (one that never existed, one that
+// left the suite), missing reasons, and attempts to name the directive
+// pseudo-analyzer all surface as "actoplint"
 // findings anchored on the directive's line — which is why this test
 // asserts programmatically instead of with want comments.
 func TestIgnoreMalformed(t *testing.T) {
-	pkg := loadFixturePkg(t, "ignoredemo/bad")
-	findings, err := lint.RunPackage(pkg, lint.Analyzers())
+	pkgs := loadFixture(t, "ignoredemo/bad")
+	findings, err := lint.RunPackages(pkgs, lint.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantSubstrings := []string{
 		`names unknown analyzer "nosuchanalyzer"`,
-		`actoplint:ignore simdet needs a reason`,
+		`actoplint:ignore metriclabel needs a reason`,
+		`names unknown analyzer "simdet"`,
 		`needs an analyzer name and a reason`,
 		`names unknown analyzer "actoplint"`,
 	}
@@ -52,39 +54,41 @@ func TestIgnoreMalformed(t *testing.T) {
 // TestIgnoreSilencesOnlyNamedAnalyzer pins the "and nothing else"
 // half of the contract at the API level: with two analyzers producing
 // findings on one line, a directive naming one must leave the other's
-// finding standing. The shared fixture line is crafted so both simdet
-// (time.Now in a /des path) and the directive scoping are in play.
+// finding standing. The shared fixture line is crafted so both
+// metriclabel (a strconv.Itoa label) and the directive scoping are in
+// play.
 func TestIgnoreSilencesOnlyNamedAnalyzer(t *testing.T) {
-	pkg := loadFixturePkg(t, "ignoredemo/des")
-	findings, err := lint.RunPackage(pkg, []*lint.Analyzer{lint.SimDet})
+	pkgs := loadFixture(t, "ignoredemo/a")
+	findings, err := lint.RunPackages(pkgs, []*lint.Analyzer{lint.MetricLabel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fixture carries 4 time.Now calls; 2 are suppressed by valid
-	// simdet directives, 2 survive (wrong analyzer name, out of range).
+	// The fixture carries 4 unbounded labels; 2 are suppressed by valid
+	// metriclabel directives, 2 survive (wrong analyzer name, out of
+	// range).
 	var survivors int
 	for _, f := range findings {
-		if f.Analyzer == lint.SimDet.Name {
+		if f.Analyzer == lint.MetricLabel.Name {
 			survivors++
 		}
 	}
 	if survivors != 2 {
-		t.Fatalf("got %d surviving simdet findings, want 2:\n%v", survivors, findings)
+		t.Fatalf("got %d surviving metriclabel findings, want 2:\n%v", survivors, findings)
 	}
 }
 
-func loadFixturePkg(t *testing.T, path string) *lint.Package {
+func loadFixture(t *testing.T, path string) []*lint.Package {
 	t.Helper()
 	_, thisFile, _, ok := runtime.Caller(0)
 	if !ok {
 		t.Fatal("cannot locate test file")
 	}
 	dir := filepath.Dir(thisFile)
-	pkg, err := lint.LoadFixture(moduleRootFrom(dir), filepath.Join(dir, "testdata", "src"), path)
+	pkgs, err := lint.LoadFixturePackages(moduleRootFrom(dir), filepath.Join(dir, "testdata", "src"), []string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg
+	return pkgs
 }
 
 func moduleRootFrom(dir string) string {

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // A Package is one parsed, type-checked unit of analysis.
@@ -35,7 +34,6 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
@@ -46,23 +44,14 @@ type listPkg struct {
 // under srcRoot (linttest mode), already-checked packages, and compiler
 // export data located via `go list -export`. Only the standard library
 // and the host module are ever consulted — the suite adds no
-// dependencies.
-//
-// The loader is safe for concurrent checkDir calls on distinct target
-// packages (the parallel program runner): the shared maps are guarded
-// by mu, the gc export-data importer (which keeps an internal package
-// cache) is serialized by impMu, and token.FileSet is thread-safe by
-// itself. The re-entrant path — a fixture import triggering a nested
-// checkDir from inside types.Config.Check — only exists in linttest
-// mode, which runs sequentially.
+// dependencies. Loading is sequential; in linttest mode a fixture import
+// re-enters checkDir from inside types.Config.Check.
 type loader struct {
 	fset      *token.FileSet
-	moduleDir string // where go list runs
-	srcRoot   string // fixture root ("" outside linttest)
-	mu        sync.Mutex
+	moduleDir string            // where go list runs
+	srcRoot   string            // fixture root ("" outside linttest)
 	exports   map[string]string // import path -> export data file
 	checked   map[string]*Package
-	impMu     sync.Mutex
 	gcImp     types.Importer
 	listed    map[string]bool // import paths already asked of go list
 }
@@ -77,19 +66,14 @@ func newLoader(moduleDir, srcRoot string) *loader {
 		listed:    map[string]bool{},
 	}
 	l.gcImp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-		l.mu.Lock()
 		f, ok := l.exports[path]
-		l.mu.Unlock()
 		if !ok {
 			// Lazy path: a fixture imported something go list has not
 			// described yet (linttest mode only).
 			if _, err := l.goList(path); err != nil {
 				return nil, err
 			}
-			l.mu.Lock()
-			f, ok = l.exports[path]
-			l.mu.Unlock()
-			if !ok {
+			if f, ok = l.exports[path]; !ok {
 				return nil, fmt.Errorf("lint: no export data for %q", path)
 			}
 		}
@@ -106,14 +90,11 @@ func newLoader(moduleDir, srcRoot string) *loader {
 // memoized to nil.
 func (l *loader) goList(patterns ...string) ([]listPkg, error) {
 	key := strings.Join(patterns, "\x00")
-	l.mu.Lock()
-	seen := l.listed[key]
-	l.listed[key] = true
-	l.mu.Unlock()
-	if seen {
+	if l.listed[key] {
 		return nil, nil
 	}
-	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Error"}
+	l.listed[key] = true
+	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.moduleDir
@@ -133,9 +114,7 @@ func (l *loader) goList(patterns ...string) ([]listPkg, error) {
 			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
 		if p.Export != "" {
-			l.mu.Lock()
 			l.exports[p.ImportPath] = p.Export
-			l.mu.Unlock()
 		}
 		pkgs = append(pkgs, p)
 	}
@@ -147,10 +126,7 @@ func (l *loader) goList(patterns ...string) ([]listPkg, error) {
 type importFor struct{ l *loader }
 
 func (c importFor) Import(path string) (*types.Package, error) {
-	c.l.mu.Lock()
-	pkg, ok := c.l.checked[path]
-	c.l.mu.Unlock()
-	if ok {
+	if pkg, ok := c.l.checked[path]; ok {
 		return pkg.Types, nil
 	}
 	if c.l.srcRoot != "" {
@@ -163,8 +139,6 @@ func (c importFor) Import(path string) (*types.Package, error) {
 			return pkg.Types, nil
 		}
 	}
-	c.l.impMu.Lock()
-	defer c.l.impMu.Unlock()
 	return c.l.gcImp.Import(path)
 }
 
@@ -173,10 +147,7 @@ func (c importFor) Import(path string) (*types.Package, error) {
 // (go list mode); otherwise every .go file in dir except tests is taken
 // (fixture mode).
 func (l *loader) checkDir(importPath, dir string, files []string) (*Package, error) {
-	l.mu.Lock()
-	pkg, ok := l.checked[importPath]
-	l.mu.Unlock()
-	if ok {
+	if pkg, ok := l.checked[importPath]; ok {
 		return pkg, nil
 	}
 	if files == nil {
@@ -195,7 +166,7 @@ func (l *loader) checkDir(importPath, dir string, files []string) (*Package, err
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: package %s (%s) has no Go files", importPath, dir)
 	}
-	pkg = &Package{Path: importPath, Fset: l.fset, Src: map[string][]byte{}}
+	pkg := &Package{Path: importPath, Fset: l.fset, Src: map[string][]byte{}}
 	for _, name := range files {
 		full := filepath.Join(dir, name)
 		src, err := os.ReadFile(full)
@@ -221,9 +192,7 @@ func (l *loader) checkDir(importPath, dir string, files []string) (*Package, err
 		return nil, fmt.Errorf("lint: type-checking %s: %v", importPath, err)
 	}
 	pkg.Types = tpkg
-	l.mu.Lock()
 	l.checked[importPath] = pkg
-	l.mu.Unlock()
 	return pkg, nil
 }
 
@@ -263,24 +232,16 @@ func LoadPackages(moduleDir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFixture loads the fixture package at srcRoot/<path> (analysistest
-// layout: testdata/src/<importpath>/*.go). Imports resolve first against
-// sibling fixture directories under srcRoot, then against real packages
-// via export data — so fixtures may import actual actop packages such as
-// actop/internal/metrics. moduleDir anchors the go list runs.
-func LoadFixture(moduleDir, srcRoot, path string) (*Package, error) {
-	l := newLoader(moduleDir, srcRoot)
-	dir := filepath.Join(srcRoot, filepath.FromSlash(path))
-	return l.checkDir(path, dir, nil)
-}
-
-// LoadFixturePackages loads several fixture packages into one shared
-// loader — the multi-package twin of LoadFixture, used to test that
-// facts flow across import edges. Paths must be listed dependencies
-// first (a fixture importing a listed sibling also works in any order:
-// the import resolves through the shared loader either way, but facts
-// only flow dependency-before-dependent). The returned slice follows
-// the input order.
+// LoadFixturePackages loads fixture packages (analysistest layout:
+// srcRoot/<importpath>/*.go) into one shared loader. Imports resolve
+// first against sibling fixture directories under srcRoot, then against
+// real packages via export data — so fixtures may import actual actop
+// packages such as actop/internal/metrics; moduleDir anchors the go list
+// runs. Paths must be listed dependencies first (a fixture importing a
+// listed sibling also works in any order: the import resolves through
+// the shared loader either way, but facts only flow
+// dependency-before-dependent). The returned slice follows the input
+// order.
 func LoadFixturePackages(moduleDir, srcRoot string, paths []string) ([]*Package, error) {
 	l := newLoader(moduleDir, srcRoot)
 	pkgs := make([]*Package, 0, len(paths))

@@ -28,10 +28,9 @@ import (
 //     callee-side scan honors the select+default exemption: a helper
 //     whose only send is a non-blocking fast path stays clean.
 var LockHeldIO = &Analyzer{
-	Name:      "lockheldio",
-	Doc:       "no transport send, actor-system call, or channel send while a sync.Mutex/RWMutex is held, including one call hop away (DirectIOFact)",
-	Run:       runLockHeldIO,
-	FactTypes: []Fact{(*DirectIOFact)(nil)},
+	Name: "lockheldio",
+	Doc:  "no transport send, actor-system call, or channel send while a sync.Mutex/RWMutex is held, including one call hop away (DirectIOFact)",
+	Run:  runLockHeldIO,
 }
 
 // DirectIOFact marks an exported function that directly performs I/O —

@@ -26,10 +26,9 @@ import (
 // buffer to a retaining function in another module package counts as an
 // escape at the call site.
 var PoolEscape = &Analyzer{
-	Name:      "poolescape",
-	Doc:       "pooled codec buffers and released transport envelopes must not be used after PutBuffer/Release nor escape through an alias that outlives their release — including via a callee that retains its []byte argument (RetainsFact)",
-	Run:       runPoolEscape,
-	FactTypes: []Fact{(*RetainsFact)(nil)},
+	Name: "poolescape",
+	Doc:  "pooled codec buffers and released transport envelopes must not be used after PutBuffer/Release nor escape through an alias that outlives their release — including via a callee that retains its []byte argument (RetainsFact)",
+	Run:  runPoolEscape,
 }
 
 // RetainsFact marks an exported function that retains one or more of

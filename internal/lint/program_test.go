@@ -10,56 +10,61 @@ import (
 	"actop/internal/lint"
 )
 
-// writeTempModule lays out a self-contained two-package module —
-// tmpmod/actor/inner exporting a wire sentinel and an ungated spin
-// loop, tmpmod/actor/outer importing both hazards — so RunProgram can
-// exercise go list, cross-package facts, and the stale-directive check
-// against a real module on disk (RunPackages, which the fixture harness
-// uses, deliberately keeps staleness off).
+// writeTempModule lays out a self-contained three-package module —
+// tmpmod/actor (the turn contract plus a helper that sleeps),
+// tmpmod/metrics (a counter family) and tmpmod/outer, which trips over
+// both — so RunProgram can exercise go list, cross-package facts, and
+// the stale-directive check against a real module on disk (RunPackages,
+// which the fixture harness uses, deliberately keeps staleness off).
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
-		"actor/inner/inner.go": `// Package inner exports the hazards outer trips over.
-package inner
+		"actor/actor.go": `// Package actor holds the turn contract and a helper no turn may call.
+package actor
 
-import "errors"
+import "time"
 
-// ErrGone crosses the wire and comes back a different instance.
-var ErrGone = errors.New("gone")
+type Context struct{}
 
-// Spin runs forever with no shutdown gate.
-func Spin() {
-	n := 0
-	for {
-		n++
-	}
-}
+// Pause sleeps: a turn calling it blocks its worker.
+func Pause() { time.Sleep(time.Millisecond) }
 `,
-		"actor/outer/outer.go": `// Package outer holds one live finding, one suppressed finding, one
-// stale directive, and one cross-package leak.
+		"metrics/metrics.go": `// Package metrics is the label-taking surface metriclabel polices.
+package metrics
+
+type CounterFamily struct{}
+
+func (*CounterFamily) Add(n uint64, labels ...string) {}
+`,
+		"outer/outer.go": `// Package outer holds one live finding, one suppressed finding, one
+// stale directive, and one cross-package blocked turn.
 package outer
 
-import "tmpmod/actor/inner"
+import (
+	"strconv"
 
-func Classify(err error) string {
-	if err == inner.ErrGone { // live errident finding
-		return "gone"
-	}
-	return ""
+	"tmpmod/actor"
+	"tmpmod/metrics"
+)
+
+var calls metrics.CounterFamily
+
+func Count(id int) {
+	calls.Add(1, strconv.Itoa(id)) // live metriclabel finding
 }
 
-func Quiet(err error) string {
-	if err == inner.ErrGone { //actoplint:ignore errident audited: local-only path, never crosses the wire
-		return "gone"
-	}
-	return ""
+func Quiet(id int) {
+	calls.Add(1, strconv.Itoa(id)) //actoplint:ignore metriclabel audited: ids here come from a closed table of eight
 }
 
-//actoplint:ignore errident anchored to nothing, must be reported stale
-func Spawn() {
-	go inner.Spin() // cross-package goleak finding via inner's UngatedFact
+type node struct{}
+
+//actoplint:ignore metriclabel anchored to nothing, must be reported stale
+func (node) Receive(ctx *actor.Context, method string, args []byte) ([]byte, error) {
+	actor.Pause() // cross-package turnblock finding via actor's BlockerFact
+	return nil, nil
 }
 `,
 	}
@@ -77,7 +82,7 @@ func Spawn() {
 
 func runTempModule(t *testing.T, dir string) ([]lint.Finding, *lint.Stats) {
 	t.Helper()
-	findings, stats, err := lint.RunProgram(dir, []string{"./..."}, lint.Analyzers(), lint.Options{})
+	findings, stats, err := lint.RunProgram(dir, []string{"./..."}, lint.Analyzers())
 	if err != nil {
 		t.Fatalf("RunProgram: %v", err)
 	}
@@ -91,17 +96,17 @@ func runTempModule(t *testing.T, dir string) ([]lint.Finding, *lint.Stats) {
 func TestRunProgramStaleDirective(t *testing.T) {
 	dir := writeTempModule(t)
 	findings, stats := runTempModule(t, dir)
-	if stats.Packages != 2 {
-		t.Fatalf("expected 2 packages analyzed, got %+v", stats)
+	if stats.Packages != 3 {
+		t.Fatalf("expected 3 packages analyzed, got %+v", stats)
 	}
 	if len(findings) != 3 {
-		t.Fatalf("expected 3 findings (errident, goleak, stale directive), got %d:\n%v", len(findings), findings)
+		t.Fatalf("expected 3 findings (metriclabel, turnblock, stale directive), got %d:\n%v", len(findings), findings)
 	}
-	assertFinding(t, findings, "errident", "error compared with ==")
-	assertFinding(t, findings, "goleak", "goroutine calls inner.Spin, which runs an infinite loop")
-	assertFinding(t, findings, lint.DirectiveAnalyzer, "stale actoplint:ignore errident: it suppresses no finding")
+	assertFinding(t, findings, "metriclabel", "built at the call site by strconv.Itoa")
+	assertFinding(t, findings, "turnblock", "actor.Pause blocks in actor turn (node).Receive: time.Sleep")
+	assertFinding(t, findings, lint.DirectiveAnalyzer, "stale actoplint:ignore metriclabel: it suppresses no finding")
 	for _, f := range findings {
-		if strings.Contains(f.Message, "audited: local-only path") {
+		if strings.Contains(f.Message, "audited: ids here") {
 			t.Fatalf("justified suppression leaked through: %v", f)
 		}
 	}

@@ -26,10 +26,9 @@ import (
 // EncodeIOFact, so a capture body calling a helper in another module
 // package is flagged with the helper's witness chain.
 var SnapBlock = &Analyzer{
-	Name:      "snapblock",
-	Doc:       "no encode (codec/gob/json) or I/O (transport send, actor call) reachable from a turn-locked snapshot capture (capture*Locked), including through helpers in other module packages (EncodeIOFact); defer it to the returned closure, which runs on the snapshotter pool",
-	Run:       runSnapBlock,
-	FactTypes: []Fact{(*EncodeIOFact)(nil)},
+	Name: "snapblock",
+	Doc:  "no encode (codec/gob/json) or I/O (transport send, actor call) reachable from a turn-locked snapshot capture (capture*Locked), including through helpers in other module packages (EncodeIOFact); defer it to the returned closure, which runs on the snapshotter pool",
+	Run:  runSnapBlock,
 }
 
 // EncodeIOFact marks an exported function that (transitively, on its

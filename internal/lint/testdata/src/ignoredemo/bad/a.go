@@ -7,7 +7,9 @@ package bad
 func f() int {
 	//actoplint:ignore nosuchanalyzer the name does not exist
 	x := 1
-	//actoplint:ignore simdet
+	//actoplint:ignore metriclabel
+	x++
+	//actoplint:ignore simdet an analyzer that left the suite is an unknown name
 	x++
 	//actoplint:ignore
 	x++

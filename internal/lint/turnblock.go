@@ -26,10 +26,9 @@ import (
 // looking helper in another module package is flagged with the helper's
 // witness chain — the class the old per-package analyzer could not see.
 var TurnBlock = &Analyzer{
-	Name:      "turnblock",
-	Doc:       "no blocking operations (time.Sleep, WaitGroup.Wait, bare channel receive, select without default, re-entrant System.Call) reachable from an actor turn, including through helpers in other module packages (BlockerFact)",
-	Run:       runTurnBlock,
-	FactTypes: []Fact{(*BlockerFact)(nil)},
+	Name: "turnblock",
+	Doc:  "no blocking operations (time.Sleep, WaitGroup.Wait, bare channel receive, select without default, re-entrant System.Call) reachable from an actor turn, including through helpers in other module packages (BlockerFact)",
+	Run:  runTurnBlock,
 }
 
 // BlockerFact marks an exported function that (transitively) performs a

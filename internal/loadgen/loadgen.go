@@ -2,7 +2,7 @@
 // spec) against the real actor runtime (internal/actor). It is the second
 // interpreter of the spec language: the DES backend lives in the spec
 // package itself, while this one touches the wall clock and live Systems,
-// so it stays outside the simdet-linted deterministic packages.
+// so it stays outside the seeded, deterministic packages.
 //
 // The driver replays the spec's precomputed schedule — the identical Draw
 // sequence the DES consumes — open-loop against wall time: operations are

@@ -1,24 +1,22 @@
 // Package metrics provides the measurement primitives used throughout the
 // ActOp runtime and its experiment harness: streaming log-bucketed latency
-// histograms, exact reservoirs, windowed rate estimators, time series,
-// latency-breakdown accounting, and a concurrent registry with
-// Prometheus-text exposition.
+// histograms, time series, latency-breakdown accounting, and a concurrent
+// registry with Prometheus-text exposition.
 //
 // Goroutine safety, by type:
 //
 //   - Safe for concurrent use: FailureCounters, ConcurrentHistogram,
 //     Registry and its families (SummaryFamily, GaugeFamily, CounterFamily).
-//   - Single-goroutine only: Histogram, Reservoir, TimeSeries, Counter,
-//     Breakdown. Concurrent recorders must wrap Histogram in a
-//     ConcurrentHistogram (or take their own lock, as internal/seda does);
-//     snapshots of these types taken under traffic must be produced by the
-//     owning goroutine or under that same lock.
+//   - Single-goroutine only: Histogram, TimeSeries, Breakdown. Concurrent
+//     recorders must wrap Histogram in a ConcurrentHistogram (or take
+//     their own lock, as internal/seda does); snapshots of these types
+//     taken under traffic must be produced by the owning goroutine or
+//     under that same lock.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"math/bits"
 	"time"
 )
 
@@ -48,7 +46,7 @@ func bucketIndex(ns int64) int {
 		ns = histMinValue
 	}
 	// position = floor(log2(ns)*subBuckets), computed without math.Log2 for speed.
-	pow := 63 - leadingZeros64(uint64(ns))
+	pow := 63 - bits.LeadingZeros64(uint64(ns))
 	// fraction within the power-of-two interval, linearised.
 	base := int64(1) << uint(pow)
 	frac := int((ns - base) * histSubBuckets / base)
@@ -65,18 +63,6 @@ func bucketLow(idx int) int64 {
 	frac := idx % histSubBuckets
 	base := int64(1) << uint(pow)
 	return base + base*int64(frac)/histSubBuckets
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds one duration observation.
@@ -255,98 +241,4 @@ func Improvement(baseline, optimized time.Duration) float64 {
 		return 0
 	}
 	return 100 * (1 - float64(optimized)/float64(baseline))
-}
-
-// Reservoir keeps an exact sample of up to capacity observations using
-// Vitter's Algorithm R, yielding exact quantiles for modest populations and
-// an unbiased sample for large ones.
-type Reservoir struct {
-	samples []time.Duration
-	seen    uint64
-	rng     func() uint64
-	sorted  bool
-}
-
-// NewReservoir returns a reservoir holding at most capacity samples.
-// seed selects the deterministic replacement stream.
-func NewReservoir(capacity int, seed uint64) *Reservoir {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	s := seed
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	rng := func() uint64 {
-		// xorshift64* — deterministic and dependency-free.
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		return s * 0x2545f4914f6cdd1d
-	}
-	return &Reservoir{samples: make([]time.Duration, 0, capacity), rng: rng}
-}
-
-// Record offers one observation to the reservoir.
-func (r *Reservoir) Record(d time.Duration) {
-	r.seen++
-	r.sorted = false
-	if len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, d)
-		return
-	}
-	// Replace a random element with probability capacity/seen.
-	j := r.rng() % r.seen
-	if j < uint64(cap(r.samples)) {
-		r.samples[j] = d
-	}
-}
-
-// Count reports the number of observations offered (not retained).
-func (r *Reservoir) Count() uint64 { return r.seen }
-
-// Quantile reports the q-quantile over the retained sample.
-func (r *Reservoir) Quantile(q float64) time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
-	idx := int(q * float64(len(r.samples)))
-	if idx >= len(r.samples) {
-		idx = len(r.samples) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return r.samples[idx]
-}
-
-// Mean reports the mean of the retained sample.
-func (r *Reservoir) Mean() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range r.samples {
-		sum += float64(s)
-	}
-	return time.Duration(sum / float64(len(r.samples)))
-}
-
-// StdDev reports the standard deviation of the retained sample.
-func (r *Reservoir) StdDev() time.Duration {
-	n := len(r.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(r.Mean())
-	var ss float64
-	for _, s := range r.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return time.Duration(math.Sqrt(ss / float64(n-1)))
 }

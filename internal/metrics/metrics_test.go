@@ -214,52 +214,6 @@ func TestImprovement(t *testing.T) {
 	}
 }
 
-func TestReservoirExactSmall(t *testing.T) {
-	r := NewReservoir(1000, 1)
-	for i := 1; i <= 100; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	if r.Count() != 100 {
-		t.Fatalf("count = %d", r.Count())
-	}
-	if got := r.Quantile(0.5); got != 51*time.Millisecond {
-		t.Errorf("median = %v, want 51ms (exact)", got)
-	}
-	if got := r.Quantile(0); got != 1*time.Millisecond {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := r.Quantile(1); got != 100*time.Millisecond {
-		t.Errorf("q1 = %v", got)
-	}
-}
-
-func TestReservoirSampling(t *testing.T) {
-	r := NewReservoir(100, 7)
-	for i := 1; i <= 100_000; i++ {
-		r.Record(time.Duration(i) * time.Microsecond)
-	}
-	if r.Count() != 100_000 {
-		t.Fatalf("count = %d", r.Count())
-	}
-	// Median of uniform 1..100000 µs should be near 50ms.
-	med := r.Quantile(0.5)
-	if med < 30*time.Millisecond || med > 70*time.Millisecond {
-		t.Errorf("sampled median %v too far from 50ms", med)
-	}
-}
-
-func TestReservoirStdDev(t *testing.T) {
-	r := NewReservoir(10, 3)
-	if r.StdDev() != 0 {
-		t.Error("stddev of empty reservoir should be 0")
-	}
-	r.Record(10 * time.Millisecond)
-	r.Record(10 * time.Millisecond)
-	if r.StdDev() != 0 {
-		t.Errorf("stddev of constant data = %v, want 0", r.StdDev())
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	var ts TimeSeries
 	ts.Name = "remote fraction"
@@ -281,39 +235,6 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if out := ts.Render(); len(out) == 0 {
 		t.Error("Render empty")
-	}
-}
-
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	// 100 events/sec for 10 seconds.
-	for s := 1; s <= 10; s++ {
-		c.Inc(time.Duration(s)*time.Second, 100)
-	}
-	if c.Total() != 1000 {
-		t.Fatalf("total = %d", c.Total())
-	}
-	got := c.RatePerSec(10*time.Second, 5*time.Second)
-	if math.Abs(got-100) > 1 {
-		t.Errorf("rate = %v, want ~100", got)
-	}
-	if c.RatePerSec(10*time.Second, 0) != 0 {
-		t.Error("zero span should yield 0")
-	}
-}
-
-func TestCounterWindowCompaction(t *testing.T) {
-	var c Counter
-	for i := 0; i < 20_000; i++ {
-		c.Inc(time.Duration(i)*time.Millisecond, 1)
-	}
-	if c.Total() != 20_000 {
-		t.Fatalf("total = %d", c.Total())
-	}
-	// Recent-window rate should still be answerable (~1000/sec).
-	got := c.RatePerSec(20*time.Second, time.Second)
-	if got < 500 || got > 2000 {
-		t.Errorf("rate after compaction = %v, want ~1000", got)
 	}
 }
 

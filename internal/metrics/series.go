@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -58,48 +57,6 @@ func (ts *TimeSeries) Render() string {
 		fmt.Fprintf(&b, "%8.1fs  %10.4f\n", p.At.Seconds(), p.Value)
 	}
 	return b.String()
-}
-
-// Counter is a monotonically increasing event counter with windowed-rate
-// queries against a virtual clock.
-type Counter struct {
-	total  uint64
-	window []stampedCount
-}
-
-type stampedCount struct {
-	at    time.Duration
-	total uint64
-}
-
-// Inc adds n events observed at virtual time at.
-func (c *Counter) Inc(at time.Duration, n uint64) {
-	c.total += n
-	c.window = append(c.window, stampedCount{at: at, total: c.total})
-	// Bound memory: retain at most 4096 stamps by dropping the older half.
-	if len(c.window) > 4096 {
-		copy(c.window, c.window[len(c.window)/2:])
-		c.window = c.window[:len(c.window)-len(c.window)/2]
-	}
-}
-
-// Total reports the lifetime event count.
-func (c *Counter) Total() uint64 { return c.total }
-
-// RatePerSec estimates the event rate over the window (now−span, now].
-func (c *Counter) RatePerSec(now, span time.Duration) float64 {
-	if span <= 0 || len(c.window) == 0 {
-		return 0
-	}
-	cut := now - span
-	// Find the last stamp at or before the cut.
-	i := sort.Search(len(c.window), func(i int) bool { return c.window[i].at > cut })
-	var base uint64
-	if i > 0 {
-		base = c.window[i-1].total
-	}
-	delta := c.total - base
-	return float64(delta) / span.Seconds()
 }
 
 // Breakdown attributes total request latency to named components, reproducing

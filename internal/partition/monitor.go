@@ -60,9 +60,6 @@ func (m *Monitor) ForgetVertex(v graph.Vertex) {
 // EdgeCount reports the number of monitored edges.
 func (m *Monitor) EdgeCount() int { return m.summary.Len() }
 
-// TotalObserved reports the total message weight observed.
-func (m *Monitor) TotalObserved() uint64 { return m.summary.Total() }
-
 // Snapshot materializes the summary into an adjacency view for one
 // partitioning round. The snapshot is O(k log k) to build and supports
 // O(deg) per-vertex edge iteration, which SelectCandidates needs.

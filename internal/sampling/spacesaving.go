@@ -193,10 +193,3 @@ func sortEntriesDesc[K comparable](es []Entry[K]) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

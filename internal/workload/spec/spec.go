@@ -23,10 +23,10 @@
 // tolerance, and each must satisfy the scenario's invariants (value
 // conservation, exactly-once effects, no lost lobby members under churn).
 //
-// This package is covered by actop-lint's simdet analyzer: it must not
-// read the wall clock or the process-global rand source, so the same code
-// paths stay usable inside the DES. Everything random derives from
-// Spec.Seed.
+// This package must not read the wall clock or the process-global rand
+// source, so the same code paths stay usable inside the DES — pinned by
+// TestScheduleDeterminism/TestDESTraceDeterminism and `make seeded`.
+// Everything random derives from Spec.Seed.
 package spec
 
 import (

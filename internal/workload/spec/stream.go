@@ -153,25 +153,6 @@ func (t *Topology) MeanDegree(link int) float64 {
 	return float64(total) / float64(len(adj))
 }
 
-// MeanTreeSize reports the realized mean calls per execution of an op's
-// tree (using measured link degrees), the amplification anchor.
-func (t *Topology) MeanTreeSize(op *Op) float64 {
-	return t.meanSteps(op.Steps)
-}
-
-func (t *Topology) meanSteps(steps []Step) float64 {
-	var total float64
-	for i := range steps {
-		st := &steps[i]
-		li := t.Spec.linkIndex(st.Link)
-		if li < 0 {
-			continue
-		}
-		total += t.MeanDegree(li) * (1 + t.meanSteps(st.Then))
-	}
-	return total
-}
-
 // EvKind tags a scheduled workload event.
 type EvKind uint8
 

@@ -168,17 +168,25 @@ func TestHeartbeatWorkload(t *testing.T) {
 	}
 }
 
+// TestHaloDeterministic compares everything a clock read inside the
+// simulator would move: the completed and formed counts, but also the
+// kernel's fired-event count and the latency mean and extremes, which
+// shift by nanoseconds when any one delay does.
 func TestHaloDeterministic(t *testing.T) {
-	run := func() (uint64, int) {
+	type outcome struct {
+		completed, fired uint64
+		games            int
+		mean, min, max   time.Duration
+	}
+	run := func() outcome {
 		c := quickCluster(3)
 		h := NewHalo(c, quickHalo(1000, 100))
 		h.Start()
 		c.Run(time.Minute)
-		return c.Completed, h.GamesFormed
+		return outcome{c.Completed, c.K.Fired(), h.GamesFormed,
+			c.Latency.Mean(), c.Latency.Min(), c.Latency.Max()}
 	}
-	c1, g1 := run()
-	c2, g2 := run()
-	if c1 != c2 || g1 != g2 {
-		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", c1, g1, c2, g2)
+	if a, b := run(), run(); a != b {
+		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
 }
