@@ -2,11 +2,13 @@ package actor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"actop/internal/codec"
 	"actop/internal/flight"
+	"actop/internal/hotspot"
 )
 
 // invocation is one queued actor method call with its completer. Exactly
@@ -38,8 +40,8 @@ type invocation struct {
 type activation struct {
 	ref   Ref
 	actor Actor
-	// refH caches refHash(ref) so the profiler's per-drain flush never
-	// re-hashes the ref strings. Immutable.
+	// refH caches refHash(ref) so folding the profile never re-hashes the
+	// ref strings. Immutable.
 	refH uint64
 	// installID, when non-empty, names the migration transfer that created
 	// this activation; ID-matched drops (failed-transfer cleanup) may only
@@ -80,22 +82,34 @@ type activation struct {
 	// forwarded, when set, means the activation migrated away; enqueued
 	// invocations are re-routed to the new host.
 	forwarded bool
-	// profEnq counts enqueues for mailbox-wait sampling (guarded by mu).
-	profEnq uint64
-	// profSeq counts turns for exec-time sampling. Only the (serialized)
-	// drain touches it; successive drains are ordered through mu, so no
-	// atomic is needed.
-	profSeq uint64
+	// profEnq counts enqueues for mailbox-wait sampling (guarded by mu;
+	// only its low bits are read, so it may wrap).
+	profEnq uint8
+
+	// The pending profile: what this activation's turns have done since the
+	// hot-spot sketch last heard of it (see takeProfile), guarded by turnMu.
+	// profTurns is at most profSample and the byte counts cover as many
+	// turns, so 32 bits hold them; profWaitNs saturates. profSeq counts
+	// turns to pick the ones that fold (it may wrap). Sized to fit where
+	// two 64-bit sampling counters were: an activation is no larger for it.
+	profTurns    uint8
+	profCallsOut uint32
+	profSeq      uint32
+	profWaitNs   uint32
+	profBytesIn  uint32
+	profBytesOut uint32
 	// drainTask is the worker-stage task draining this mailbox, built on
 	// first schedule; schedulers are ordered through mu (scheduled).
 	drainTask func()
 }
 
-// profSample is the profiler's timing sample rate (power of two): one turn
-// in profSample reads the clock for exec time, one enqueue in profSample
-// stamps for mailbox wait, and the measurements scale back up by
-// profSample. Turn and byte counts stay exact — only the clock reads, the
-// expensive part (~75ns each on a vDSO-less guest), are sampled.
+// profSample is the profiler's batch size and timing sample rate (power of
+// two): an activation's profile reaches the hot-spot sketch once per
+// profSample turns, the turn that folds it is the one whose execution is
+// timed, and one enqueue in profSample is stamped for mailbox wait; the
+// measurements scale back up to the turns they stand for. Turn, call and
+// byte counts stay exact — only the clock reads, the expensive part (~75ns
+// each on a vDSO-less guest), are sampled.
 const profSample = 8
 
 // turnBatch bounds invocations processed per worker-stage task so one hot
@@ -181,14 +195,14 @@ func (a *activation) schedule(s *System) {
 // more arrived.
 //
 // Profiler accounting is batched and sampled: per-turn figures accumulate
-// in locals and fold into the hot-spot sketch once per drain — so the
-// hottest actors (the ones that fill their batch) amortize the sketch's
-// stripe lock up to turnBatch× — and clock reads happen on one turn in
-// profSample (scaled back up), so the steady-state turn path adds two
-// counter bumps, no clock reads, and no allocations.
+// in the activation's pending profile and fold into the hot-spot sketch on
+// every profSample-th turn — however the turns fall into drains, and a
+// synchronous call tree leaves one per drain — and on the activation's
+// first, so that every actor that ran here is visible to the sketch. The
+// folding turn is the one that reads the clock, so the other turns add a
+// few counter bumps, no clock reads, no lock and no allocations.
 func (a *activation) drain(s *System) {
 	pf := s.prof
-	var turns, execNs, waitNs, bytesIn uint64
 	// One pooled Context serves the batch: serial turns differ only in trace identity.
 	ctx := contexts.Get().(*Context)
 	ctx.sys, ctx.self = s, a.ref
@@ -205,9 +219,6 @@ func (a *activation) drain(s *System) {
 			a.mu.Unlock()
 			for _, inv := range pending {
 				s.forwardInvocation(a.ref, inv)
-			}
-			if pf != nil && turns > 0 {
-				pf.ObserveTurns(a.refH, a.ref.Type, a.ref.Key, turns, execNs, waitNs, bytesIn)
 			}
 			return
 		}
@@ -227,15 +238,15 @@ func (a *activation) drain(s *System) {
 			s.forwardInvocation(a.ref, inv)
 			continue
 		}
-		var sampled bool
+		var folds bool
 		if pf != nil {
-			turns++
-			bytesIn += uint64(len(inv.args))
+			a.profTurns++
+			a.profBytesIn += uint32(len(inv.args))
 			a.profSeq++
-			sampled = a.profSeq&(profSample-1) == 0
+			folds = a.profSeq&(profSample-1) == 0 || a.profSeq == 1
 		}
 		var tstart time.Time
-		timed := inv.trc != nil || sampled
+		timed := inv.trc != nil || folds
 		if timed {
 			tstart = time.Now()
 		}
@@ -245,22 +256,31 @@ func (a *activation) drain(s *System) {
 			ctx.trc = inv.trc.ctx()
 		}
 		if pf != nil && !inv.at.IsZero() {
-			// A wait-stamped invocation stands in for profSample of them.
 			now := tstart
 			if !timed {
 				now = time.Now()
 			}
-			waitNs += uint64(now.Sub(inv.at)) * profSample
+			a.profWaitNs = uint32(min(uint64(a.profWaitNs)+uint64(now.Sub(inv.at)), math.MaxUint32))
 		}
 		data, val, err, panicked := a.invoke(ctx, inv)
+		var d time.Duration
 		if timed {
-			d := time.Since(tstart)
-			if sampled {
-				execNs += uint64(d) * profSample
-			}
+			d = time.Since(tstart)
 			if inv.trc != nil {
 				inv.trc.exec = d
 				inv.trc.epoch = a.epoch
+			}
+		}
+		var batch hotspot.Stats
+		if pf != nil {
+			if n := ctx.callsOut.Load(); n != 0 {
+				a.profCallsOut += n
+				a.profBytesOut += ctx.bytesOut.Load()
+				ctx.callsOut.Store(0)
+				ctx.bytesOut.Store(0)
+			}
+			if folds || panicked {
+				batch = a.takeProfile(d) // a panicked instance is retired below: nothing stays pending
 			}
 		}
 		var snapJob func()
@@ -283,6 +303,11 @@ func (a *activation) drain(s *System) {
 			// the next call re-activates a fresh instance).
 			s.isolatePanic(a)
 		}
+		if batch.Turns > 0 {
+			// Before the reply: whoever has seen this turn's result finds
+			// the turn in the sketch.
+			pf.Observe(a.refH, a.ref.Type, a.ref.Key, batch)
+		}
 		inv.done.complete(data, val, err)
 		if snapJob != nil {
 			// Hand the captured state to the snapshotter pool after the
@@ -294,9 +319,6 @@ func (a *activation) drain(s *System) {
 			}
 		}
 	}
-	if pf != nil && turns > 0 {
-		pf.ObserveTurns(a.refH, a.ref.Type, a.ref.Key, turns, execNs, waitNs, bytesIn)
-	}
 	// Batch exhausted: yield the worker and reschedule.
 	a.mu.Lock()
 	if a.queueLen() == 0 && !a.forwarded {
@@ -306,6 +328,35 @@ func (a *activation) drain(s *System) {
 	}
 	a.mu.Unlock()
 	a.schedule(s)
+}
+
+// takeProfile empties the pending profile into the batch the sketch is to
+// be told of (caller holds turnMu). exec is the measured execution time of
+// one of the batch's turns — the folding one — and stands for them all; zero
+// when none was timed (the remainder of a retiring activation). A stamped
+// mailbox wait stands for profSample enqueues.
+func (a *activation) takeProfile(exec time.Duration) hotspot.Stats {
+	turns := uint64(a.profTurns)
+	batch := hotspot.Stats{
+		Turns:    turns,
+		ExecNs:   uint64(exec) * turns,
+		WaitNs:   uint64(a.profWaitNs) * profSample,
+		CallsOut: uint64(a.profCallsOut),
+		BytesIn:  uint64(a.profBytesIn),
+		BytesOut: uint64(a.profBytesOut),
+	}
+	a.profTurns, a.profWaitNs, a.profCallsOut, a.profBytesIn, a.profBytesOut = 0, 0, 0, 0, 0
+	return batch
+}
+
+// foldRemainder tells the sketch of the turns a retiring activation has not
+// yet folded, so that its counts stay exact across a migration or a
+// deactivation. Caller holds turnMu, which orders it after the last turn's
+// accounting.
+func (a *activation) foldRemainder(pf *hotspot.Profiler) {
+	if batch := a.takeProfile(0); batch.Turns > 0 {
+		pf.Observe(a.refH, a.ref.Type, a.ref.Key, batch)
+	}
 }
 
 // invoke executes one turn against the actor instance, with the panicking
@@ -320,13 +371,16 @@ func (a *activation) invoke(ctx *Context, inv invocation) (data []byte, val inte
 		}
 	}()
 	if inv.isVal {
-		// Zero-copy local turn: args were isolated by the caller via
-		// CopyValue; the result is isolated here, inside the turn,
-		// before the actor can mutate it again.
+		// Zero-copy local turn: args were isolated by the caller (see
+		// callLocalValue); the result is isolated here, inside the turn,
+		// before the actor can mutate it again — by CopyValue, unless it
+		// is reference-free and so already out of the actor's reach.
 		val, err = a.actor.(ValueReceiver).ReceiveValue(ctx, inv.method, inv.argsVal)
 		if err == nil && val != nil {
 			if c, ok := val.(codec.Copier); ok {
-				val = c.CopyValue()
+				if !codec.RefFree(val) {
+					val = c.CopyValue()
+				}
 			} else {
 				// No Copier on the result: fall back to serialization
 				// for isolation (decoded by the caller).
@@ -520,6 +574,11 @@ func (s *System) Deactivate(ref Ref) error {
 	act.mu.Lock()
 	act.forwarded = true // stragglers re-route through the directory
 	act.mu.Unlock()
+	if s.prof != nil {
+		act.turnMu.Lock() // waits out a turn in flight
+		act.foldRemainder(s.prof)
+		act.turnMu.Unlock()
+	}
 	s.monMu.Lock()
 	s.monitor.ForgetVertex(ref.Vertex())
 	s.monMu.Unlock()

@@ -12,6 +12,7 @@ package actor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"actop/internal/graph"
@@ -52,12 +53,13 @@ type Actor interface {
 // calls as plain values, skipping serialization entirely. The runtime
 // invokes ReceiveValue instead of Receive when the callee is co-located
 // with the caller and the arguments implement codec.Copier (or are nil).
-// args is already an isolated copy — the runtime calls CopyValue before
-// the turn — and the returned value is isolated again before it crosses
-// back (via its own CopyValue when implemented, else a serialization
-// round trip). Remote calls and non-Copier arguments continue to arrive
-// through Receive, so implementations must keep both paths semantically
-// identical.
+// args is already isolated — the runtime calls CopyValue before the turn,
+// unless the value is reference-free (codec.RefFree) and so can alias
+// nothing — and the returned value is isolated again before it crosses
+// back (via its own CopyValue when implemented, skipped likewise for a
+// reference-free value; else a serialization round trip). Remote calls and
+// non-Copier arguments continue to arrive through Receive, so
+// implementations must keep both paths semantically identical.
 type ValueReceiver interface {
 	ReceiveValue(ctx *Context, method string, args interface{}) (interface{}, error)
 }
@@ -189,7 +191,7 @@ type Config struct {
 	Metrics *metrics.Registry
 
 	// DisableHotspots turns off the per-actor hot-spot profiler. On by
-	// default: per-turn accounting batched per mailbox drain into a
+	// default: per-turn accounting batched per eight turns into a
 	// bounded heavy-hitter sketch (internal/hotspot) of 512 entries.
 	DisableHotspots bool
 	// SLOTarget, when non-zero, arms the p99 SLO watcher: call latency
@@ -275,6 +277,11 @@ type Context struct {
 	// trc carries the executing turn's trace identity so calls made from
 	// the turn join the same trace (nil when the turn is unsampled).
 	trc *traceCtx
+	// callsOut and bytesOut count the calls the turn made and their encoded
+	// argument bytes, for the hot-spot profile; the drain moves them to the
+	// activation after each turn. Atomic because a turn may call from
+	// several goroutines at once.
+	callsOut, bytesOut atomic.Uint32
 }
 
 var contexts = sync.Pool{New: func() interface{} { return new(Context) }}
@@ -295,5 +302,5 @@ func (c *Context) Node() transport.NodeID { return c.sys.Node() }
 // thread controller grow the pool from measurements. Deep synchronous
 // call cycles can deadlock, exactly as in Orleans.
 func (c *Context) Call(to Ref, method string, args, reply interface{}) error {
-	return c.sys.call(&c.self, c.trc, to, method, args, reply)
+	return c.sys.call(c, to, method, args, reply)
 }

@@ -2,6 +2,7 @@ package actor
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,4 +207,130 @@ func (m *mutActor) ReceiveValue(ctx *Context, method string, args interface{}) (
 	m.kept = a.Vals
 	m.kept[1]++
 	return sliceArgs{Vals: m.kept}, nil
+}
+
+// countedFlat is reference-free (codec.RefFree): the runtime hands it over
+// and must not call its CopyValue, which counts.
+type countedFlat struct {
+	N int
+	S string
+}
+
+var flatCopies atomic.Int64
+
+func (c countedFlat) CopyValue() interface{} { flatCopies.Add(1); return c }
+
+// countedPtr is the same kind of struct travelling as a pointer: the callee
+// could write through it, so it is copied like anything else.
+type countedPtr struct{ N int }
+
+var ptrCopies atomic.Int64
+
+func (p *countedPtr) CopyValue() interface{} { ptrCopies.Add(1); c := *p; return &c }
+
+// handActor writes through whatever it is given and returns what it keeps.
+type handActor struct{ kept *countedPtr }
+
+func (h *handActor) Receive(ctx *Context, method string, args []byte) ([]byte, error) {
+	return nil, fmt.Errorf("handActor is value-only in this test")
+}
+
+func (h *handActor) ReceiveValue(ctx *Context, method string, args interface{}) (interface{}, error) {
+	switch method {
+	case "Flat":
+		a := args.(countedFlat)
+		a.N++ // its own copy of the value: boxing made it
+		a.S += "!"
+		return a, nil
+	case "Ptr":
+		h.kept = args.(*countedPtr)
+		h.kept.N = 100 // must not be visible to the caller
+		return h.kept, nil
+	}
+	return nil, fmt.Errorf("no method %q", method)
+}
+
+// TestHandOverCopiesOnlyWhatCanAlias pins the hand-over rule on the live
+// runtime: a reference-free value crosses in both directions without its
+// CopyValue being called, and a pointer to the same kind of struct is still
+// copied in both (TestLocalValueCallIsolation, above, holds the same for a
+// value that carries a slice).
+func TestHandOverCopiesOnlyWhatCanAlias(t *testing.T) {
+	sys := newValNode(t)
+	sys.RegisterType("hand", func() Actor { return &handActor{} })
+	ref := Ref{Type: "hand", Key: "k"}
+
+	flat0 := flatCopies.Load()
+	in := countedFlat{N: 1, S: "s"}
+	var out countedFlat
+	if err := sys.Call(ref, "Flat", in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if in != (countedFlat{N: 1, S: "s"}) || out != (countedFlat{N: 2, S: "s!"}) {
+		t.Fatalf("in = %+v, out = %+v", in, out)
+	}
+	if n := flatCopies.Load() - flat0; n != 0 {
+		t.Fatalf("CopyValue called %d time(s) on a reference-free argument and result, want 0", n)
+	}
+
+	ptr0 := ptrCopies.Load()
+	pin := &countedPtr{N: 1}
+	var pout countedPtr
+	if err := sys.Call(ref, "Ptr", pin, &pout); err != nil {
+		t.Fatal(err)
+	}
+	if pin.N != 1 {
+		t.Fatalf("actor wrote through the caller's pointer: %+v", pin)
+	}
+	if pout.N != 100 {
+		t.Fatalf("reply = %+v, want the actor's write visible", pout)
+	}
+	if n := ptrCopies.Load() - ptr0; n != 2 {
+		t.Fatalf("CopyValue called %d time(s) on a pointer argument and result, want 2", n)
+	}
+	if st := sys.Stats(); st.CallsLocal != 2 || st.CallsRemote != 0 {
+		t.Fatalf("stats = %+v, want 2 local value calls", st)
+	}
+}
+
+// TestLocalValueCallRacingMigration drives the window in which a value call
+// has resolved a co-located activation and a migration retires it before
+// the call enqueues: the invocation must chase the actor as bytes, handed
+// over or not, and arrive through Receive on the new host.
+func TestLocalValueCallRacingMigration(t *testing.T) {
+	sys := newCluster(t, 2, PlaceLocal)
+	for _, s := range sys {
+		s.RegisterType("val", func() Actor { return &valActor{} })
+	}
+	ref := Ref{Type: "val", Key: "mover"}
+	if err := sys[0].Call(ref, "AddVal", valArgs{N: 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	from, to := sys[0], sys[1]
+	if to.HostsActor(ref) {
+		from, to = to, from
+	}
+	act, err := from.activationFor(ref, false, false)
+	if err != nil || act == nil {
+		t.Fatalf("no activation of %s on %s: %v", ref, from.Node(), err)
+	}
+	if err := from.Migrate(ref, to.Node()); err != nil {
+		t.Fatal(err)
+	}
+	// plainArgs is reference-free, so argsVal is the caller's own boxed
+	// value, as callLocalValue hands it over.
+	out, err := from.runLocal(act, invocation{method: "AddPlain", argsVal: plainArgs{N: 5}, isVal: true}, nil, 3*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.val != nil || out.data == nil {
+		t.Fatalf("outcome = %+v, want an encoded reply: the invocation was not forwarded as bytes", out)
+	}
+	var reply valReply
+	if err := codec.Unmarshal(out.data, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.N != 5 || !to.HostsActor(ref) {
+		t.Fatalf("reply = %+v, hosted on %s: %v", reply, to.Node(), to.HostsActor(ref))
+	}
 }

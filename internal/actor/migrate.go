@@ -164,7 +164,8 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 
 	s.migrationsOut.Add(1)
 	if s.prof != nil {
-		s.prof.ObserveMigration(refHash(ref))
+		act.foldRemainder(s.prof) // turnMu is held since the quiesce
+		s.prof.ObserveMigration(act.refH)
 	}
 	s.flight.Record(flight.Event{Kind: flight.KindMigrationOut, Actor: ref.String(), Peer: string(to)})
 	return nil

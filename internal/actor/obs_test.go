@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"actop/internal/flight"
+	"actop/internal/hotspot"
 	"actop/internal/metrics"
 	"actop/internal/transport"
 )
@@ -105,10 +106,35 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("cluster table covers %d node(s): %+v", len(nodes), top)
 	}
 
-	// The caller-side fan-out profile: the hot actor's callers recorded
-	// outbound calls against themselves.
 	if local := sys[0].LocalHotspots(10); len(local) == 0 {
 		t.Fatal("LocalHotspots empty on a node that hosted actors")
+	}
+
+	// The caller-side fan-out profile: an actor's outbound calls and their
+	// bytes reach its own row, every one of them — its first turn's too,
+	// made before the sketch had heard of the actor.
+	for _, s := range sys {
+		s.RegisterType("relay", func() Actor { return relayActor{} })
+	}
+	fan := Ref{Type: "relay", Key: "fan"}
+	const relayed = 2 * profSample // a whole number of batches: nothing pending
+	for c := 0; c < relayed; c++ {
+		if err := sys[c%3].Call(fan, "Relay", "hot", &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var row *hotspot.Entry
+	table := sys[0].ClusterHotspots(0)
+	for i := range table {
+		if table[i].Actor == fan.String() {
+			row = &table[i]
+		}
+	}
+	if row == nil {
+		t.Fatalf("%s has no row in the cluster table", fan)
+	}
+	if row.Turns != relayed || row.CallsOut != relayed || row.BytesOut == 0 {
+		t.Fatalf("caller's row = %+v, want %d turns and as many outbound calls, with their bytes", row.Stats, relayed)
 	}
 
 	var sb strings.Builder
@@ -121,6 +147,49 @@ func TestObsSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(scrape, fam) {
 			t.Fatalf("scrape missing %s:\n%s", fam, scrape)
+		}
+	}
+}
+
+// TestObsRetireFoldsRemainder pins the batch rule's bound at its edge: an
+// activation's turns since its last fold reach the sketch when it leaves the
+// node, by migration or by deactivation, so a row's counts are exact then.
+func TestObsRetireFoldsRemainder(t *testing.T) {
+	sys := newObsCluster(t, 2, nil)
+	const calls = profSample + 3 // folds on turns 1 and profSample, three left pending
+	turnsOf := func(s *System, ref Ref) (turns, migrations uint64) {
+		for _, e := range s.LocalHotspots(0) {
+			if e.Actor == ref.String() {
+				return e.Turns, e.Migrations
+			}
+		}
+		return 0, 0
+	}
+	for _, retire := range []string{"migrate", "deactivate"} {
+		ref := Ref{Type: "counter", Key: retire}
+		for c := 0; c < calls; c++ {
+			if err := sys[0].Call(ref, "Add", 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		host, other := sys[0], sys[1]
+		if other.HostsActor(ref) {
+			host, other = other, host
+		}
+		if got, _ := turnsOf(host, ref); got != profSample {
+			t.Fatalf("%s: %d turns in the sketch before retiring, want %d (the rest pending)", retire, got, profSample)
+		}
+		wantMigrations := uint64(0)
+		if retire == "migrate" {
+			wantMigrations = 1
+			if err := host.Migrate(ref, other.Node()); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := host.Deactivate(ref); err != nil {
+			t.Fatal(err)
+		}
+		if got, migs := turnsOf(host, ref); got != calls || migs != wantMigrations {
+			t.Fatalf("%s: row reads %d turns, %d migration(s) after retiring; want %d, %d", retire, got, migs, calls, wantMigrations)
 		}
 	}
 }

@@ -174,7 +174,7 @@ type System struct {
 	srvDur   *metrics.SummaryFamily
 
 	// Observability plane (obs.go): the per-actor hot-spot profiler (nil
-	// when disabled — one pointer check per drain batch), the always-on
+	// when disabled — one pointer check per turn), the always-on
 	// flight recorder, and the SLO watcher's rolling latency window (nil
 	// unless SLOTarget is set).
 	prof   *hotspot.Profiler
@@ -410,13 +410,19 @@ func (s *System) Stats() Stats {
 // This is where trace sampling is decided: a sampled call carries its trace
 // context on every hop it causes.
 func (s *System) Call(to Ref, method string, args, reply interface{}) error {
-	return s.call(nil, nil, to, method, args, reply)
+	return s.call(nil, to, method, args, reply)
 }
 
-// call is the shared invocation path. from is non-nil for actor→actor
-// calls (monitored as communication edges); parent is non-nil when the
-// caller's turn is itself traced, so the nested call joins that trace.
-func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, reply interface{}) error {
+// call is the shared invocation path. turn is the calling turn's context,
+// nil outside any actor: an actor→actor call is monitored as a communication
+// edge from turn's actor, counted on turn for that actor's hot-spot profile,
+// and joins the turn's trace when the turn is itself traced.
+func (s *System) call(turn *Context, to Ref, method string, args, reply interface{}) error {
+	var from *Ref
+	var parent *traceCtx
+	if turn != nil {
+		from, parent = &turn.self, turn.trc
+	}
 	s.mu.RLock()
 	stopped := s.stopped
 	_, known := s.types[to.Type]
@@ -427,8 +433,11 @@ func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, 
 	if !known {
 		return fmt.Errorf("%w: %s", ErrUnknownType, to.Type)
 	}
-	if from != nil && s.sampleEdge() {
-		s.observeEdge(*from, to)
+	if turn != nil {
+		turn.callsOut.Add(1)
+		if s.sampleEdge() {
+			s.observeEdge(*from, to)
+		}
 	}
 	tctx := parent
 	if tctx == nil && s.sampler.Sample() {
@@ -449,9 +458,6 @@ func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, 
 	// Zero-copy local fast path: no serialization when the callee is
 	// co-located and both sides opt in (ValueReceiver + codec.Copier).
 	if handled, err := s.callLocalValue(sp, to, method, args, reply); handled {
-		if s.prof != nil && from != nil {
-			s.prof.ObserveOut(refHash(*from), 1, 0) // value call: no wire bytes
-		}
 		s.finishCall(sp, start, method, err)
 		return err
 	}
@@ -472,8 +478,8 @@ func (s *System) call(from *Ref, parent *traceCtx, to Ref, method string, args, 
 			sp.Serialize = time.Since(ms)
 		}
 	}
-	if s.prof != nil && from != nil {
-		s.prof.ObserveOut(refHash(*from), 1, uint64(len(data)))
+	if turn != nil && data != nil {
+		turn.bytesOut.Add(uint32(len(data))) // a value call, above, puts no bytes on a wire
 	}
 	result, err, recyclable := s.dispatchRetry(from, to, method, data, sp)
 	if data != nil && recyclable {
@@ -516,8 +522,10 @@ func marshalArgs(args interface{}) ([]byte, error) {
 
 // callLocalValue attempts the zero-copy local call: when the callee is
 // activated on this node, its actor implements ValueReceiver, and the
-// arguments travel by CopyValue, the invocation performs no serialization
-// at all — one deep copy in, one deep copy out, isolation preserved (§2).
+// arguments implement codec.Copier, the invocation performs no
+// serialization at all. Isolation (§2) costs a copy only where aliasing is
+// possible: a reference-free value (codec.RefFree) is handed over as it is,
+// in and out; anything else is deep-copied by its CopyValue, in and out.
 // handled=false falls back to the encoded path (remote callee, missing
 // interfaces, or a placement race — all handled there).
 func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, reply interface{}) (bool, error) {
@@ -533,12 +541,11 @@ func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, rep
 		return false, nil
 	}
 	// Copied only now: a remote callee's arguments are serialized instead.
-	var argsCopy interface{}
-	if copier != nil {
-		argsCopy = copier.CopyValue()
+	if !codec.RefFree(args) {
+		args = copier.CopyValue()
 	}
 	s.callsLocal.Add(1)
-	out, err := s.runLocal(act, invocation{method: method, argsVal: argsCopy, isVal: true}, sp, s.cfg.CallTimeout)
+	out, err := s.runLocal(act, invocation{method: method, argsVal: args, isVal: true}, sp, s.cfg.CallTimeout)
 	switch {
 	case err != nil:
 		return true, err

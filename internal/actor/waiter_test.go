@@ -20,13 +20,14 @@ import (
 // Warm-call allocation counts, pinned exactly: one more allocation on any
 // path fails the test. The seed commit measured 13 and 35 on the first two
 // (a timer, one or two channels and two to four closures per call). What is
-// left locally: boxing the argument copy and the result copy. Over the
+// left locally is the actor's own: boxing the result it returns — a
+// reference-free argument or result is handed over, not copied. Over the
 // in-memory fabric gob and the fabric's own envelope copy and goroutine
 // dominate. Over TCP with a message that encodes itself — the path the
 // ledger measures — the one allocation is the actor's: the reply buffer it
 // gives away. The runtime's share of a warm remote call is zero.
 const (
-	localValueCallAllocs = 2
+	localValueCallAllocs = 1
 	memRemoteCallAllocs  = 33
 	tcpRemoteCallAllocs  = 1
 )
@@ -55,6 +56,47 @@ func TestWaiterLocalValueCallAllocs(t *testing.T) {
 	})
 	if got != localValueCallAllocs {
 		t.Fatalf("warm local value call: %.1f allocs, pinned at %d", got, localValueCallAllocs)
+	}
+}
+
+// TestWaiterLocalValueCallAllocsManyKeys spreads the pinned call over four
+// times more co-located actors than the hot-spot sketch tracks, so that
+// every profile fold evicts: a call must allocate what it does on one
+// always-resident key.
+func TestWaiterLocalValueCallAllocsManyKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	sys := newValNode(t)
+	refs := make([]Ref, 4*hotspotK)
+	for i := range refs {
+		refs[i] = Ref{Type: "val", Key: fmt.Sprintf("spread-%d", i)}
+	}
+	i := 0
+	over := func(refs []Ref) float64 {
+		return warmAllocs(t, func() {
+			var r valReply
+			// 1000: every reply is past the runtime's preallocated small
+			// integers from an actor's first turn on, so boxing it costs
+			// the same on a fresh actor as on a long-running one.
+			if err := sys.Call(refs[i%len(refs)], "AddVal", valArgs{N: 1000}, &r); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	// Seven turns each: the sketch is full of first turns, and the turn
+	// measured below is an actor's eighth — the one that folds, and evicts.
+	for turn := 1; turn < profSample; turn++ {
+		for _, ref := range refs {
+			if err := sys.Call(ref, "AddVal", valArgs{N: 1000}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	many, one := over(refs), over(refs[:1])
+	if many != one {
+		t.Fatalf("warm local value call: %.1f allocs over %d keys, %.1f over one", many, len(refs), one)
 	}
 }
 

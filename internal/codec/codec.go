@@ -43,9 +43,53 @@ type Unmarshaler interface {
 // Copier is the fast-path deep-copy interface for local calls: CopyValue
 // returns a copy sharing no mutable state with the receiver. To match the
 // gob fallback's semantics, implementations should normalize zero-length
-// slices and maps to nil.
+// slices and maps to nil. It must be a pure copy: the runtime does not call
+// it for reference-free values (RefFree), which it hands over as they are.
 type Copier interface {
 	CopyValue() interface{}
+}
+
+// refFree caches RefFree's verdict per dynamic type (reflect.Type → bool).
+var refFree sync.Map
+
+// RefFree reports whether v's dynamic type holds nothing one could write
+// through: scalars, strings, and arrays and structs of those — never a
+// pointer, slice, map, interface, func or chan, at any depth. A boxed value
+// of such a type is immutable (an interface's value cannot be assigned
+// through, and a string's bytes cannot be written), so its receiver can
+// alias nothing the sender still holds and it needs no copy to cross
+// between actors. nil holds nothing and is reference-free.
+func RefFree(v interface{}) bool {
+	if v == nil {
+		return true
+	}
+	t := reflect.TypeOf(v)
+	if free, ok := refFree.Load(t); ok {
+		return free.(bool)
+	}
+	free := typeRefFree(t)
+	refFree.Store(t, free)
+	return free
+}
+
+func typeRefFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return typeRefFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !typeRefFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // Payload tags: the first byte of every Marshal output selects the decoder.
@@ -172,8 +216,8 @@ func Unmarshal(data []byte, v interface{}) error {
 
 // Assign sets the value pointed to by dst to src. src may be a pointer of
 // dst's type or a value assignable to dst's element type. It is the last
-// step of a fast-path local call: the copy was already taken by CopyValue,
-// Assign only stores it.
+// step of a fast-path local call: src is already isolated (copied by
+// CopyValue, or reference-free), Assign only stores it.
 func Assign(dst, src interface{}) error {
 	dv := reflect.ValueOf(dst)
 	if dv.Kind() != reflect.Pointer || dv.IsNil() {

@@ -120,6 +120,41 @@ func TestAssign(t *testing.T) {
 	}
 }
 
+// TestRefFree pins what may cross between actors without a copy: only a
+// type with nothing to write through, at any depth.
+func TestRefFree(t *testing.T) {
+	type flat struct {
+		A uint64
+		S string
+	}
+	for _, v := range []interface{}{
+		nil, true, 7, uint8(7), int64(-7), uintptr(7), 2.5, complex(1, 2), "s",
+		[4]uint64{}, flat{}, [2]flat{}, struct{ F flat }{}, struct{}{},
+	} {
+		if !RefFree(v) {
+			t.Errorf("%T is reference-free, RefFree says it is not", v)
+		}
+	}
+	n := 1
+	for _, v := range []interface{}{
+		&n, &flat{}, []byte{1}, []byte(nil), map[string]int{}, func() {}, make(chan int),
+		struct{ P *int }{}, struct{ B []byte }{}, struct{ M map[int]int }{},
+		struct{ I interface{} }{I: 1}, struct{ E error }{}, struct{ F func() }{},
+		struct{ C chan int }{}, struct {
+			A uint64
+			F struct{ B []byte }
+		}{}, [2]*int{}, [1][]byte{}, [0]*int{}, fastMsg{}, reflect.ValueOf(1),
+	} {
+		if RefFree(v) {
+			t.Errorf("%T can be written through, RefFree says it is reference-free", v)
+		}
+	}
+	// The verdict is per type, cached: the second answer is the first.
+	if !RefFree(flat{A: 1}) || RefFree(fastMsg{ID: 1}) {
+		t.Error("cached verdicts differ from the first ones")
+	}
+}
+
 // TestDeepCopyCopier checks that Copier types deep-copy without aliasing
 // and without touching the serialization machinery (the encoding would
 // reject an unregistered interface, so success implies the value path ran).

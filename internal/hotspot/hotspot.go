@@ -53,13 +53,15 @@ type Entry struct {
 }
 
 // entry is the resident form, living in exactly one stripe's map and heap.
+// It keeps the actor's type and key as given (string headers, no copy); the
+// "typ/key" display name is built by Top.
 type entry struct {
-	hash uint64
-	name string
-	cost uint64
-	err  uint64
-	st   Stats
-	idx  int // position in the stripe's min-heap
+	hash     uint64
+	typ, key string
+	cost     uint64
+	err      uint64
+	st       Stats
+	idx      int // position in the stripe's min-heap
 }
 
 // stripe is one independent Space-Saving instance.
@@ -68,6 +70,7 @@ type stripe struct {
 	cap  int
 	byID map[uint64]*entry
 	heap []*entry // min-heap ordered by cost
+	slab []entry  // the stripe's cap entries; heap[:len(heap)] point into slab[:len(heap)] in admission order
 }
 
 // Profiler is the striped sketch. All methods are goroutine-safe.
@@ -92,6 +95,7 @@ func New(k int) *Profiler {
 			cap:  per,
 			byID: make(map[uint64]*entry, per),
 			heap: make([]*entry, 0, per),
+			slab: make([]entry, per),
 		}
 	}
 	return p
@@ -105,23 +109,21 @@ func (p *Profiler) K() int { return p.k }
 // messages still accumulates weight proportional to its traffic.
 func turnCost(turns, execNs uint64) uint64 { return execNs>>10 + turns }
 
-// ObserveTurns folds one drained mailbox batch into the sketch: turns
-// invocations of the actor identified by hash (the actor-layer ref hash),
-// with their summed execution time, mailbox wait, and inbound payload
-// bytes. typ and key name the actor; the display name is only materialized
-// when the actor enters the sketch, so steady-state observations of
-// already-tracked actors allocate nothing.
-func (p *Profiler) ObserveTurns(hash uint64, typ, key string, turns, execNs, waitNs, bytesIn uint64) {
-	delta := turnCost(turns, execNs)
+// Observe folds a batch of one actor's turns into the sketch: d holds what
+// the batch adds to each of the actor's stats. hash identifies the actor (the
+// actor-layer ref hash); typ and key name it. Nothing here allocates, on any
+// path — a tracked actor, admission into a free slot, or eviction: a stripe
+// makes its entries once, up front, and an entry keeps typ and key as given.
+func (p *Profiler) Observe(hash uint64, typ, key string, d Stats) {
 	st := &p.stripes[hash&(stripeCount-1)]
 	st.mu.Lock()
 	e := st.byID[hash]
 	if e == nil {
-		if len(st.heap) < st.cap {
-			e = &entry{hash: hash, name: typ + "/" + key, idx: len(st.heap)}
+		if n := len(st.heap); n < st.cap {
+			e = &st.slab[n]
+			e.idx = n
 			st.heap = append(st.heap, e)
-			st.byID[hash] = e
-			st.siftUp(e.idx)
+			st.siftUp(n) // cost 0: it belongs at the top of the min-heap
 		} else {
 			// Space-Saving eviction: the minimum-cost resident is replaced
 			// and the newcomer inherits its cost as both floor and error
@@ -129,33 +131,29 @@ func (p *Profiler) ObserveTurns(hash uint64, typ, key string, turns, execNs, wai
 			// being displaced by a stream of one-off actors.
 			e = st.heap[0]
 			delete(st.byID, e.hash)
-			e.hash, e.name = hash, typ+"/"+key
 			e.err = e.cost
 			e.st = Stats{}
-			st.byID[hash] = e
 		}
+		e.hash, e.typ, e.key = hash, typ, key
+		st.byID[hash] = e
 	}
-	e.cost += delta
-	e.st.Turns += turns
-	e.st.ExecNs += execNs
-	e.st.WaitNs += waitNs
-	e.st.BytesIn += bytesIn
+	e.cost += turnCost(d.Turns, d.ExecNs)
+	e.st.Turns += d.Turns
+	e.st.ExecNs += d.ExecNs
+	e.st.WaitNs += d.WaitNs
+	e.st.CallsOut += d.CallsOut
+	e.st.BytesIn += d.BytesIn
+	e.st.BytesOut += d.BytesOut
+	e.st.Migrations += d.Migrations
 	st.siftDown(e.idx)
 	st.mu.Unlock()
 }
 
-// ObserveOut charges outbound calls/bytes to an already-tracked actor.
-// Untracked actors are ignored — outbound traffic alone never admits an
-// actor (its own turns will, and admission from two sites would double the
-// eviction churn on the heap).
-func (p *Profiler) ObserveOut(hash uint64, calls, bytes uint64) {
-	st := &p.stripes[hash&(stripeCount-1)]
-	st.mu.Lock()
-	if e := st.byID[hash]; e != nil {
-		e.st.CallsOut += calls
-		e.st.BytesOut += bytes
-	}
-	st.mu.Unlock()
+// ObserveTurns is Observe for a batch that made no outbound calls: turns
+// invocations with their summed execution time, mailbox wait and inbound
+// payload bytes.
+func (p *Profiler) ObserveTurns(hash uint64, typ, key string, turns, execNs, waitNs, bytesIn uint64) {
+	p.Observe(hash, typ, key, Stats{Turns: turns, ExecNs: execNs, WaitNs: waitNs, BytesIn: bytesIn})
 }
 
 // ObserveMigration counts a migration of an already-tracked actor
@@ -199,7 +197,7 @@ func (p *Profiler) Top(n int) []Entry {
 		st := &p.stripes[i]
 		st.mu.Lock()
 		for _, e := range st.heap {
-			out = append(out, Entry{Actor: e.name, Cost: e.cost, Err: e.err, Stats: e.st})
+			out = append(out, Entry{Actor: e.typ + "/" + e.key, Cost: e.cost, Err: e.err, Stats: e.st})
 		}
 		st.mu.Unlock()
 	}

@@ -69,15 +69,17 @@ func TestBoundedMemoryAndErrorBound(t *testing.T) {
 	}
 }
 
+// A migration only touches a tracked actor; outbound calls cannot arrive
+// without the turns that made them, so they never miss the row.
 func TestOutAndMigrationOnlyTouchTracked(t *testing.T) {
 	p := New(32)
-	p.ObserveOut(hash(1), 5, 500)   // untracked: ignored
-	p.ObserveMigration(hash(1))     // untracked: ignored
+	p.ObserveMigration(hash(1)) // untracked: ignored
 	if got := p.Tracked(); got != 0 {
-		t.Fatalf("outbound-only observation admitted an actor: Tracked=%d", got)
+		t.Fatalf("a migration alone admitted an actor: Tracked=%d", got)
 	}
-	p.ObserveTurns(hash(1), "t", "k", 1, 0, 0, 0)
-	p.ObserveOut(hash(1), 3, 300)
+	// A batch's outbound calls arrive with its turns, under one lock: they
+	// reach the row even when the batch is what admits the actor.
+	p.Observe(hash(1), "t", "k", Stats{Turns: 1, CallsOut: 3, BytesOut: 300})
 	p.ObserveMigration(hash(1))
 	top := p.Top(1)
 	if top[0].CallsOut != 3 || top[0].BytesOut != 300 || top[0].Migrations != 1 {
@@ -99,6 +101,45 @@ func TestDecayHalves(t *testing.T) {
 	}
 }
 
+// TestObserveNeverAllocates cycles four times more actors through the sketch
+// than it holds: neither filling it (admissions) nor cycling through the
+// full one (every observation evicts) allocates, and the rows still carry
+// typ/key names.
+func TestObserveNeverAllocates(t *testing.T) {
+	p := New(64)
+	n := 4 * p.K()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprint(i)
+	}
+	i := 0
+	observe := func() {
+		p.ObserveTurns(hash(i%n), "a", keys[i%n], 1, 2048, 100, 16)
+		i++
+	}
+	if got := testing.AllocsPerRun(p.K()-1, observe); got != 0 {
+		t.Fatalf("filling a %d-entry sketch: %.0f allocs per observation, want 0", p.K(), got)
+	}
+	for i < 2*n {
+		observe()
+	}
+	if p.Tracked() != p.K() {
+		t.Fatalf("Tracked() = %d, want a full sketch (%d)", p.Tracked(), p.K())
+	}
+	if got := testing.AllocsPerRun(n, observe); got != 0 {
+		t.Fatalf("cycling %d keys through a %d-entry sketch: %.0f allocs per observation, want 0", n, p.K(), got)
+	}
+	known := make(map[string]bool, n)
+	for _, k := range keys {
+		known["a/"+k] = true
+	}
+	for _, e := range p.Top(0) {
+		if !known[e.Actor] {
+			t.Fatalf("row named %q, want a/<key>", e.Actor)
+		}
+	}
+}
+
 // TestConcurrent hammers every method from many goroutines — meaningful
 // under -race, and checks the heap/map stay consistent.
 func TestConcurrent(t *testing.T) {
@@ -112,7 +153,7 @@ func TestConcurrent(t *testing.T) {
 				h := hash(i % 300)
 				p.ObserveTurns(h, "t", fmt.Sprint(i%300), 1, uint64(i), 1, 8)
 				if i%7 == 0 {
-					p.ObserveOut(h, 1, 16)
+					p.Observe(h, "t", fmt.Sprint(i%300), Stats{Turns: 1, CallsOut: 1, BytesOut: 16})
 				}
 				if i%31 == 0 {
 					p.ObserveMigration(h)
