@@ -48,13 +48,15 @@ staticcheck:
 # senders to one peer, redial on a write failure, Close against a blocked
 # Send, goroutines per connection). The second repeats the call-path tests
 # (pooled waiters, local value calls and what they hand over or copy,
-# overload, chaos) in shuffled order: waiter ownership bugs show as one call
-# receiving another's outcome, and only under some interleavings. The
-# control-plane codec tests and the no-gob cluster test ride along in both
-# lines.
+# overload, chaos) and the state-plane tests (the one-entry-per-ref table:
+# its bound, hash collisions, a stopped node being collectable, and the
+# churn soak) in shuffled order: waiter ownership bugs show as one call
+# receiving another's outcome, and routing races as a lost increment, only
+# under some interleavings. The control-plane codec tests and the no-gob
+# cluster test ride along in both lines.
 race:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/loadgen/... ./internal/workload/spec/... ./internal/flight/... ./internal/hotspot/...
-	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|HandOver|Overload|Chaos|Wire|NoGob' ./internal/actor
+	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|HandOver|Overload|Chaos|Wire|NoGob|StatePlane' ./internal/actor
 
 # seeded repeats the packages whose results are functions of a seed — the
 # graph, the partition engine, the discrete-event simulator and the workload

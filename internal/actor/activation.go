@@ -403,42 +403,20 @@ func (s *System) isolatePanic(a *activation) {
 	// A panic is both a flight event and an anomaly trigger: the dump
 	// captures what the runtime was doing when the actor blew up.
 	s.flight.Trigger(flight.KindPanic, a.ref.String())
-	sh := s.shardOf(a.ref)
-	sh.mu.Lock()
-	if cur, ok := sh.activations[a.ref]; ok && cur == a {
-		delete(sh.activations, a.ref)
-		delete(sh.locCache, a.ref)
-	}
-	sh.mu.Unlock()
-	a.mu.Lock()
-	a.forwarded = true
-	pending := a.takePending()
-	a.mu.Unlock()
-	for _, inv := range pending {
-		s.forwardInvocation(a.ref, inv)
-	}
+	s.retire(a, false)
 }
 
 // activationFor returns the local activation for ref, creating it on demand
 // when this node is (or becomes) the registered host. It returns (nil, nil)
 // when the actor is hosted elsewhere — the caller redirects. routed
-// distinguishes how we got here: a routed call (some caller already
-// resolved this node as the host) re-confirms through locateDir —
-// tombstones and directory authority, never the location cache — so that a
-// stale cached route can neither bounce callers away from their rightful
-// home forever nor (thanks to the tombstone check) re-instantiate an actor
-// whose state just migrated out. Unrouted probes (the zero-copy fast path
-// asking "is it co-located?") keep the cheap cache answer: the cache never
-// holds self-routes (cacheInsertLocked), so it cannot trigger a spurious
-// local activation — at worst the probe declines and the call takes the
-// routed path.
+// distinguishes how we got here, and resolve's routed rules say why it
+// matters. Unrouted probes (the zero-copy fast path asking "is it
+// co-located?") keep the cheap cache answer: the cache never holds
+// self-routes (setRoute), so it cannot trigger a spurious local activation —
+// at worst the probe declines and the call takes the routed path.
 func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, error) {
 	h := refHash(ref)
-	sh := &s.state[h&(stateShardCount-1)]
-	sh.mu.RLock()
-	act, ok := sh.activations[ref]
-	sh.mu.RUnlock()
-	if ok {
+	if act := s.localActivation(h, ref); act != nil {
 		return act, nil
 	}
 	s.mu.RLock()
@@ -450,11 +428,7 @@ func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, err
 	if !activate {
 		return nil, nil
 	}
-	resolve := s.locate
-	if routed {
-		resolve = s.locateDir
-	}
-	node, err := resolve(ref, true, time.Now().Add(s.cfg.CallTimeout))
+	node, err := s.resolve(h, ref, routed, true, time.Now().Add(s.cfg.CallTimeout))
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +437,7 @@ func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, err
 	}
 	// We are the host: instantiate (actor virtualization — §2).
 	inst := factory()
-	act = &activation{ref: ref, refH: refHash(ref), actor: inst, durable: s.isDurable(inst), lastSnap: time.Now()}
+	act := &activation{ref: ref, refH: h, actor: inst, durable: s.isDurable(inst), lastSnap: time.Now()}
 	if act.durable {
 		// Recovery gate: a Durable actor activating here may be a failover
 		// re-activation of state that died with its old host. Consult the
@@ -485,27 +459,61 @@ func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, err
 			act.epoch = rec.Epoch + 1
 		}
 	}
-	// The activation record, its vertex mapping, and (by key) its
-	// directory/cache state all live in the ref's shard, so the
-	// double-checked install is a single shard lock.
+	// The double-checked install is one entry under one shard lock.
+	sh := s.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if again, ok := sh.activations[ref]; ok {
-		return again, nil
+	e := sh.entry(h, ref)
+	if e.act != nil {
+		return e.act, nil
 	}
 	// The resolution above is only as fresh as its reads: if it named this
 	// node because the actor was active here, and the actor has migrated out
 	// since, installing now would fork a second incarnation beside the one
 	// that left. The tombstone that migration recorded is the newer fact.
-	if f, ok := sh.forwards[ref]; ok && time.Now().Before(f.expires) {
+	if e.liveFwd() {
 		return nil, nil
 	}
-	sh.activations[ref] = act
-	sh.vertexRefs[h] = ref
 	// Any leftover tombstone is obsolete the moment a live activation
 	// exists here: the chain came back around.
-	delete(sh.forwards, ref)
+	e.act, e.fwd = act, ""
+	sh.set(h, e)
 	return act, nil
+}
+
+// retire takes a out of service if it is still its ref's live activation
+// here: the entry drops it (and the cached route, unless keepRoute), and
+// the invocations queued on it re-route. It reports whether it did.
+func (s *System) retire(a *activation, keepRoute bool) bool {
+	sh := s.shard(a.refH)
+	sh.mu.Lock()
+	e := sh.entry(a.refH, a.ref)
+	if e.act != a {
+		sh.mu.Unlock()
+		return false
+	}
+	e.act = nil
+	if !keepRoute {
+		e.route = ""
+	}
+	sh.set(a.refH, e)
+	sh.mu.Unlock()
+	a.mu.Lock()
+	a.forwarded = true
+	pending := a.takePending()
+	a.mu.Unlock()
+	for _, inv := range pending {
+		s.forwardInvocation(a.ref, inv)
+	}
+	return true
+}
+
+// localActivation returns ref's live activation on this node, or nil.
+func (s *System) localActivation(h uint64, ref Ref) *activation {
+	sh := s.shard(h)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.get(h, ref).act
 }
 
 // forwardInvocation re-routes an invocation that raced with a migration or
@@ -536,44 +544,24 @@ func (s *System) forwardInvocation(ref Ref, inv invocation) {
 
 // LocalRefs lists the refs of actors activated on this node.
 func (s *System) LocalRefs() []Ref {
-	out := make([]Ref, 0, 64)
-	for i := range s.state {
-		sh := &s.state[i]
-		sh.mu.RLock()
-		for ref := range sh.activations {
-			out = append(out, ref)
-		}
-		sh.mu.RUnlock()
+	acts := s.activations()
+	out := make([]Ref, len(acts))
+	for i, a := range acts {
+		out[i] = a.ref
 	}
 	return out
 }
 
 // HostsActor reports whether this node currently hosts ref.
-func (s *System) HostsActor(ref Ref) bool {
-	sh := s.shardOf(ref)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.activations[ref]
-	return ok
-}
+func (s *System) HostsActor(ref Ref) bool { return s.localActivation(refHash(ref), ref) != nil }
 
 // Deactivate removes a local activation and unregisters it from the
 // directory (the next call re-instantiates it somewhere per policy).
 func (s *System) Deactivate(ref Ref) error {
-	sh := s.shardOf(ref)
-	sh.mu.Lock()
-	act, ok := sh.activations[ref]
-	if ok {
-		delete(sh.activations, ref)
-		delete(sh.locCache, ref)
-	}
-	sh.mu.Unlock()
-	if !ok {
+	act := s.localActivation(refHash(ref), ref)
+	if act == nil || !s.retire(act, false) {
 		return fmt.Errorf("actor: %s not active here", ref)
 	}
-	act.mu.Lock()
-	act.forwarded = true // stragglers re-route through the directory
-	act.mu.Unlock()
 	if s.prof != nil {
 		act.turnMu.Lock() // waits out a turn in flight
 		act.foldRemainder(s.prof)

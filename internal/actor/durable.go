@@ -379,38 +379,29 @@ func (s *System) SyncSnapshots() int {
 		state      []byte
 	}
 	var caps []captured
-	for i := range s.state {
-		sh := &s.state[i]
-		sh.mu.RLock()
-		acts := make([]*activation, 0, len(sh.activations))
-		for _, a := range sh.activations {
-			acts = append(acts, a)
-		}
-		sh.mu.RUnlock()
-		for _, a := range acts {
-			a.turnMu.Lock()
-			if !a.durable || a.dirty == 0 {
-				a.turnMu.Unlock()
-				continue
-			}
-			m, ok := a.actor.(Migratable)
-			if !ok {
-				a.turnMu.Unlock()
-				continue
-			}
-			state, err := m.Snapshot()
-			if err != nil {
-				s.durables.CaptureErrors.Add(1)
-				a.turnMu.Unlock()
-				continue
-			}
-			a.snapSeq++
-			a.dirty = 0
-			a.lastSnap = time.Now()
-			s.durables.Captured.Add(1)
-			caps = append(caps, captured{ref: a.ref, epoch: a.epoch, seq: a.snapSeq, state: state})
+	for _, a := range s.activations() {
+		a.turnMu.Lock()
+		if !a.durable || a.dirty == 0 {
 			a.turnMu.Unlock()
+			continue
 		}
+		m, ok := a.actor.(Migratable)
+		if !ok {
+			a.turnMu.Unlock()
+			continue
+		}
+		state, err := m.Snapshot()
+		if err != nil {
+			s.durables.CaptureErrors.Add(1)
+			a.turnMu.Unlock()
+			continue
+		}
+		a.snapSeq++
+		a.dirty = 0
+		a.lastSnap = time.Now()
+		s.durables.Captured.Add(1)
+		caps = append(caps, captured{ref: a.ref, epoch: a.epoch, seq: a.snapSeq, state: state})
+		a.turnMu.Unlock()
 	}
 	for _, c := range caps {
 		s.shipSnapshot(c.ref, c.epoch, c.seq, c.state)

@@ -214,18 +214,20 @@ func (s *System) failoverPurge(dead transport.NodeID) {
 	for i := range s.state {
 		sh := &s.state[i]
 		sh.mu.Lock()
-		for ref, e := range sh.locCache {
-			if e.node == dead {
-				delete(sh.locCache, ref)
+		sh.each(func(h uint64, e refEntry) {
+			n := purged
+			if e.route == dead {
+				e.route = ""
 				purged++
 			}
-		}
-		for ref, e := range sh.dirEntries {
-			if e.node == dead {
-				delete(sh.dirEntries, ref)
+			if e.dir == dead {
+				e.dir = ""
 				purged++
 			}
-		}
+			if purged != n {
+				sh.set(h, e)
+			}
+		})
 		sh.mu.Unlock()
 	}
 	s.failures.FailoverPurged.Add(purged)
@@ -244,30 +246,15 @@ func (s *System) failoverPurge(dead transport.NodeID) {
 // to the background retry loop (the update must eventually land — see
 // retryDirUpdate).
 func (s *System) reassertActivations() {
-	type claim struct {
-		ref   Ref
-		epoch uint64
-	}
-	var live []claim
-	for i := range s.state {
-		sh := &s.state[i]
-		sh.mu.RLock()
-		for ref, act := range sh.activations {
-			// epoch is immutable once the activation is published into the
-			// shard map, so reading it under the shard lock is ordered.
-			live = append(live, claim{ref: ref, epoch: act.epoch})
-		}
-		sh.mu.RUnlock()
-	}
-	for _, c := range live {
+	// ref and epoch are immutable once the activation is published into the
+	// state table, so reading them after the shard lock is ordered.
+	for _, a := range s.activations() {
 		update := dirRequest{
-			Type: c.ref.Type, Key: c.ref.Key,
-			NewNode: string(s.Node()), Epoch: c.epoch,
+			Type: a.ref.Type, Key: a.ref.Key,
+			NewNode: string(s.Node()), Epoch: a.epoch,
 		}
-		if err := s.controlCall(s.directoryOwner(c.ref), ctlDirUpdate, update, nil); err != nil {
-			update := update
-			ref := c.ref
-			s.trackGo(func() { s.retryDirUpdate(ref, update) })
+		if err := s.controlCall(s.directoryOwner(a.ref), ctlDirUpdate, update, nil); err != nil {
+			s.trackGo(func() { s.retryDirUpdate(a.ref, update) })
 		}
 	}
 }

@@ -55,11 +55,8 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 		// into a dying node strands the actor behind its failover.
 		return fmt.Errorf("%w: migrate %s to %s (%s)", errPeerDown, ref, to, s.PeerStateOf(to))
 	}
-	sh := s.shardOf(ref)
-	sh.mu.RLock()
-	act, ok := sh.activations[ref]
-	sh.mu.RUnlock()
-	if !ok {
+	act := s.localActivation(refHash(ref), ref)
+	if act == nil {
 		return fmt.Errorf("actor: %s not active on %s", ref, s.Node())
 	}
 
@@ -71,10 +68,7 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 	// counter-move racing a directly requested move) may have retired this
 	// activation while we waited. Shipping the stale copy would install the
 	// actor on two nodes at once.
-	sh.mu.RLock()
-	current := sh.activations[ref]
-	sh.mu.RUnlock()
-	if current != act {
+	if s.localActivation(act.refH, ref) != act {
 		return fmt.Errorf("actor: %s no longer active on %s", ref, s.Node())
 	}
 
@@ -125,7 +119,7 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 	// routed resolution here cannot follow a directory entry that still
 	// names this node into a fresh split-brain incarnation while the update
 	// below is in flight.
-	s.recordForward(ref, to)
+	s.recordForward(act, to)
 
 	// Point the directory at the new home BEFORE retiring the local
 	// activation. Until the owner confirms, directory-routed calls still
@@ -144,17 +138,9 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 		s.trackGo(func() { s.retryDirUpdate(ref, update) })
 	}
 
-	// Retire the local activation; queued invocations re-route.
-	sh.mu.Lock()
-	delete(sh.activations, ref)
-	sh.mu.Unlock()
-	act.mu.Lock()
-	act.forwarded = true
-	pending := act.takePending()
-	act.mu.Unlock()
-	for _, inv := range pending {
-		s.forwardInvocation(ref, inv)
-	}
+	// Retire the local activation, keeping the route recordForward left;
+	// queued invocations re-route.
+	s.retire(act, true)
 
 	// The statistics travel with the actor: drop our copy (the new host
 	// rebuilds from live traffic; §4.3).
@@ -251,10 +237,11 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownType, ref.Type)
 	}
 	h := refHash(ref)
-	sh := &s.state[h&(stateShardCount-1)]
+	sh := s.shard(h)
 	sh.mu.Lock()
-	if existing, exists := sh.activations[ref]; exists {
-		installID := existing.installID
+	e := sh.entry(h, ref)
+	if e.act != nil {
+		installID := e.act.installID
 		sh.mu.Unlock()
 		if installID != "" && installID == p.ID {
 			return nil, nil // duplicate of our own install
@@ -273,15 +260,15 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("actor: restore %s: %w", ref, err)
 		}
 	}
-	sh.activations[ref] = &activation{
+	e.act = &activation{
 		ref: ref, refH: h, actor: inst, installID: p.ID, epoch: p.Epoch,
 		durable: s.isDurable(inst), snapSeq: p.SnapSeq, lastSnap: time.Now(),
 	}
-	s.cacheInsertLocked(sh, ref, s.Node())
-	sh.vertexRefs[h] = ref
-	// A tombstone left by an earlier outbound migration of this ref is
-	// obsolete: the chain came back, and the live activation now answers.
-	delete(sh.forwards, ref)
+	// The route is now here, which is never cached (setRoute); a tombstone
+	// left by an earlier outbound migration of this ref is obsolete: the
+	// chain came back, and the live activation now answers.
+	e.route, e.fwd = "", ""
+	sh.set(h, e)
 	sh.mu.Unlock()
 	s.migrationsIn.Add(1)
 	if s.prof != nil {
@@ -296,34 +283,20 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 // home, and is now disposing of the orphan copy. The ID match guarantees a
 // drop — however delayed or duplicated by the network — can only remove
 // the exact install it was issued against. The location-cache entry the
-// install created is cleared too, so this node re-resolves the actor
-// through the directory (which still points at the authoritative home).
+// install created is cleared too, so this node — and the straggler
+// invocations queued on the orphan — re-resolve the actor through the
+// directory (which still points at the authoritative home). Nothing to drop
+// (already gone, or not ours) is an acknowledgement too.
 func (s *System) handleMigrateDrop(payload []byte) ([]byte, error) {
 	var p migratePayload
 	if err := codec.Unmarshal(payload, &p); err != nil {
 		return nil, err
 	}
 	ref := Ref{Type: p.Type, Key: p.Key}
-	sh := s.shardOf(ref)
-	sh.mu.Lock()
-	act, exists := sh.activations[ref]
-	if exists && act.installID != "" && act.installID == p.ID {
-		delete(sh.activations, ref)
-		delete(sh.locCache, ref)
-		sh.mu.Unlock()
-		// Straggler invocations queued on the orphan re-route through the
-		// directory back to the authoritative home.
-		act.mu.Lock()
-		act.forwarded = true
-		pending := act.takePending()
-		act.mu.Unlock()
-		for _, inv := range pending {
-			s.forwardInvocation(ref, inv)
-		}
-		return nil, nil
+	if act := s.localActivation(refHash(ref), ref); act != nil && act.installID != "" && act.installID == p.ID {
+		s.retire(act, false)
 	}
-	sh.mu.Unlock()
-	return nil, nil // nothing to drop: already gone or not ours
+	return nil, nil
 }
 
 // --- ActOp partition-exchange integration (Algorithm 1 over the wire) ---
@@ -342,33 +315,24 @@ type exchangeWire struct {
 // vertices the peer will host, and the peer's it sends back.
 type exchangeReply partition.ExchangeResponse
 
-var exchangeMu sync.Mutex // serializes exchange decisions per process
+// exchangeMu serializes exchange decisions across every System in the
+// process, not per node: in-process clusters (the convergence tests, the
+// presence_converge workload) interleave their nodes' exchanges in the order
+// it imposes, and a per-node lock would change how many moves a round makes.
+var exchangeMu sync.Mutex
 
-// exchangeState tracks Algorithm 1's cooldown. Initiator rounds and inbound
-// handleExchange calls touch it concurrently, so it carries its own lock.
-type exchangeState struct {
-	mu    sync.Mutex
-	last  time.Time
-	begun bool
-}
-
-var exchangeStates sync.Map // *System → *exchangeState
-
+// exchangeCooling reports whether this node took part in an exchange within
+// window (Algorithm 1's cooldown).
 func (s *System) exchangeCooling(window time.Duration) bool {
-	v, _ := exchangeStates.LoadOrStore(s, &exchangeState{})
-	st := v.(*exchangeState)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.begun && time.Since(st.last) < window
+	s.exchMu.Lock()
+	defer s.exchMu.Unlock()
+	return !s.exchLast.IsZero() && time.Since(s.exchLast) < window
 }
 
 func (s *System) markExchanged() {
-	v, _ := exchangeStates.LoadOrStore(s, &exchangeState{})
-	st := v.(*exchangeState)
-	st.mu.Lock()
-	st.begun = true
-	st.last = time.Now()
-	st.mu.Unlock()
+	s.exchMu.Lock()
+	s.exchLast = time.Now()
+	s.exchMu.Unlock()
 }
 
 // nodeIndex maps a peer NodeID to its graph.ServerID (index in the sorted
@@ -382,31 +346,21 @@ func (s *System) nodeIndex(n transport.NodeID) (graph.ServerID, bool) {
 	return 0, false
 }
 
-// sysLocator adapts the node's placement knowledge (own activations + the
-// location cache) to partition.Locator. Unknown actors simply don't
-// contribute to transfer scores — the algorithm is built for partial views.
+// sysLocator adapts the node's placement knowledge to partition.Locator: a
+// vertex's state entry places it here when it holds an activation, and at
+// its cached route otherwise. Unknown actors simply don't contribute to
+// transfer scores — the algorithm is built for partial views.
 type sysLocator struct{ s *System }
 
 // Server implements partition.Locator.
 func (l sysLocator) Server(v graph.Vertex) (graph.ServerID, bool) {
-	ref, ok := l.s.refOf(uint64(v))
-	if !ok {
-		return 0, false
-	}
-	sh := l.s.shardOf(ref)
-	sh.mu.RLock()
-	_, local := sh.activations[ref]
-	var cached transport.NodeID
-	e, hasCache := sh.locCache[ref]
-	if hasCache {
-		cached = e.node
-	}
-	sh.mu.RUnlock()
-	if local {
+	e, ok := l.s.refOf(uint64(v))
+	switch {
+	case !ok:
+	case e.act != nil:
 		return l.s.selfIndex(), true
-	}
-	if hasCache {
-		return l.s.nodeIndexOr(cached)
+	case e.route != "":
+		return l.s.nodeIndex(e.route)
 	}
 	return 0, false
 }
@@ -416,20 +370,12 @@ func (s *System) selfIndex() graph.ServerID {
 	return idx
 }
 
-func (s *System) nodeIndexOr(n transport.NodeID) (graph.ServerID, bool) {
-	return s.nodeIndex(n)
-}
-
 // localVertices lists the vertices of locally hosted actors.
 func (s *System) localVertices() []graph.Vertex {
-	out := make([]graph.Vertex, 0, 64)
-	for i := range s.state {
-		sh := &s.state[i]
-		sh.mu.RLock()
-		for ref := range sh.activations {
-			out = append(out, ref.Vertex())
-		}
-		sh.mu.RUnlock()
+	acts := s.activations()
+	out := make([]graph.Vertex, len(acts))
+	for i, a := range acts {
+		out[i] = graph.Vertex(a.refH)
 	}
 	return out
 }
@@ -475,11 +421,11 @@ func (s *System) ExchangeRound(opts partition.Options, window time.Duration) (in
 		}
 		moved := 0
 		for _, v := range reply.Accepted {
-			ref, ok := s.refOf(uint64(v))
+			e, ok := s.refOf(uint64(v))
 			if !ok {
 				continue
 			}
-			if err := s.Migrate(ref, peer); err == nil {
+			if err := s.Migrate(e.ref, peer); err == nil {
 				moved++
 			}
 		}
@@ -527,8 +473,8 @@ func (s *System) handleExchange(payload []byte, from transport.NodeID) ([]byte, 
 		counters := append([]graph.Vertex(nil), resp.Counter...)
 		s.trackGo(func() {
 			for _, v := range counters {
-				if ref, ok := s.refOf(uint64(v)); ok {
-					_ = s.Migrate(ref, from)
+				if e, ok := s.refOf(uint64(v)); ok {
+					_ = s.Migrate(e.ref, from)
 				}
 			}
 		})

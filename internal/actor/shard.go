@@ -11,20 +11,21 @@ import (
 	"actop/internal/transport"
 )
 
-// The sharded hot-path state plane (ISSUE 6). A node at paper scale holds
-// ~1M live activations and fields concurrent calls, activations, migrations,
-// and failover purges from every worker goroutine; a single RWMutex over the
-// routing maps serializes all of them (CAF reports exactly this coarse-lock
-// ceiling at high core counts). Instead, the ref-keyed maps — activations,
-// owned directory entries, the location cache, and the vertex↔ref index —
-// are striped over stateShardCount independently locked shards, keyed by the
-// ref's FNV-1a hash. Operations on distinct refs touch disjoint shards and
-// proceed in parallel; multi-map invariants (an install writes the
-// activation, its cache route, and its vertex mapping together) survive
-// because every map for one ref lives in that ref's single shard — the
-// vertex id IS the ref hash, so even the vertex index co-shards.
+// The sharded hot-path state plane. A node at paper scale holds ~1M live
+// activations and fields concurrent calls, activations, migrations, and
+// failover purges from every worker goroutine; a single RWMutex over the
+// routing state serializes all of them (CAF reports exactly this coarse-lock
+// ceiling at high core counts). Instead, everything the node knows about one
+// ref — its live activation, the directory record this node owns for it,
+// the forwarding tombstone a migration left, the cached gossip route — is
+// one entry of one table, keyed by the ref's FNV-1a hash. That hash is also
+// the partitioner's vertex id and the stripe selector: the table is split
+// over stateShardCount independently locked shards, so operations on
+// distinct refs proceed in parallel, and every invariant that spans facts
+// of one ref (an install writes the activation and drops the tombstone) is
+// one struct written under one shard lock.
 //
-// The same treatment covers the two call-plane tables: the pending reply
+// The same striping covers the two call-plane tables: the pending reply
 // map (striped by call id) and the reply-dedup window (striped by caller
 // identity), each previously a node-global mutex acquired once per remote
 // call and once per delivered turn.
@@ -48,10 +49,8 @@ const (
 
 // refHash is the allocation-free FNV-1a hash of a ref's identity,
 // bit-identical to hash/fnv over "Type\x00Key" — and therefore equal to
-// uint64(ref.Vertex()). Shard selection, the vertex index, and the
-// partitioner's vertex ids all agree on this one hash, so a ref's
-// activation, cache route, directory entry, and vertex mapping always
-// co-reside in the shard it names.
+// uint64(ref.Vertex()). It is the state table's key, its shard selector and
+// the partitioner's vertex id at once.
 func refHash(r Ref) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(r.Type); i++ {
@@ -73,48 +72,40 @@ func strHash(s string) uint64 {
 	return h
 }
 
-// locEntry is one resident location-cache route. used is the clock
-// algorithm's referenced bit: set on every hit (atomically — hits happen
-// under the shard read lock, concurrently with each other), cleared by the
-// sweeping eviction hand under the write lock.
-type locEntry struct {
-	node transport.NodeID
-	used atomic.Bool
+// refEntry is everything this node knows about one ref. An entry exists
+// only while at least one of its facts holds (live); a write that clears
+// the last one deletes it, so a shard holds at most its activations, owned
+// directory records and tombstones plus its route bound.
+type refEntry struct {
+	// The fields a call's lookup reads come first, within one cache line.
+	ref Ref
+	act *activation // the live activation here, or nil
+	// route is the cached gossip route ("" when none) and slot its place in
+	// the shard's clock ring.
+	route transport.NodeID
+	slot  int32
+	// next indexes the next entry in the chain of refs that share this one's
+	// hash; 0 ends it.
+	next int32
+	// dir is the node the directory record this node owns places the actor
+	// on ("" when it owns none), and dirEpoch the migration epoch of the
+	// incarnation that registered it: updates carry the epoch so a delayed
+	// retry of an older migration's update loses to the newer state it races
+	// with (background retries make updates arrive out of order under loss).
+	dir      transport.NodeID
+	dirEpoch uint64
+	// fwd is the forwarding tombstone: where the actor went when it migrated
+	// off this node ("" when it did not), authoritative until fwdUntil.
+	fwd      transport.NodeID
+	fwdUntil time.Time
 }
 
-// stateShard is one stripe of the node's routing and directory state. All
-// the maps are keyed (directly or through the vertex id) by the same ref
-// hash, so one shard lock covers every multi-map update for a ref.
-type stateShard struct {
-	mu          sync.RWMutex
-	activations map[Ref]*activation
-	dirEntries  map[Ref]dirEntry
-	vertexRefs  map[uint64]Ref
-
-	// Forwarding tombstones: authoritative short-TTL forwards left behind by
-	// outbound migrations (see recordForward). fwdOrder is a head-indexed
-	// insertion ring; uniform TTLs make it FIFO-expiring, so inserts prune
-	// from the head in O(1) amortized.
-	forwards map[Ref]forwardEntry
-	fwdOrder []Ref
-	fwdHead  int
-
-	// Location cache with clock (second-chance) eviction, bounded at
-	// cacheCap residents: clock is a ring of resident (possibly stale —
-	// deletions just orphan their slot) refs; hand sweeps it on insert
-	// pressure, granting one reprieve to entries hit since the last pass.
-	locCache map[Ref]*locEntry
-	clock    []Ref
-	hand     int
-	cacheCap int
+func (e *refEntry) live() bool {
+	return e.act != nil || e.dir != "" || e.fwd != "" || e.route != ""
 }
 
-// forwardEntry is one forwarding tombstone: where the actor went when it
-// migrated off this node, authoritative until expires.
-type forwardEntry struct {
-	node    transport.NodeID
-	expires time.Time
-}
+// liveFwd reports whether e holds a tombstone that has not expired.
+func (e *refEntry) liveFwd() bool { return e.fwd != "" && time.Now().Before(e.fwdUntil) }
 
 // forwardTTL bounds how long an outbound migration's tombstone stays
 // authoritative. It must comfortably outlive the directory update's common
@@ -123,12 +114,130 @@ type forwardEntry struct {
 // somehow never learns the chain moved on — cannot misroute for long.
 const forwardTTL = 5 * time.Second
 
-func (s *System) shardOf(ref Ref) *stateShard {
-	return &s.state[refHash(ref)&(stateShardCount-1)]
+// stateShard is one stripe of the node's routing and directory state. The
+// entries live in ents, and refs maps a ref hash to its entry's index: a
+// probe reads the entry in place, and a new entry takes a vacated index
+// (free) or the end of ents, so neither allocates per entry. Two refs with
+// one 64-bit hash chain through next. ents[0] is never written: index 0
+// stands for "no entry", and the empty entry there is what get returns.
+type stateShard struct {
+	mu   sync.RWMutex
+	ents []refEntry
+	refs map[uint64]int32
+	free []int32
+	// Entries holding an activation, an owned directory record, a route.
+	acts, dirs, routes int
+
+	// Forwarding tombstones in insertion order: fwdOrder is a head-indexed
+	// ring; uniform TTLs make it FIFO-expiring, so inserts prune expired
+	// tombstones from the head in O(1) amortized.
+	fwdOrder []Ref
+	fwdHead  int
+
+	// Location cache with clock (second-chance) eviction, bounded at
+	// cacheCap routes: hand sweeps the ring on insert pressure, granting one
+	// reprieve to routes hit since the last pass. A slot holds the hash of
+	// the ref whose route claims it and the referenced bit — set on every hit
+	// (atomically: hits happen under the read lock, concurrently with each
+	// other), cleared by the hand under the write lock. A slot whose route
+	// was dropped is orphaned — no entry claims it — until the sweep reuses
+	// it.
+	clock    []clockSlot
+	hand     int
+	cacheCap int
 }
 
-func (s *System) shardOfVertex(v uint64) *stateShard {
-	return &s.state[v&(stateShardCount-1)]
+type clockSlot struct {
+	h    uint64
+	used atomic.Bool
+}
+
+func (s *System) shard(h uint64) *stateShard {
+	return &s.state[h&(stateShardCount-1)]
+}
+
+// find returns the index of ref's entry (0 when it has none) and of the
+// entry before it in its hash's chain (0 when it heads the chain).
+func (sh *stateShard) find(h uint64, ref Ref) (i, prev int32) {
+	for i = sh.refs[h]; i != 0 && sh.ents[i].ref != ref; i = sh.ents[i].next {
+		prev = i
+	}
+	return i, prev
+}
+
+// get returns ref's entry in place — the empty ents[0] when it has none.
+// Caller holds mu and reads through the pointer only until the shard's
+// next write.
+func (sh *stateShard) get(h uint64, ref Ref) *refEntry {
+	i, _ := sh.find(h, ref)
+	return &sh.ents[i]
+}
+
+// entry returns a copy of ref's entry — an empty one when it has none — for
+// the caller to change and store with set. Caller holds mu for writing.
+func (sh *stateShard) entry(h uint64, ref Ref) refEntry {
+	e := *sh.get(h, ref)
+	e.ref = ref
+	return e
+}
+
+// set stores e as its ref's entry — deleting the entry when e holds no
+// fact — and keeps the shard's counters. Caller holds mu for writing.
+func (sh *stateShard) set(h uint64, e refEntry) {
+	i, prev := sh.find(h, e.ref)
+	old := &sh.ents[i]
+	sh.count(old, -1)
+	sh.count(&e, 1)
+	switch {
+	case i != 0 && e.live():
+		e.next = old.next
+		*old = e
+	case i != 0:
+		switch {
+		case prev != 0:
+			sh.ents[prev].next = old.next
+		case old.next != 0:
+			sh.refs[h] = old.next
+		default:
+			delete(sh.refs, h)
+		}
+		*old = refEntry{}
+		sh.free = append(sh.free, i)
+	case e.live():
+		e.next = sh.refs[h]
+		if n := len(sh.free); n > 0 {
+			i, sh.free = sh.free[n-1], sh.free[:n-1]
+			sh.ents[i] = e
+		} else {
+			i = int32(len(sh.ents))
+			sh.ents = append(sh.ents, e)
+		}
+		sh.refs[h] = i
+	}
+}
+
+func (sh *stateShard) count(e *refEntry, d int) {
+	if e.act != nil {
+		sh.acts += d
+	}
+	if e.dir != "" {
+		sh.dirs += d
+	}
+	if e.route != "" {
+		sh.routes += d
+	}
+}
+
+// each calls fn on a copy of every entry of the shard; fn may set it.
+// Caller holds mu (for writing if fn sets).
+func (sh *stateShard) each(fn func(h uint64, e refEntry)) {
+	for h, i := range sh.refs {
+		for i != 0 {
+			e := sh.ents[i]
+			i = e.next
+			fn(h, e)
+		}
+	}
 }
 
 // initShards sizes and allocates the state plane. cacheSize is the
@@ -140,11 +249,8 @@ func (s *System) initShards(cacheSize int) {
 	}
 	for i := range s.state {
 		sh := &s.state[i]
-		sh.activations = make(map[Ref]*activation)
-		sh.dirEntries = make(map[Ref]dirEntry)
-		sh.vertexRefs = make(map[uint64]Ref)
-		sh.forwards = make(map[Ref]forwardEntry)
-		sh.locCache = make(map[Ref]*locEntry)
+		sh.ents = make([]refEntry, 1)
+		sh.refs = make(map[uint64]int32)
 		sh.cacheCap = per
 	}
 	for i := range s.pend {
@@ -155,80 +261,122 @@ func (s *System) initShards(cacheSize int) {
 	}
 }
 
+// refOf returns the entry of the ref whose vertex id is v, if this node
+// knows anything about it.
+func (s *System) refOf(v uint64) (refEntry, bool) {
+	sh := s.shard(v)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	i := sh.refs[v]
+	return sh.ents[i], i != 0
+}
+
+// activations lists the node's live activations, one shard at a time.
+func (s *System) activations() []*activation {
+	var out []*activation
+	for i := range s.state {
+		sh := &s.state[i]
+		sh.mu.RLock()
+		for j := range sh.ents {
+			if a := sh.ents[j].act; a != nil {
+				out = append(out, a)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
 // --- location cache (per-shard clock/second-chance eviction) ---
 //
-// The seed's cache was one map bounded by a wholesale reset: past 128K
-// entries every cached route on the node was discarded at once, a latency
-// cliff that turned the next call on every warm ref into a directory RPC
-// (a thundering herd against the owners). Here each shard evicts one cold
-// entry per insert once full: hits set the entry's referenced bit, the
-// clock hand clears bits as it sweeps and evicts the first entry it finds
-// unreferenced since its last pass. Warm routes survive indefinitely; the
-// node-wide resident bound (Config.LocCacheSize) is unchanged.
+// Once full, each shard evicts one cold route per insert: hits set the
+// route's referenced bit, the clock hand clears bits as it sweeps and evicts
+// the first route it finds unreferenced since its last pass. Warm routes
+// survive indefinitely (DESIGN.md "Location cache").
+
+// touch sets a resident route's referenced bit. Safe under the read lock.
+func (sh *stateShard) touch(e *refEntry) {
+	if u := &sh.clock[e.slot].used; !u.Load() { // avoid dirtying the line on every repeat hit
+		u.Store(true)
+	}
+}
 
 func (s *System) cacheGet(ref Ref) (transport.NodeID, bool) {
-	sh := s.shardOf(ref)
+	h := refHash(ref)
+	sh := s.shard(h)
 	sh.mu.RLock()
-	e, ok := sh.locCache[ref]
-	var n transport.NodeID
-	if ok {
-		n = e.node
-		if !e.used.Load() { // avoid dirtying the line on every repeat hit
-			e.used.Store(true)
-		}
+	e := sh.get(h, ref)
+	n := e.route
+	if n != "" {
+		sh.touch(e)
 	}
 	sh.mu.RUnlock()
-	if ok {
+	if n != "" {
 		s.locHits.Add(1)
 	} else {
 		s.locMisses.Add(1)
 	}
-	return n, ok
+	return n, n != ""
 }
 
-// cacheInsertLocked installs (or refreshes) a route with sh.mu held,
-// evicting via the clock when the shard is at capacity. Every locCache
-// insert in the package funnels through here so the clock ring stays
-// consistent with the map.
-func (s *System) cacheInsertLocked(sh *stateShard, ref Ref, node transport.NodeID) {
+// setRoute records node as e's cached route, taking a clock slot for a new
+// route and evicting by the clock when the shard is at capacity. The caller
+// holds sh.mu for writing and stores e afterwards. Every route write in the
+// package funnels through here so the clock ring stays consistent with the
+// table.
+func (s *System) setRoute(sh *stateShard, h uint64, e *refEntry, node transport.NodeID) {
 	if node == s.Node() {
 		// A self-route is never information: if we host the actor the
-		// activations map answers first, and if we don't, a cached self
-		// entry would seed a spurious local activation the moment routing
-		// consults it (split brain). Record "unknown" instead.
-		delete(sh.locCache, ref)
+		// activation answers first, and if we don't, a cached self route
+		// would seed a spurious local activation the moment routing consults
+		// it (split brain). Record "unknown" instead.
+		e.route = ""
 		return
 	}
-	if e, ok := sh.locCache[ref]; ok {
-		e.node = node
-		e.used.Store(true)
+	if e.route != "" {
+		e.route = node
+		sh.clock[e.slot].used.Store(true)
 		return
 	}
+	e.route = node
 	if len(sh.clock) < sh.cacheCap {
-		sh.locCache[ref] = &locEntry{node: node}
-		sh.clock = append(sh.clock, ref)
+		e.slot = int32(len(sh.clock))
+		sh.clock = append(sh.clock, clockSlot{h: h})
 		return
 	}
 	for {
 		if sh.hand >= len(sh.clock) {
 			sh.hand = 0
 		}
-		victim := sh.clock[sh.hand]
-		ve, ok := sh.locCache[victim]
-		if ok && ve.used.Swap(false) {
+		c := &sh.clock[sh.hand]
+		victim, resident := sh.routeAt(c.h, int32(sh.hand))
+		if resident && c.used.Swap(false) {
 			sh.hand++ // referenced since the last sweep: second chance
 			continue
 		}
-		if ok {
-			delete(sh.locCache, victim)
+		if resident {
+			victim.route = ""
+			sh.set(c.h, victim)
 			s.locEvicts.Add(1)
 		}
-		// Reuse the slot (an eviction's, or one orphaned by a delete).
-		sh.clock[sh.hand] = ref
+		// Reuse the slot (an eviction's, or an orphan).
+		c.h = h
+		c.used.Store(false)
+		e.slot = int32(sh.hand)
 		sh.hand++
-		sh.locCache[ref] = &locEntry{node: node}
 		return
 	}
+}
+
+// routeAt returns the entry whose route holds clock slot i (h is the slot's
+// hash), if any still does.
+func (sh *stateShard) routeAt(h uint64, i int32) (refEntry, bool) {
+	for j := sh.refs[h]; j != 0; j = sh.ents[j].next {
+		if e := sh.ents[j]; e.route != "" && e.slot == i {
+			return e, true
+		}
+	}
+	return refEntry{}, false
 }
 
 // recordForward leaves a forwarding tombstone at a migration's source: an
@@ -240,23 +388,28 @@ func (s *System) cacheInsertLocked(sh *stateShard, ref Ref, node transport.NodeI
 // directory-guided routing would re-instantiate the actor at its old home —
 // a permanent split brain. The route is mirrored into the location cache
 // (which has no TTL) so cheap first-hop routing survives the tombstone.
-func (s *System) recordForward(ref Ref, to transport.NodeID) {
-	h := refHash(ref)
-	sh := &s.state[h&(stateShardCount-1)]
+func (s *System) recordForward(a *activation, to transport.NodeID) {
+	h, ref := a.refH, a.ref
+	sh := s.shard(h)
 	now := time.Now()
 	sh.mu.Lock()
-	sh.forwards[ref] = forwardEntry{node: to, expires: now.Add(forwardTTL)}
+	e := sh.entry(h, ref)
+	e.fwd, e.fwdUntil = to, now.Add(forwardTTL)
+	s.setRoute(sh, h, &e, to)
+	sh.set(h, e)
 	sh.fwdOrder = append(sh.fwdOrder, ref)
 	// Uniform TTLs expire in insertion order: prune the ring head. A slot
-	// whose map entry was refreshed (re-migration) or dropped (install,
+	// whose tombstone was refreshed (re-migration) or dropped (install,
 	// fresh activation) just advances past.
 	for sh.fwdHead < len(sh.fwdOrder) {
 		r := sh.fwdOrder[sh.fwdHead]
-		if e, ok := sh.forwards[r]; ok {
-			if now.Before(e.expires) {
+		rh := refHash(r)
+		if re := sh.entry(rh, r); re.fwd != "" {
+			if now.Before(re.fwdUntil) {
 				break
 			}
-			delete(sh.forwards, r)
+			re.fwd = ""
+			sh.set(rh, re)
 		}
 		sh.fwdOrder[sh.fwdHead] = Ref{}
 		sh.fwdHead++
@@ -265,20 +418,21 @@ func (s *System) recordForward(ref Ref, to transport.NodeID) {
 		sh.fwdOrder = append(sh.fwdOrder[:0], sh.fwdOrder[sh.fwdHead:]...)
 		sh.fwdHead = 0
 	}
-	s.cacheInsertLocked(sh, ref, to)
-	sh.vertexRefs[h] = ref
 	sh.mu.Unlock()
 	s.flight.Record(flight.Event{Kind: flight.KindTombstone, Actor: ref.String(), Peer: string(to)})
 }
 
-// cachePut records ref's route and its vertex mapping (used by migration
-// decisions); both land in ref's shard under one lock.
+// cachePut records ref's route.
 func (s *System) cachePut(ref Ref, node transport.NodeID) {
-	h := refHash(ref)
-	sh := &s.state[h&(stateShardCount-1)]
+	s.cacheInsert(refHash(ref), ref, node)
+}
+
+func (s *System) cacheInsert(h uint64, ref Ref, node transport.NodeID) {
+	sh := s.shard(h)
 	sh.mu.Lock()
-	s.cacheInsertLocked(sh, ref, node)
-	sh.vertexRefs[h] = ref
+	e := sh.entry(h, ref)
+	s.setRoute(sh, h, &e, node)
+	sh.set(h, e)
 	sh.mu.Unlock()
 }
 
@@ -287,49 +441,34 @@ func (s *System) cachePut(ref Ref, node transport.NodeID) {
 // lock only). A hint is gossip like any cached route: a live activation or a
 // forwarding tombstone outranks it, and a stale one costs a redirect.
 func (s *System) cacheHint(ref Ref, node transport.NodeID) {
-	sh := s.shardOf(ref)
+	h := refHash(ref)
+	sh := s.shard(h)
 	sh.mu.RLock()
-	e, ok := sh.locCache[ref]
-	known := ok && e.node == node
+	known := sh.get(h, ref).route == node
 	sh.mu.RUnlock()
 	if !known {
-		s.cachePut(ref, node)
+		s.cacheInsert(h, ref, node)
 	}
 }
 
-// cacheDel drops a possibly poisoned location-cache entry so the next
-// attempt re-resolves through the directory. The entry's clock slot is left
-// stale; the sweep reclaims it.
-func (s *System) cacheDel(ref Ref) {
-	sh := s.shardOf(ref)
-	sh.mu.Lock()
-	delete(sh.locCache, ref)
-	sh.mu.Unlock()
-}
+// cacheDel drops a possibly poisoned route so the next attempt re-resolves
+// through the directory: a route to this node records "unknown" (setRoute).
+func (s *System) cacheDel(ref Ref) { s.cachePut(ref, s.Node()) }
 
-// locCacheLen reports resident routes across all shards (tests, gauges).
-func (s *System) locCacheLen() int {
-	n := 0
+// totals sums live activations and resident routes across all shards.
+func (s *System) totals() (acts, routes int) {
 	for i := range s.state {
 		sh := &s.state[i]
 		sh.mu.RLock()
-		n += len(sh.locCache)
+		acts, routes = acts+sh.acts, routes+sh.routes
 		sh.mu.RUnlock()
 	}
-	return n
+	return acts, routes
 }
 
-// activationsLen reports live activations across all shards.
-func (s *System) activationsLen() int {
-	n := 0
-	for i := range s.state {
-		sh := &s.state[i]
-		sh.mu.RLock()
-		n += len(sh.activations)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (s *System) locCacheLen() int { _, n := s.totals(); return n }
+
+func (s *System) activationsLen() int { n, _ := s.totals(); return n }
 
 // --- per-shard metrics exposition ---
 
@@ -364,7 +503,7 @@ func (s *System) registerShardMetrics() {
 		for i := range s.state {
 			sh := &s.state[i]
 			sh.mu.RLock()
-			a, d, l := len(sh.activations), len(sh.dirEntries), len(sh.locCache)
+			a, d, l := sh.acts, sh.dirs, sh.routes
 			sh.mu.RUnlock()
 			acts.Set(float64(a), shardLabels[i])
 			dirs.Set(float64(d), shardLabels[i])

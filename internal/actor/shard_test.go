@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"actop/internal/metrics"
+	"actop/internal/partition"
 	"actop/internal/transport"
 )
 
@@ -288,6 +290,190 @@ func TestShardMetricsExposition(t *testing.T) {
 	if got := s.activationsLen(); got != 32 {
 		t.Fatalf("activationsLen = %d, want 32", got)
 	}
+}
+
+// tableLen counts the entry slots of every shard, vacated ones included.
+func tableLen(s *System) int {
+	n := 0
+	for i := range s.state {
+		sh := &s.state[i]
+		sh.mu.RLock()
+		n += len(sh.ents) - 1 // ents[0] is no entry
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// The state table holds an entry only while one of its facts does: routing
+// a flood of refs four times the cache bound leaves the table at the bound
+// plus the node's own actors, and a vertex maps back to its ref exactly
+// while the ref's activation or route is resident.
+func TestStatePlaneBounded(t *testing.T) {
+	const bound = 1024
+	s := newShardTestSystem(t, bound, nil)
+	local := make([]Ref, 32)
+	for i := range local {
+		local[i] = Ref{Type: "counter", Key: fmt.Sprintf("local-%d", i)}
+		if err := s.Call(local[i], "Add", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peer := transport.NodeID("peer-node")
+	routed := make([]Ref, 4*bound)
+	for i := range routed {
+		routed[i] = Ref{Type: "counter", Key: fmt.Sprintf("routed-%d", i)}
+		s.cachePut(routed[i], peer)
+	}
+	if n := tableLen(s); n > bound+len(local) {
+		t.Fatalf("state table holds %d entries after a %d-ref flood, bound %d + %d actors", n, len(routed), bound, len(local))
+	}
+	for _, ref := range local {
+		if e, ok := s.refOf(refHash(ref)); !ok || e.ref != ref || e.act == nil {
+			t.Fatalf("refOf(%s) = %+v, %v: want its activation", ref, e, ok)
+		}
+	}
+	resident := 0
+	for _, ref := range routed {
+		e, ok := s.refOf(refHash(ref))
+		if !ok {
+			continue
+		}
+		if e.ref != ref || e.route != peer {
+			t.Fatalf("refOf(%s) = %+v: want its route to %s", ref, e, peer)
+		}
+		resident++
+	}
+	if want := s.locCacheLen(); resident != want {
+		t.Fatalf("refOf answers for %d routed refs, %d routes resident", resident, want)
+	}
+	if _, ok := s.refOf(refHash(routed[0])); ok {
+		t.Fatal("refOf answers for the earliest route of a flood four times the cache")
+	}
+}
+
+// Two refs that share one hash keep apart: each resolves to its own facts
+// while the other gains and loses an activation, a directory record and a
+// route — whichever of them heads the hash's chain — and neither leaves
+// anything behind once its facts are gone.
+func TestStatePlaneCollision(t *testing.T) {
+	s := newShardTestSystem(t, 0, nil)
+	// a is forced onto b's hash through the table's (h, ref) functions.
+	a, b := Ref{Type: "counter", Key: "a"}, Ref{Type: "counter", Key: "b"}
+	h := refHash(b)
+	sh := s.shard(h)
+	peer := transport.NodeID("peer-node")
+	deadline := time.Now().Add(time.Hour)
+	expect := func(stage string, ref Ref, want transport.NodeID) {
+		t.Helper()
+		got, err := s.resolve(h, ref, false, false, deadline)
+		if want == "" {
+			if err == nil {
+				t.Fatalf("%s: %s resolved to %q, want unregistered", stage, ref, got)
+			}
+			return
+		}
+		if err != nil || got != want {
+			t.Fatalf("%s: %s resolved to %q, %v; want %q", stage, ref, got, err, want)
+		}
+		if e, ok := s.refOf(h); !ok || (e.ref != a && e.ref != b) {
+			t.Fatalf("%s: refOf = %+v, %v; want a or b", stage, e, ok)
+		}
+	}
+	activate := func() *activation {
+		act := &activation{ref: a, refH: h, actor: &counterActor{}}
+		sh.mu.Lock()
+		e := sh.entry(h, a)
+		e.act = act
+		sh.set(h, e)
+		sh.mu.Unlock()
+		return act
+	}
+
+	act := activate()
+	expect("a active", a, s.Node())
+	expect("a active", b, "")
+	s.cacheInsert(h, b, peer) // b heads the chain, a behind it
+	if _, err := s.dirLookupLocal(h, b, s.Node(), true); err != nil {
+		t.Fatal(err)
+	}
+	expect("b routed", a, s.Node())
+	expect("b routed", b, peer)
+	if !s.retire(act, false) { // the chain's tail leaves
+		t.Fatal("retire: a was not active")
+	}
+	expect("a retired", a, "")
+	expect("a retired", b, peer)
+	act = activate() // a heads the chain, b behind it
+	expect("a back", a, s.Node())
+	expect("a back", b, peer)
+	if !s.retire(act, false) { // the chain's head leaves
+		t.Fatal("retire: a was not active")
+	}
+	expect("a retired again", a, "")
+	expect("a retired again", b, peer)
+
+	// Fill the shard's clock twice over with younger routes (their hashes
+	// land in the same shard): the sweep grants b's route — hit above — its
+	// second chance, then evicts it.
+	for i := 1; i <= 2*sh.cacheCap; i++ {
+		s.cacheInsert(h+uint64(i)*stateShardCount, Ref{Type: "counter", Key: fmt.Sprintf("fill-%d", i)}, peer)
+	}
+	sh.mu.Lock()
+	e := sh.entry(h, b)
+	if e.route != "" || e.dir != s.Node() {
+		sh.mu.Unlock()
+		t.Fatalf("after the sweep b's entry is %+v: want its directory record and no route", e)
+	}
+	e.dir = ""
+	sh.set(h, e)
+	acts, dirs := sh.acts, sh.dirs
+	sh.mu.Unlock()
+	if e, ok := s.refOf(h); ok || acts != 0 || dirs != 0 {
+		t.Fatalf("left behind: refOf = %+v, %v; %d activations, %d directory records", e, ok, acts, dirs)
+	}
+}
+
+// fatActor is large enough to be allocated on its own — outside the tiny
+// allocator, where an object's finalizer never runs — so a finalizer on it
+// reports when its System became unreachable.
+type fatActor struct {
+	next *fatActor
+	pad  [64]byte
+}
+
+func (*fatActor) Receive(*Context, string, []byte) ([]byte, error) { return nil, nil }
+
+// A stopped System is garbage once its owner drops it, whether or not it
+// ever took part in a partition exchange.
+func TestStatePlaneCollectedAfterStop(t *testing.T) {
+	finalized := make(chan struct{})
+	func() {
+		sys, err := NewSystem(Config{Transport: transport.NewNetwork(0).Join("gc-node"), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.RegisterType("fat", func() Actor {
+			a := &fatActor{}
+			runtime.SetFinalizer(a, func(*fatActor) { close(finalized) })
+			return a
+		})
+		if err := sys.Call(Ref{Type: "fat", Key: "x"}, "Touch", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.ExchangeRound(partition.DefaultOptions(), time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		sys.Stop()
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-finalized:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("a stopped System that ran an exchange round was never collected")
 }
 
 // Race soak over the sharded state plane: concurrent calls, lookups,

@@ -14,7 +14,6 @@ import (
 	"actop/internal/codec"
 	"actop/internal/durable"
 	"actop/internal/flight"
-	"actop/internal/graph"
 	"actop/internal/hotspot"
 	"actop/internal/metrics"
 	"actop/internal/partition"
@@ -100,10 +99,10 @@ type System struct {
 	types   map[string]Factory
 	stopped bool
 
-	// state is the lock-striped routing/directory plane: activations, owned
-	// directory entries, the location cache (clock-evicted), and the
-	// vertex↔ref index, sharded by ref hash so operations on distinct refs
-	// never contend (see shard.go).
+	// state is the lock-striped routing/directory plane: one entry per ref
+	// (activation, owned directory record, tombstone, cached route), keyed
+	// and sharded by ref hash so operations on distinct refs never contend
+	// (see shard.go).
 	state [stateShardCount]stateShard
 
 	// pend is the striped pending-reply table (call id → reply channel).
@@ -118,6 +117,11 @@ type System struct {
 
 	monMu   sync.Mutex
 	monitor *partition.Monitor
+	// exchLast is when this node last took part in an exchange (Algorithm
+	// 1's cooldown; see exchangeCooling). Initiator rounds and inbound
+	// exchanges touch it concurrently, hence exchMu.
+	exchMu   sync.Mutex
+	exchLast time.Time
 	// edgeSampler picks the actor→actor messages the monitor records;
 	// edgeWarm is set once it has recorded one (see sampleEdge).
 	edgeSampler *trace.Sampler
@@ -778,8 +782,8 @@ func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.T
 			return out.data, err
 		}
 		// We are not (or no longer) the host: redirect with the routed
-		// resolution's answer (tombstone or directory — see locateDir).
-		node, err := s.locateDir(to, false, deadline)
+		// resolution's answer (tombstone or directory — see resolve).
+		node, err := s.resolve(refHash(to), to, true, false, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -1148,7 +1152,7 @@ func (c *serverCall) handle(recvWait time.Duration) {
 		if act != nil {
 			break
 		}
-		node, lerr := s.locateDir(to, false, time.Now().Add(s.cfg.CallTimeout))
+		node, lerr := s.resolve(refHash(to), to, true, false, time.Now().Add(s.cfg.CallTimeout))
 		if lerr == nil && node == s.Node() && attempt < 2 {
 			// activationFor routed the actor elsewhere, but by now the
 			// location plane says it lives here — a migration landed (or a
@@ -1274,130 +1278,108 @@ func (s *System) reply(to transport.NodeID, id uint64, payload []byte, err error
 // that peer is declared dead its ranges — and only its ranges — rehash to
 // survivors by rendezvous hashing.
 
-// locate resolves ref's hosting node for a CALLER-SIDE first hop: local
-// activation wins, then a live forwarding tombstone (authoritative — the
-// actor just migrated off this node), then the location cache, then the
-// directory owner (placing the actor on a node according to the placement
-// policy when unregistered and place is true). The local checks share one
-// shard read-lock — the per-call fast path is a single striped acquisition.
-// The directory RPC is bounded by the caller's deadline so a mid-lookup
-// owner failure surfaces in time to retry against the rehashed owner.
+// locate resolves ref's hosting node for a CALLER-SIDE first hop; see
+// resolve.
 func (s *System) locate(ref Ref, place bool, deadline time.Time) (transport.NodeID, error) {
-	sh := s.shardOf(ref)
-	sh.mu.RLock()
-	if _, ok := sh.activations[ref]; ok {
-		sh.mu.RUnlock()
-		return s.Node(), nil
-	}
-	if f, ok := sh.forwards[ref]; ok && time.Now().Before(f.expires) {
-		sh.mu.RUnlock()
-		return f.node, nil
-	}
-	if e, ok := sh.locCache[ref]; ok {
-		n := e.node
-		if !e.used.Load() { // avoid dirtying the line on every repeat hit
-			e.used.Store(true)
-		}
-		sh.mu.RUnlock()
-		s.locHits.Add(1)
-		return n, nil
-	}
-	sh.mu.RUnlock()
-	s.locMisses.Add(1)
-	return s.locateDir(ref, place, deadline)
+	return s.resolve(refHash(ref), ref, false, place, deadline)
 }
 
-// locateDir resolves ref for ROUTED deliveries (a call some caller already
-// steered here) and for locate's cache-miss path: local activation, then a
-// live forwarding tombstone, then directory authority — never the location
-// cache. Both skips matter. Skipping the cache breaks stale-route cycles: a
-// deactivated actor's leftover routes can point a ring of non-hosts at each
-// other, and if each bounced callers with its cached guess, nobody would
-// ever consult the owner and the directory-designated home would never
-// activate — the actor stays unreachable until the routes happen to evict.
-// Honoring the tombstone covers the opposite window: right after a
-// migration the directory may still name this node (its update retries in
-// the background under loss), and following it would re-instantiate an
-// actor whose state just left. The tombstone is the migration's own
-// authoritative forward, so it outranks the lagging directory.
-func (s *System) locateDir(ref Ref, place bool, deadline time.Time) (transport.NodeID, error) {
-	sh := s.shardOf(ref)
+// resolve answers where ref (whose hash is h) lives with one probe of its
+// state entry, in this order: a live activation here; a live forwarding
+// tombstone (authoritative — the actor just migrated off this node); on the
+// caller side only, the cached route; then the directory owner (placing the
+// actor on a node according to the placement policy when unregistered and
+// place is true). The directory RPC is bounded by the caller's deadline so a
+// mid-lookup owner failure surfaces in time to retry against the rehashed
+// owner.
+//
+// routed marks a delivery some caller already steered here, which never
+// reads the cache. Both routed rules matter. Skipping the cache breaks
+// stale-route cycles: a deactivated actor's leftover routes can point a
+// ring of non-hosts at each other, and if each bounced callers with its
+// cached guess, nobody would ever consult the owner and the
+// directory-designated home would never activate — the actor stays
+// unreachable until the routes happen to evict. Honoring the tombstone
+// covers the opposite window: right after a migration the directory may
+// still name this node (its update retries in the background under loss),
+// and following it would re-instantiate an actor whose state just left. The
+// tombstone is the migration's own authoritative forward, so it outranks
+// the lagging directory.
+func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Time) (transport.NodeID, error) {
+	sh := s.shard(h)
 	sh.mu.RLock()
-	_, active := sh.activations[ref]
-	fwd, haveFwd := sh.forwards[ref]
+	e := sh.get(h, ref)
+	var n transport.NodeID
+	switch {
+	case e.act != nil:
+		n = s.Node()
+	case e.liveFwd():
+		n = e.fwd
+	case routed:
+	case e.route != "":
+		sh.touch(e)
+		n = e.route
+		s.locHits.Add(1)
+	default:
+		s.locMisses.Add(1)
+	}
 	sh.mu.RUnlock()
-	if active {
-		return s.Node(), nil
+	if n != "" {
+		return n, nil
 	}
-	if haveFwd && time.Now().Before(fwd.expires) {
-		return fwd.node, nil
-	}
-	owner := s.directoryOwner(ref)
-	if owner == s.Node() {
-		n, err := s.dirLookupLocal(ref, s.Node(), place)
-		if err != nil {
+	if owner := s.directoryOwner(ref); owner == s.Node() {
+		var err error
+		if n, err = s.dirLookupLocal(h, ref, s.Node(), place); err != nil {
 			return "", err
 		}
-		s.cachePut(ref, n)
-		return n, nil
-	}
-	// Remote directory lookup (control RPC).
-	var node wireNode
-	err := s.controlCallT(owner, ctlDirLookup, dirRequest{
-		Type: ref.Type, Key: ref.Key, Suggest: string(s.Node()), Place: place,
-	}, &node, s.attemptTimeout(deadline))
-	if err != nil {
-		if errors.Is(err, ErrTimeout) && s.PeerStateOf(owner) != PeerAlive {
-			return "", fmt.Errorf("%w: directory owner %s: %w", errPeerDown, owner, err)
+	} else {
+		var node wireNode
+		err := s.controlCallT(owner, ctlDirLookup, dirRequest{
+			Type: ref.Type, Key: ref.Key, Suggest: string(s.Node()), Place: place,
+		}, &node, s.attemptTimeout(deadline))
+		if err != nil {
+			if errors.Is(err, ErrTimeout) && s.PeerStateOf(owner) != PeerAlive {
+				return "", fmt.Errorf("%w: directory owner %s: %w", errPeerDown, owner, err)
+			}
+			return "", err
 		}
-		return "", err
+		n = transport.NodeID(node)
 	}
-	n := transport.NodeID(node)
-	s.cachePut(ref, n)
+	s.cacheInsert(h, ref, n)
 	return n, nil
 }
 
-// dirLookupLocal consults/updates this node's owned directory entries. A
-// recorded placement homed on a node now declared dead is expunged and
-// re-placed among live peers — the failover path for entries created (or
-// re-learned) after the death purge.
-func (s *System) dirLookupLocal(ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
+// dirLookupLocal consults/updates the directory record this node owns for
+// ref. A recorded placement homed on a node now declared dead is expunged
+// and re-placed among live peers — the failover path for entries created
+// (or re-learned) after the death purge.
+func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
 	dead := func(n transport.NodeID) bool { return s.PeerStateOf(n) == PeerDead }
-	sh := s.shardOf(ref)
+	sh := s.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.dirEntries[ref]; ok {
-		if !dead(e.node) {
-			return e.node, nil
+	e := sh.entry(h, ref)
+	if e.dir != "" {
+		if !dead(e.dir) {
+			return e.dir, nil
 		}
-		delete(sh.dirEntries, ref)
-		delete(sh.locCache, ref)
+		e.dir, e.route = "", ""
 		s.failures.FailoverPurged.Add(1)
 	}
-	if !place {
+	if place {
+		e.dir, e.dirEpoch = suggest, 0
+		if s.cfg.Placement != PlaceLocal || dead(suggest) {
+			live := s.livePeers()
+			s.rngMu.Lock()
+			e.dir = live[s.rng.Intn(len(live))]
+			s.rngMu.Unlock()
+		}
+	}
+	sh.set(h, e)
+	if e.dir == "" {
 		return "", fmt.Errorf("actor: %s not registered", ref)
 	}
-	var n transport.NodeID
-	if s.cfg.Placement == PlaceLocal && !dead(suggest) {
-		n = suggest
-	} else {
-		live := s.livePeers()
-		s.rngMu.Lock()
-		n = live[s.rng.Intn(len(live))]
-		s.rngMu.Unlock()
-	}
-	sh.dirEntries[ref] = dirEntry{node: n}
-	return n, nil
-}
-
-// dirEntry is one owned directory record: where the actor lives, and the
-// migration epoch of the incarnation that registered it. Updates carry the
-// epoch so a delayed retry of an older migration's update loses to the
-// newer state it races with (background retries make updates arrive out of
-// order under loss).
-type dirEntry struct {
-	node  transport.NodeID
-	epoch uint64
+	return e.dir, nil
 }
 
 // dirRequest is the directory control payload (wire form in wire.go).
@@ -1472,44 +1454,35 @@ func (s *System) handleControl(env *transport.Envelope) {
 
 func (s *System) handleControlVerb(verb string, payload []byte, from transport.NodeID) ([]byte, error) {
 	switch verb {
-	case ctlDirLookup:
-		var req dirRequest
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		node, err := s.dirLookupLocal(Ref{Type: req.Type, Key: req.Key}, transport.NodeID(req.Suggest), req.Place)
-		if err != nil {
-			return nil, err
-		}
-		return codec.Marshal(wireNode(node))
-	case ctlDirUpdate:
+	case ctlDirLookup, ctlDirUpdate, ctlDirRemove:
 		var req dirRequest
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, err
 		}
 		ref := Ref{Type: req.Type, Key: req.Key}
-		sh := s.shardOf(ref)
+		h := refHash(ref)
+		if verb == ctlDirLookup {
+			node, err := s.dirLookupLocal(h, ref, transport.NodeID(req.Suggest), req.Place)
+			if err != nil {
+				return nil, err
+			}
+			return codec.Marshal(wireNode(node))
+		}
+		sh := s.shard(h)
 		sh.mu.Lock()
+		e := sh.entry(h, ref)
+		switch node := transport.NodeID(req.NewNode); {
+		case verb == ctlDirRemove:
+			e.dir, e.route = "", ""
 		// Epoch guard: updates arrive out of order (lost ones are retried in
 		// the background for seconds), so a stale retry from an older
 		// migration must not rewind a newer entry — nor stomp the owner's
 		// location cache with a pointer the actor already left behind.
-		if cur, ok := sh.dirEntries[ref]; !ok || req.Epoch >= cur.epoch {
-			sh.dirEntries[ref] = dirEntry{node: transport.NodeID(req.NewNode), epoch: req.Epoch}
-			s.cacheInsertLocked(sh, ref, transport.NodeID(req.NewNode))
+		case e.dir == "" || req.Epoch >= e.dirEpoch:
+			e.dir, e.dirEpoch = node, req.Epoch
+			s.setRoute(sh, h, &e, node)
 		}
-		sh.mu.Unlock()
-		return nil, nil
-	case ctlDirRemove:
-		var req dirRequest
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		ref := Ref{Type: req.Type, Key: req.Key}
-		sh := s.shardOf(ref)
-		sh.mu.Lock()
-		delete(sh.dirEntries, ref)
-		delete(sh.locCache, ref)
+		sh.set(h, e)
 		sh.mu.Unlock()
 		return nil, nil
 	case ctlMigratePut:
@@ -1547,16 +1520,15 @@ func (s *System) handleControlVerb(verb string, payload []byte, from transport.N
 }
 
 // observeEdge feeds the communication monitor (§4.3) with one sampled
-// message and remembers the vertex↔ref mapping for migration decisions. It
-// runs on both ends of an actor→actor call — in call on the caller's node,
-// in serverCall.handle on the callee's — so a vertex's home node sees every
-// edge incident to it.
+// message. It runs on both ends of an actor→actor call — in call on the
+// caller's node, in serverCall.handle on the callee's — so a vertex's home
+// node sees every edge incident to it. Migration decisions map a vertex back
+// to its ref through the ref's state entry (refOf): the activation at the
+// home node, the cached route of the remote end.
 func (s *System) observeEdge(from, to Ref) {
-	fh, th := refHash(from), refHash(to)
-	s.noteVertex(fh, from)
-	s.noteVertex(th, to)
+	fv, tv := from.Vertex(), to.Vertex()
 	s.monMu.Lock()
-	s.monitor.ObserveMessage(graph.Vertex(fh), graph.Vertex(th), edgeSample)
+	s.monitor.ObserveMessage(fv, tv, edgeSample)
 	s.monMu.Unlock()
 }
 
@@ -1572,28 +1544,3 @@ func (s *System) sampleEdge() bool {
 
 // edgeSample is the edge monitor's sampling period.
 const edgeSample = 8
-
-// noteVertex records v's ref. Nearly every call finds it recorded already,
-// so the check takes the shard's read lock and only a new or changed entry
-// pays for the write lock.
-func (s *System) noteVertex(v uint64, ref Ref) {
-	sh := s.shardOfVertex(v)
-	sh.mu.RLock()
-	cur, ok := sh.vertexRefs[v]
-	sh.mu.RUnlock()
-	if ok && cur == ref {
-		return
-	}
-	sh.mu.Lock()
-	sh.vertexRefs[v] = ref
-	sh.mu.Unlock()
-}
-
-// refOf maps a monitored vertex back to its ref.
-func (s *System) refOf(v uint64) (Ref, bool) {
-	sh := s.shardOfVertex(v)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.vertexRefs[v]
-	return r, ok
-}
