@@ -59,13 +59,14 @@ race:
 	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|HandOver|Overload|Chaos|Wire|NoGob|StatePlane' ./internal/actor
 
 # seeded repeats the packages whose results are functions of a seed — the
-# graph, the partition engine, the discrete-event simulator and the workload
-# spec's schedules — twenty times in shuffled order: a test there that passes
-# by luck (map iteration order deciding a tie) fails here. The second line
+# graph, the partition engine, the edge sketch (its differential test against
+# the container/heap summary it replaced), the discrete-event simulator and
+# the workload spec's schedules — twenty times in shuffled order: a test there
+# that passes by luck (map iteration order deciding a tie) fails here. The second line
 # repeats only the determinism tests of the cluster simulator and the
 # simulated workloads (seconds; their full suites twenty times over are not).
 seeded:
-	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/des ./internal/workload/spec
+	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/sampling ./internal/des ./internal/workload/spec
 	$(GO) test -count=20 -shuffle=on -run Determinis ./internal/sim ./internal/workload
 
 test:

@@ -146,6 +146,37 @@ func TestKillNodeFailover(t *testing.T) {
 		t.Errorf("failure counters did not move: %+v", f)
 	}
 
+	// The cluster debug fan-outs skip the dead peer: a silent one would
+	// hold each for a full CallTimeout. The other survivor still answers.
+	waitPeerState(t, sys[1], victimID, PeerDead, allowed)
+	hot := ""
+	for k, h := range hosts {
+		if h == sys[1].Node() {
+			hot = k
+		}
+	}
+	if hot == "" {
+		t.Fatalf("random placement put no actor on %s; adjust seeds", sys[1].Node())
+	}
+	for i := 0; i < 40; i++ {
+		if err := sys[0].Call(Ref{Type: "counter", Key: hot}, "Add", 1, nil); err != nil {
+			t.Fatalf("warm %s: %v", hot, err)
+		}
+	}
+	start := time.Now()
+	table := sys[0].ClusterHotspots(10)
+	sys[0].ClusterSpans(1)
+	if elapsed := time.Since(start); elapsed > cfg.CallTimeout/4 {
+		t.Errorf("cluster hotspots and spans took %v with %s dead, want under %v", elapsed, victimID, cfg.CallTimeout/4)
+	}
+	var fromSurvivor bool
+	for _, e := range table {
+		fromSurvivor = fromSurvivor || e.Node == string(sys[1].Node())
+	}
+	if !fromSurvivor {
+		t.Errorf("cluster hotspots lack %s's rows: %+v", sys[1].Node(), table)
+	}
+
 	// No goroutine leaks: stop everything (Cleanup order would do it too,
 	// but we must measure while the test still runs).
 	for _, s := range sys {

@@ -94,14 +94,14 @@ func (s *System) LocalHotspots(n int) []hotspot.Entry {
 }
 
 // ClusterHotspots assembles the cluster-wide hot-actor table: this node's
-// entries plus a control RPC to each peer (the ClusterSpans pattern —
-// unreachable peers are skipped, a partial table still ranks). The merged
-// table is cost-descending and truncated to n; per-node decayed costs are
-// directly comparable because every node runs the same cost formula and
+// entries plus a control RPC to each live peer (the ClusterSpans pattern —
+// dead and unreachable peers are skipped, a partial table still ranks). The
+// merged table is cost-descending and truncated to n; per-node decayed costs
+// are directly comparable because every node runs the same cost formula and
 // decay cadence.
 func (s *System) ClusterHotspots(n int) []hotspot.Entry {
 	out := s.LocalHotspots(n)
-	for _, p := range s.peers {
+	for _, p := range s.livePeers() {
 		if p == s.Node() {
 			continue
 		}

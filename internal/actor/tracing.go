@@ -94,12 +94,13 @@ func (s *System) finishCall(sp *trace.Span, start time.Time, method string, err 
 func (s *System) TraceRing() *trace.Ring { return s.spans }
 
 // ClusterSpans collects every buffered span of one trace from the whole
-// cluster — this node's ring plus a control RPC to each peer. Unreachable
-// peers are skipped: a partial tree still renders, with the missing hops
-// absent (Assemble tolerates one-sided spans).
+// cluster — this node's ring plus a control RPC to each live peer. Dead
+// peers are not asked (each would hold the call for a full CallTimeout) and
+// unreachable ones are skipped: a partial tree still renders, with the
+// missing hops absent (Assemble tolerates one-sided spans).
 func (s *System) ClusterSpans(traceID uint64) []trace.Span {
 	spans := s.spans.ForTrace(traceID)
-	for _, p := range s.peers {
+	for _, p := range s.livePeers() {
 		if p == s.Node() {
 			continue
 		}

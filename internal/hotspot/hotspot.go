@@ -3,22 +3,19 @@
 // migrations) folded into a bounded Space-Saving top-K sketch, so a node
 // hosting a million activations tracks its hottest actors in O(K) memory.
 //
-// The sketch is striped: observations hash to one of stripeCount
-// independent stripes (each a mutex, a map, and a min-heap by cost), so
-// concurrent worker-stage turns on different actors almost never contend.
-// K is split evenly across stripes; the per-entry error bound of classic
-// Space-Saving (Err ≤ total stripe cost / stripe capacity) applies per
-// stripe, and every reported entry carries its own bound.
-//
-// Cost is the ranking weight: exec-microseconds plus one per turn, so both
-// CPU-heavy actors and pure message-traffic actors register. Costs decay
-// by halving on a fixed interval (Decay), making the table a "hot now"
-// view rather than a lifetime total.
+// The sketch is sampling.SpaceSaving striped stripeCount ways by ref hash,
+// each stripe behind its own mutex, so concurrent turns on different actors
+// almost never contend; every reported entry carries its Space-Saving error
+// bound. Cost, the ranking weight, is exec-microseconds plus one per turn,
+// so CPU-heavy and message-heavy actors both register; Decay halves it on a
+// fixed interval, making the table a "hot now" view.
 package hotspot
 
 import (
 	"sort"
 	"sync"
+
+	"actop/internal/sampling"
 )
 
 // stripeCount stripes the sketch; a power of two so the stripe choice is a
@@ -52,100 +49,58 @@ type Entry struct {
 	Stats
 }
 
-// entry is the resident form, living in exactly one stripe's map and heap.
-// It keeps the actor's type and key as given (string headers, no copy); the
-// "typ/key" display name is built by Top.
-type entry struct {
-	hash     uint64
+// row is a tracked actor's payload: its type and key as given (string
+// headers, no copy; Top builds the "typ/key" name) and its stats.
+type row struct {
 	typ, key string
-	cost     uint64
-	err      uint64
 	st       Stats
-	idx      int // position in the stripe's min-heap
 }
 
-// stripe is one independent Space-Saving instance.
+// stripe is one Space-Saving instance, keyed by ref hash, weighted by cost.
 type stripe struct {
-	mu   sync.Mutex
-	cap  int
-	byID map[uint64]*entry
-	heap []*entry // min-heap ordered by cost
-	slab []entry  // the stripe's cap entries; heap[:len(heap)] point into slab[:len(heap)] in admission order
+	mu sync.Mutex
+	ss *sampling.SpaceSaving[uint64, row]
 }
 
 // Profiler is the striped sketch. All methods are goroutine-safe.
 type Profiler struct {
-	k       int
 	stripes [stripeCount]stripe
 }
 
 // New creates a profiler tracking about k actors total (split across
 // stripes, minimum 8 per stripe).
 func New(k int) *Profiler {
-	if k < 1 {
-		k = 1
-	}
-	per := k / stripeCount
-	if per < 8 {
-		per = 8
-	}
-	p := &Profiler{k: per * stripeCount}
+	per := max(k/stripeCount, 8)
+	p := &Profiler{}
 	for i := range p.stripes {
-		p.stripes[i] = stripe{
-			cap:  per,
-			byID: make(map[uint64]*entry, per),
-			heap: make([]*entry, 0, per),
-			slab: make([]entry, per),
-		}
+		p.stripes[i].ss = sampling.New[uint64, row](per)
 	}
 	return p
 }
 
-// K reports the total tracked-entry capacity.
-func (p *Profiler) K() int { return p.k }
-
-// turnCost is the ranking weight of a batch of turns: exec time in ~µs
-// (ns >> 10) plus one per turn, so an actor that only shuffles tiny
-// messages still accumulates weight proportional to its traffic.
-func turnCost(turns, execNs uint64) uint64 { return execNs>>10 + turns }
-
 // Observe folds a batch of one actor's turns into the sketch: d holds what
 // the batch adds to each of the actor's stats. hash identifies the actor (the
-// actor-layer ref hash); typ and key name it. Nothing here allocates, on any
-// path — a tracked actor, admission into a free slot, or eviction: a stripe
-// makes its entries once, up front, and an entry keeps typ and key as given.
+// actor-layer ref hash); typ and key name it. A batch of zero cost admits
+// nobody: it only reaches a tracked actor's row. Nothing here allocates: the
+// sketch makes its entries up front, and a row keeps typ and key as given.
 func (p *Profiler) Observe(hash uint64, typ, key string, d Stats) {
 	st := &p.stripes[hash&(stripeCount-1)]
+	// The ranking weight: exec time in ~µs (ns >> 10) plus one per turn, so
+	// an actor that only shuffles tiny messages still accumulates weight.
+	cost := d.ExecNs>>10 + d.Turns
 	st.mu.Lock()
-	e := st.byID[hash]
-	if e == nil {
-		if n := len(st.heap); n < st.cap {
-			e = &st.slab[n]
-			e.idx = n
-			st.heap = append(st.heap, e)
-			st.siftUp(n) // cost 0: it belongs at the top of the min-heap
-		} else {
-			// Space-Saving eviction: the minimum-cost resident is replaced
-			// and the newcomer inherits its cost as both floor and error
-			// bound — the invariant that keeps true heavy hitters from
-			// being displaced by a stream of one-off actors.
-			e = st.heap[0]
-			delete(st.byID, e.hash)
-			e.err = e.cost
-			e.st = Stats{}
+	if r := st.ss.Observe(hash, cost); r != nil {
+		if cost > 0 { // a zero-cost batch may come unnamed (ObserveMigration)
+			r.typ, r.key = typ, key
 		}
-		e.hash, e.typ, e.key = hash, typ, key
-		st.byID[hash] = e
+		r.st.Turns += d.Turns
+		r.st.ExecNs += d.ExecNs
+		r.st.WaitNs += d.WaitNs
+		r.st.CallsOut += d.CallsOut
+		r.st.BytesIn += d.BytesIn
+		r.st.BytesOut += d.BytesOut
+		r.st.Migrations += d.Migrations
 	}
-	e.cost += turnCost(d.Turns, d.ExecNs)
-	e.st.Turns += d.Turns
-	e.st.ExecNs += d.ExecNs
-	e.st.WaitNs += d.WaitNs
-	e.st.CallsOut += d.CallsOut
-	e.st.BytesIn += d.BytesIn
-	e.st.BytesOut += d.BytesOut
-	e.st.Migrations += d.Migrations
-	st.siftDown(e.idx)
 	st.mu.Unlock()
 }
 
@@ -158,33 +113,25 @@ func (p *Profiler) ObserveTurns(hash uint64, typ, key string, turns, execNs, wai
 
 // ObserveMigration counts a migration of an already-tracked actor
 // (inbound or outbound — churn either way).
-func (p *Profiler) ObserveMigration(hash uint64) {
-	st := &p.stripes[hash&(stripeCount-1)]
-	st.mu.Lock()
-	if e := st.byID[hash]; e != nil {
-		e.st.Migrations++
-	}
-	st.mu.Unlock()
-}
+func (p *Profiler) ObserveMigration(hash uint64) { p.Observe(hash, "", "", Stats{Migrations: 1}) }
 
-// Decay halves every cost, error bound, and stat — the time-decay that
-// turns lifetime totals into a rolling "hot now" view. Halving is
-// monotone, so heap order is preserved and no re-heapify is needed.
+// Decay halves every cost (rounding up) and error bound and stat (rounding
+// down): lifetime totals become a rolling "hot now" view.
 func (p *Profiler) Decay() {
 	for i := range p.stripes {
 		st := &p.stripes[i]
 		st.mu.Lock()
-		for _, e := range st.heap {
-			e.cost >>= 1
-			e.err >>= 1
-			e.st.Turns >>= 1
-			e.st.ExecNs >>= 1
-			e.st.WaitNs >>= 1
-			e.st.CallsOut >>= 1
-			e.st.BytesIn >>= 1
-			e.st.BytesOut >>= 1
-			e.st.Migrations >>= 1
-		}
+		st.ss.Decay()
+		st.ss.Each(func(e *sampling.Entry[uint64, row]) {
+			s := &e.Value.st
+			s.Turns >>= 1
+			s.ExecNs >>= 1
+			s.WaitNs >>= 1
+			s.CallsOut >>= 1
+			s.BytesIn >>= 1
+			s.BytesOut >>= 1
+			s.Migrations >>= 1
+		})
 		st.mu.Unlock()
 	}
 }
@@ -196,9 +143,9 @@ func (p *Profiler) Top(n int) []Entry {
 	for i := range p.stripes {
 		st := &p.stripes[i]
 		st.mu.Lock()
-		for _, e := range st.heap {
-			out = append(out, Entry{Actor: e.typ + "/" + e.key, Cost: e.cost, Err: e.err, Stats: e.st})
-		}
+		st.ss.Each(func(e *sampling.Entry[uint64, row]) {
+			out = append(out, Entry{Actor: e.Value.typ + "/" + e.Value.key, Cost: e.Count, Err: e.Error, Stats: e.Value.st})
+		})
 		st.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -219,57 +166,8 @@ func (p *Profiler) Tracked() int {
 	for i := range p.stripes {
 		st := &p.stripes[i]
 		st.mu.Lock()
-		n += len(st.heap)
+		n += st.ss.Len()
 		st.mu.Unlock()
 	}
 	return n
-}
-
-// TotalCost sums the resident decayed costs — the denominator for "share
-// of node load" readings of individual entries.
-func (p *Profiler) TotalCost() uint64 {
-	var n uint64
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.heap {
-			n += e.cost
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
-
-// --- min-heap by cost (manual sift, allocation-free) ---
-
-func (st *stripe) siftUp(i int) {
-	h := st.heap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].cost <= h[i].cost {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		h[parent].idx, h[i].idx = parent, i
-		i = parent
-	}
-}
-
-func (st *stripe) siftDown(i int) {
-	h := st.heap
-	for {
-		min, l, r := i, 2*i+1, 2*i+2
-		if l < len(h) && h[l].cost < h[min].cost {
-			min = l
-		}
-		if r < len(h) && h[r].cost < h[min].cost {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[min], h[i] = h[i], h[min]
-		h[min].idx, h[i].idx = min, i
-		i = min
-	}
 }

@@ -15,6 +15,15 @@ func hash(i int) uint64 {
 	return x
 }
 
+// K reports the profiler's total capacity: its stripes' capacities summed.
+func (p *Profiler) K() int {
+	n := 0
+	for i := range p.stripes {
+		n += p.stripes[i].ss.Cap()
+	}
+	return n
+}
+
 func TestTopRanksByCost(t *testing.T) {
 	p := New(64)
 	// 100 background actors with one cheap turn each, one hot actor with
@@ -85,6 +94,13 @@ func TestOutAndMigrationOnlyTouchTracked(t *testing.T) {
 	if top[0].CallsOut != 3 || top[0].BytesOut != 300 || top[0].Migrations != 1 {
 		t.Fatalf("tracked stats wrong: %+v", top[0])
 	}
+	// A batch of zero cost (no turn, under a microsecond) is like a
+	// migration: it reaches a tracked row and admits nobody.
+	p.Observe(hash(2), "t", "z", Stats{CallsOut: 1})
+	p.Observe(hash(1), "t", "k", Stats{CallsOut: 1, ExecNs: 500})
+	if top := p.Top(0); len(top) != 1 || top[0].CallsOut != 4 || top[0].ExecNs != 500 || top[0].Cost != 1 {
+		t.Fatalf("zero-cost batches: %+v", top)
+	}
 }
 
 func TestDecayHalves(t *testing.T) {
@@ -95,9 +111,6 @@ func TestDecayHalves(t *testing.T) {
 	after := p.Top(1)[0]
 	if after.Cost != before.Cost/2 || after.Turns != before.Turns/2 {
 		t.Fatalf("decay: before %+v after %+v", before, after)
-	}
-	if p.TotalCost() != after.Cost {
-		t.Fatalf("TotalCost = %d, want %d", p.TotalCost(), after.Cost)
 	}
 }
 
@@ -141,7 +154,7 @@ func TestObserveNeverAllocates(t *testing.T) {
 }
 
 // TestConcurrent hammers every method from many goroutines — meaningful
-// under -race, and checks the heap/map stay consistent.
+// under -race. The sketch's own structure is checked by sampling's tests.
 func TestConcurrent(t *testing.T) {
 	p := New(128)
 	var wg sync.WaitGroup
@@ -168,20 +181,5 @@ func TestConcurrent(t *testing.T) {
 	wg.Wait()
 	if p.Tracked() > p.K() {
 		t.Fatalf("Tracked %d > K %d", p.Tracked(), p.K())
-	}
-	// Heap invariant holds after the storm.
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		for j, e := range st.heap {
-			if e.idx != j {
-				t.Fatalf("stripe %d: heap[%d].idx = %d", i, j, e.idx)
-			}
-			if parent := (j - 1) / 2; j > 0 && st.heap[parent].cost > e.cost {
-				t.Fatalf("stripe %d: heap order violated at %d", i, j)
-			}
-			if st.byID[e.hash] != e {
-				t.Fatalf("stripe %d: map/heap divergence at %d", i, j)
-			}
-		}
 	}
 }

@@ -25,7 +25,8 @@ func canonical(u, v graph.Vertex) edgeKey {
 // single thread, exactly as the paper's implementation does after its lock-
 // contention lesson.
 type Monitor struct {
-	summary *sampling.SpaceSaving[edgeKey]
+	summary *sampling.SpaceSaving[edgeKey, struct{}]
+	doomed  []edgeKey // ForgetVertex's scratch, reused across calls
 }
 
 // NewMonitor creates a monitor retaining at most capacity heavy edges.
@@ -48,12 +49,17 @@ func (m *Monitor) ObserveMessage(from, to graph.Vertex, count uint64) {
 func (m *Monitor) Decay() { m.summary.Decay() }
 
 // ForgetVertex drops all monitored edges incident to v (used when an actor
-// deactivates or migrates away and its statistics move with it).
+// deactivates or migrates away and its statistics move with it), in heap
+// order, without copying the summary.
 func (m *Monitor) ForgetVertex(v graph.Vertex) {
-	for _, e := range m.summary.Entries() {
+	m.doomed = m.doomed[:0]
+	m.summary.Each(func(e *sampling.Entry[edgeKey, struct{}]) {
 		if e.Key.A == v || e.Key.B == v {
-			m.summary.Forget(e.Key)
+			m.doomed = append(m.doomed, e.Key)
 		}
+	})
+	for _, k := range m.doomed {
+		m.summary.Forget(k)
 	}
 }
 
@@ -65,9 +71,9 @@ func (m *Monitor) EdgeCount() int { return m.summary.Len() }
 // O(deg) per-vertex edge iteration, which SelectCandidates needs.
 func (m *Monitor) Snapshot() *MonitorSnapshot {
 	g := graph.New()
-	for _, e := range m.summary.Entries() {
+	m.summary.Each(func(e *sampling.Entry[edgeKey, struct{}]) {
 		g.AddEdge(e.Key.A, e.Key.B, float64(e.Count))
-	}
+	})
 	return &MonitorSnapshot{g: g}
 }
 

@@ -16,9 +16,11 @@ func ExampleSpaceSaving() {
 		s.Observe("game1-player2", 1)
 	}
 	s.Observe("stranger-ping", 1) // light edge: may be evicted later
-	for _, e := range s.Top(2) {
-		fmt.Printf("%s ≈ %d\n", e.Key, e.Count)
-	}
+	s.Each(func(e *sampling.Entry[string, struct{}]) {
+		if e.Count >= 50 {
+			fmt.Printf("%s ≈ %d\n", e.Key, e.Count)
+		}
+	})
 	// Output:
 	// game1-player7 ≈ 100
 	// game1-player2 ≈ 60

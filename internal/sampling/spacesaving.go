@@ -5,191 +5,163 @@
 // ActOp applies Space-Saving to the stream of inter-actor messages observed
 // by each server: the summary retains the top-k "heaviest" communication
 // edges in constant space, which is all the partitioning algorithm needs
-// (§4.3, "Edge sampling"). Light edges never contribute to candidate sets,
-// so dropping them is safe.
+// (§4.3, "Edge sampling"). The hot-spot profiler stripes the same summary,
+// with an actor's stats as its entry's payload.
 package sampling
 
-import "container/heap"
+// Entry is one monitored stream element. Space-Saving guarantees Count ≥
+// true frequency ≥ Count − Error, where Error is the count the entry
+// inherited from the element it evicted. Value is the caller's payload: zero
+// on admission, it moves with the entry.
+type Entry[K comparable, V any] struct {
+	Key          K
+	Count, Error uint64
+	Value        V
 
-// Entry is one monitored stream element.
-type Entry[K comparable] struct {
-	Key K
-	// Count is the estimated frequency of Key. Space-Saving guarantees
-	// Count ≥ true frequency and Count − Error ≤ true frequency.
-	Count uint64
-	// Error bounds the overestimation of Count: it is the count the entry
-	// inherited from the element it evicted.
-	Error uint64
-
-	index int // heap index; maintained by entryHeap
+	at int32 // the entry's position in the heap
 }
 
-// entryHeap is a min-heap over counts so the minimum entry (the eviction
-// victim) is found in O(1) and replaced in O(log k).
-type entryHeap[K comparable] []*Entry[K]
-
-func (h entryHeap[K]) Len() int            { return len(h) }
-func (h entryHeap[K]) Less(i, j int) bool  { return h[i].Count < h[j].Count }
-func (h entryHeap[K]) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *entryHeap[K]) Push(x interface{}) { e := x.(*Entry[K]); e.index = len(*h); *h = append(*h, e) }
-func (h *entryHeap[K]) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// SpaceSaving is a top-k heavy-hitter summary over a stream of keys: at
+// most k monitored keys in O(k) space, allocated up front, so no method
+// allocates. Use New or NewSpaceSaving; it is not safe for concurrent use.
+type SpaceSaving[K comparable, V any] struct {
+	slab  []Entry[K, V] // the monitored entries, dense; cap is the capacity
+	index map[K]int32   // key → slot in slab
+	heap  []int32       // slab slots, a min-heap by Count: the root is the eviction victim
 }
 
-// SpaceSaving is a top-k heavy-hitter summary over a stream of keys.
-// It retains at most k monitored keys; the total space is O(k) regardless of
-// the stream length. The zero value is not usable; use NewSpaceSaving.
-//
-// SpaceSaving is not safe for concurrent use.
-type SpaceSaving[K comparable] struct {
-	capacity int
-	entries  map[K]*Entry[K]
-	heap     entryHeap[K]
-	total    uint64
-}
-
-// NewSpaceSaving creates a summary that monitors at most capacity keys.
-// capacity must be at least 1; smaller values are raised to 1.
-func NewSpaceSaving[K comparable](capacity int) *SpaceSaving[K] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpaceSaving[K]{
-		capacity: capacity,
-		entries:  make(map[K]*Entry[K], capacity),
-		heap:     make(entryHeap[K], 0, capacity),
+// New creates a summary that monitors at most capacity keys (at least 1),
+// each with a payload of type V.
+func New[K comparable, V any](capacity int) *SpaceSaving[K, V] {
+	capacity = max(capacity, 1)
+	return &SpaceSaving[K, V]{
+		slab:  make([]Entry[K, V], 0, capacity),
+		index: make(map[K]int32, capacity),
+		heap:  make([]int32, 0, capacity),
 	}
 }
 
-// Observe records weight occurrences of key.
-func (s *SpaceSaving[K]) Observe(key K, weight uint64) {
-	if weight == 0 {
-		return
-	}
-	s.total += weight
-	if e, ok := s.entries[key]; ok {
-		e.Count += weight
-		heap.Fix(&s.heap, e.index)
-		return
-	}
-	if len(s.heap) < s.capacity {
-		e := &Entry[K]{Key: key, Count: weight}
-		s.entries[key] = e
-		heap.Push(&s.heap, e)
-		return
-	}
-	// Evict the current minimum: the newcomer inherits its count as error.
-	victim := s.heap[0]
-	delete(s.entries, victim.Key)
-	inherited := victim.Count
-	victim.Key = key
-	victim.Error = inherited
-	victim.Count = inherited + weight
-	s.entries[key] = victim
-	heap.Fix(&s.heap, 0)
+// NewSpaceSaving creates a summary without payloads.
+func NewSpaceSaving[K comparable](capacity int) *SpaceSaving[K, struct{}] {
+	return New[K, struct{}](capacity)
 }
 
-// Count returns the estimated frequency of key and whether it is monitored.
-func (s *SpaceSaving[K]) Count(key K) (uint64, bool) {
-	e, ok := s.entries[key]
-	if !ok {
-		return 0, false
+// Observe records weight occurrences of key and returns its payload, zeroed
+// if this observation admitted key, for the caller to update before the next
+// call. A zero weight changes nothing: it returns the payload of a monitored
+// key and nil otherwise.
+func (s *SpaceSaving[K, V]) Observe(key K, weight uint64) *V {
+	i, ok := s.index[key]
+	switch {
+	case ok:
+		s.slab[i].Count += weight
+		s.fix(int(s.slab[i].at))
+	case weight == 0:
+		return nil
+	case len(s.slab) < cap(s.slab):
+		i = int32(len(s.slab))
+		s.slab = append(s.slab, Entry[K, V]{Key: key, Count: weight, at: i})
+		s.heap = append(s.heap, i)
+		s.index[key] = i
+		s.fix(int(i))
+	default:
+		// Evict the current minimum: the newcomer inherits its count as error.
+		i = s.heap[0]
+		e := &s.slab[i]
+		delete(s.index, e.Key)
+		*e = Entry[K, V]{Key: key, Count: e.Count + weight, Error: e.Count}
+		s.index[key] = i
+		s.fix(0)
 	}
-	return e.Count, true
-}
-
-// GuaranteedCount returns Count−Error, a lower bound on the true frequency.
-func (s *SpaceSaving[K]) GuaranteedCount(key K) (uint64, bool) {
-	e, ok := s.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return e.Count - e.Error, true
+	return &s.slab[i].Value
 }
 
 // Len reports the number of monitored keys (≤ capacity).
-func (s *SpaceSaving[K]) Len() int { return len(s.heap) }
+func (s *SpaceSaving[K, V]) Len() int { return len(s.heap) }
 
-// Total reports the total stream weight observed.
-func (s *SpaceSaving[K]) Total() uint64 { return s.total }
+// Cap reports the capacity: the most keys the summary monitors.
+func (s *SpaceSaving[K, V]) Cap() int { return cap(s.slab) }
 
-// MinCount reports the smallest monitored count (the eviction threshold),
-// or 0 when the summary is not yet full.
-func (s *SpaceSaving[K]) MinCount() uint64 {
-	if len(s.heap) < s.capacity || len(s.heap) == 0 {
-		return 0
+// Each calls fn on every entry in heap order, the minimum first; fn may
+// change the entry's Value only, and must not call back into s.
+func (s *SpaceSaving[K, V]) Each(fn func(*Entry[K, V])) {
+	for _, i := range s.heap {
+		fn(&s.slab[i])
 	}
-	return s.heap[0].Count
 }
 
-// Top returns up to n monitored entries ordered by descending estimated
-// count. The returned entries are copies; mutating them does not affect the
-// summary.
-func (s *SpaceSaving[K]) Top(n int) []Entry[K] {
-	if n <= 0 || len(s.heap) == 0 {
-		return nil
+// Decay halves every count (rounding up, so never to zero) and error
+// (rounding down): stale heavy edges fade as the communication graph
+// changes. Halving is monotone, so the heap keeps its order.
+func (s *SpaceSaving[K, V]) Decay() {
+	for i := range s.slab {
+		s.slab[i].Count = (s.slab[i].Count + 1) / 2
+		s.slab[i].Error /= 2
 	}
-	out := make([]Entry[K], 0, min(n, len(s.heap)))
-	for _, e := range s.heap {
-		out = append(out, Entry[K]{Key: e.Key, Count: e.Count, Error: e.Error})
-	}
-	// Selection by full sort: k is small (constant) in our use.
-	sortEntriesDesc(out)
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// Entries returns all monitored entries in unspecified order.
-func (s *SpaceSaving[K]) Entries() []Entry[K] {
-	out := make([]Entry[K], 0, len(s.heap))
-	for _, e := range s.heap {
-		out = append(out, Entry[K]{Key: e.Key, Count: e.Count, Error: e.Error})
-	}
-	return out
-}
-
-// Decay halves every monitored count (rounding down, minimum 1), giving the
-// summary an exponential forgetting horizon so that stale heavy edges fade
-// as the communication graph changes. Entries are kept; errors decay too.
-func (s *SpaceSaving[K]) Decay() {
-	for _, e := range s.heap {
-		e.Count = (e.Count + 1) / 2
-		e.Error /= 2
-	}
-	heap.Init(&s.heap)
-	s.total = (s.total + 1) / 2
 }
 
 // Forget removes key from the summary if it is monitored. It is used when an
 // actor deactivates and its edges are no longer meaningful.
-func (s *SpaceSaving[K]) Forget(key K) {
-	e, ok := s.entries[key]
+func (s *SpaceSaving[K, V]) Forget(key K) {
+	i, ok := s.index[key]
 	if !ok {
 		return
 	}
-	heap.Remove(&s.heap, e.index)
-	delete(s.entries, key)
-}
-
-// Reset clears the summary.
-func (s *SpaceSaving[K]) Reset() {
-	s.entries = make(map[K]*Entry[K], s.capacity)
-	s.heap = s.heap[:0]
-	s.total = 0
-}
-
-func sortEntriesDesc[K comparable](es []Entry[K]) {
-	// Insertion sort: k is small; avoids an import and an interface boundary.
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Count > es[j-1].Count; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
+	delete(s.index, key)
+	// Out of the heap: swap with the last position, shrink, restore order.
+	j, n := int(s.slab[i].at), len(s.heap)-1
+	s.swap(j, n)
+	s.heap = s.heap[:n]
+	if j != n {
+		s.fix(j)
 	}
+	// Out of the slab: the last entry moves into the freed slot.
+	last := int32(len(s.slab) - 1)
+	if i != last {
+		s.slab[i] = s.slab[last]
+		s.heap[s.slab[i].at] = i
+		s.index[s.slab[i].Key] = i
+	}
+	s.slab[last] = Entry[K, V]{}
+	s.slab = s.slab[:last]
+}
+
+// The heap moves below are container/heap's, move for move, so the summary
+// evicts the same key container/heap would have.
+
+func (s *SpaceSaving[K, V]) less(a, b int) bool {
+	return s.slab[s.heap[a]].Count < s.slab[s.heap[b]].Count
+}
+
+func (s *SpaceSaving[K, V]) swap(a, b int) {
+	s.heap[a], s.heap[b] = s.heap[b], s.heap[a]
+	s.slab[s.heap[a]].at, s.slab[s.heap[b]].at = int32(a), int32(b)
+}
+
+// fix restores the order after the count at heap position j changed.
+func (s *SpaceSaving[K, V]) fix(j int) {
+	if !s.down(j) {
+		s.up(j)
+	}
+}
+
+func (s *SpaceSaving[K, V]) up(j int) {
+	for i := (j - 1) / 2; j > 0 && s.less(j, i); j, i = i, (i-1)/2 {
+		s.swap(i, j)
+	}
+}
+
+func (s *SpaceSaving[K, V]) down(i0 int) bool {
+	i, n := i0, len(s.heap)
+	for j := 2*i + 1; j < n; j = 2*i + 1 {
+		if j+1 < n && s.less(j+1, j) {
+			j++
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
