@@ -1,10 +1,8 @@
-// Command actop-lint is the multichecker for actop's domain-specific
+// Command actop-lint is the multichecker for actop's four domain-specific
 // analyzers: the invariants of the actor runtime (no blocking inside a
-// turn, an acyclic kind graph, no encode or I/O in a turn-locked
-// capture), the transport (no I/O under a lock, no pooled-buffer
-// escapes), and the metrics plane (bounded label cardinality). It is
-// built on the standard library only — see internal/lint and DESIGN.md
-// "Static analysis".
+// turn, an acyclic kind graph) and of the transport (no I/O under a lock,
+// no pooled-buffer escapes). It is built on the standard library only —
+// see internal/lint and DESIGN.md "Static analysis".
 //
 // Usage:
 //

@@ -101,7 +101,6 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Partitioning = false
 	opts.ThreadPeriod = 500 * time.Millisecond
-	opts.MinSamples = 100
 	opt := core.NewOptimizer(sys, opts)
 	defer opt.Stop()
 

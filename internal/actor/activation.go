@@ -288,7 +288,7 @@ func (a *activation) drain(s *System) {
 			// Durability hook, still under the turn lock: count the dirty
 			// turn and, past the dirty-count or staleness threshold, capture
 			// the state (one deep copy — encode and ship run on the
-			// snapshotter pool, never here).
+			// snapshotter stage, never here).
 			a.dirty++
 			if a.dirty >= s.cfg.SnapshotEvery || time.Since(a.lastSnap) >= s.cfg.SnapshotInterval {
 				if snapJob = s.captureSnapshotLocked(a); snapJob != nil && inv.trc != nil {
@@ -310,11 +310,11 @@ func (a *activation) drain(s *System) {
 		}
 		inv.done.complete(data, val, err)
 		if snapJob != nil {
-			// Hand the captured state to the snapshotter pool after the
-			// reply is on its way. A full queue drops the capture (counted);
-			// the next dirty turn re-triggers, and full-state snapshots make
-			// the skipped one subsumed, not lost.
-			if !s.snapPool.TrySubmit(snapJob) {
+			// Hand the captured state to the snapshotter stage after the
+			// reply is on its way. A full (or closed) queue drops the capture
+			// (counted); the next dirty turn re-triggers, and full-state
+			// snapshots make the skipped one subsumed, not lost.
+			if s.snapStage.Submit(snapJob) != nil {
 				s.durables.CaptureDropped.Add(1)
 			}
 		}

@@ -82,7 +82,7 @@ type Migratable interface {
 //
 // Actors that additionally implement codec.Copier get the cheap capture:
 // the turn lock is held only for the deep copy, and the Snapshot encode
-// runs on the background snapshotter pool.
+// runs on the background snapshotter stage.
 type Durable interface {
 	Migratable
 	DurableActor()
@@ -187,7 +187,8 @@ type Config struct {
 	TraceRingSize int
 	// Metrics, when set, receives the node's per-method call latency and
 	// latency-component summaries (and lets embedders export them via
-	// metrics.Registry.WritePrometheus). Nil disables registry recording.
+	// metrics.Registry.Write; TestMetricSeriesBounded in internal/core bounds
+	// their series count). Nil disables registry recording.
 	Metrics *metrics.Registry
 
 	// DisableHotspots turns off the per-actor hot-spot profiler. On by

@@ -14,7 +14,7 @@ import (
 )
 
 // Actor-layer durability (ISSUE 8): Durable actors' state is captured off
-// the turn path, encoded + shipped by the background snapshotter pool over
+// the turn path, encoded + shipped by the background snapshotter stage over
 // the actop.snap control verb to K rendezvous-chosen peer replicas, and on
 // failover re-activation the new owner pulls the highest-(epoch, seq)
 // snapshot before admitting the first turn. The migration epoch versions
@@ -40,12 +40,13 @@ func (s *System) Durables() metrics.DurableSnapshot { return s.durables.Snapshot
 // captureSnapshotLocked captures a Durable activation's state. Called from
 // drain with a.turnMu held, so the only work done here is the state copy:
 // actors implementing codec.Copier pay one deep copy and the gob encode
-// runs on the snapshotter pool; plain Migratable actors pay Snapshot inline
+// runs on the snapshotter stage; plain Migratable actors pay Snapshot inline
 // (their encode IS the copy — there is no cheaper way to isolate their
 // state). No transport or codec call happens on this path. The returned job
 // (nil when the capture failed) encodes and ships; the caller submits it to
-// the pool AFTER releasing the turn lock and answering the caller, so even
-// the pool handoff stays off the reply path.
+// the stage AFTER releasing the turn lock and answering the caller, so even
+// the handoff stays off the reply path. TestSnapshotCaptureOffTurn holds
+// the encode and the ship and requires the next turn to answer meanwhile.
 func (s *System) captureSnapshotLocked(a *activation) func() {
 	var encode func() ([]byte, error)
 	if c, ok := a.actor.(codec.Copier); ok {
@@ -81,7 +82,7 @@ func (s *System) captureSnapshotLocked(a *activation) func() {
 }
 
 // shipSnapshot encodes the wire record once and streams it to each replica.
-// Runs on the snapshotter pool (or a SyncSnapshots caller), never under a
+// Runs on the snapshotter stage (or a SyncSnapshots caller), never under a
 // turn lock.
 func (s *System) shipSnapshot(ref Ref, epoch, seq uint64, state []byte) {
 	payload := durable.AppendRecord(nil, durable.Record{

@@ -14,7 +14,7 @@ import (
 
 // durableCounter is counterActor with the Durable opt-in and the Copier
 // fast-capture path (the copy under the turn lock is one struct copy; the
-// gob encode runs on the snapshotter pool).
+// gob encode runs on the snapshotter stage).
 type durableCounter struct{ counterActor }
 
 func (d *durableCounter) DurableActor() {}
@@ -402,4 +402,109 @@ func TestSyncSnapshotsFlushes(t *testing.T) {
 	if n := host.SyncSnapshots(); n != 0 {
 		t.Fatalf("idle SyncSnapshots flushed %d actors, want 0", n)
 	}
+}
+
+// heldCounter is a durable counter whose copies — the state a capture
+// takes under the turn lock — block in Snapshot until release closes, so
+// the capture's encode is held for as long as the test likes. The live
+// instance never blocks.
+type heldCounter struct {
+	counterActor
+	isCopy           bool
+	entered, release chan struct{}
+}
+
+func (h *heldCounter) DurableActor() {}
+
+func (h *heldCounter) CopyValue() interface{} {
+	c := *h
+	c.isCopy = true
+	return &c
+}
+
+func (h *heldCounter) Snapshot() ([]byte, error) {
+	if h.isCopy {
+		select {
+		case h.entered <- struct{}{}:
+		default:
+		}
+		<-h.release
+	}
+	return h.counterActor.Snapshot()
+}
+
+// snapWithholder never delivers the actop.snap envelopes its node sends, so
+// a ship waits out its whole CallTimeout for the replica's answer; the first
+// one withheld is signalled.
+type snapWithholder struct {
+	transport.Transport
+	withheld chan struct{}
+}
+
+func (w *snapWithholder) Send(to transport.NodeID, env *transport.Envelope) error {
+	if env.Kind == transport.KindControl && env.Method == ctlSnap {
+		select {
+		case w.withheld <- struct{}{}:
+		default:
+		}
+		return nil
+	}
+	return w.Transport.Send(to, env)
+}
+
+// TestSnapshotCaptureOffTurn pins the capture contract: a snapshot adds
+// neither its encode nor its shipping to the actor's turn. With every turn
+// capturing, the first turn's encode (held in the copy's Snapshot) or its
+// ship (withheld by the transport) is held, and a second turn on the same
+// actor must still answer within a second. CallTimeout is 5 s, so a turn
+// that waits on the held capture shows up as a missed second, never as a
+// slow success.
+func TestSnapshotCaptureOffTurn(t *testing.T) {
+	secondTurnAnswers := func(t *testing.T, sys []*System, held <-chan struct{}) {
+		t.Helper()
+		ref := Ref{Type: "held", Key: "h"}
+		first := make(chan error, 1)
+		go func() { first <- sys[0].Call(ref, "Add", 1, nil) }()
+		select {
+		case <-held:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the first turn's capture was never held")
+		}
+		second := make(chan error, 1)
+		go func() { second <- sys[0].Call(ref, "Add", 1, nil) }()
+		select {
+		case err := <-second:
+			if err != nil {
+				t.Fatalf("second turn: %v", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("a second turn did not answer within 1s while the first capture was held: the capture runs on the turn")
+		}
+		if err := <-first; err != nil {
+			t.Fatalf("first turn: %v", err)
+		}
+	}
+	withTimeout := func(c *Config) { c.CallTimeout = 5 * time.Second }
+
+	t.Run("encode", func(t *testing.T) {
+		entered, release := make(chan struct{}, 1), make(chan struct{})
+		sys, _ := newDurableCluster(t, 2, 1, withTimeout)
+		t.Cleanup(func() { close(release) }) // before the systems stop
+		for _, s := range sys {
+			s.RegisterType("held", func() Actor { return &heldCounter{entered: entered, release: release} })
+		}
+		secondTurnAnswers(t, sys, entered)
+	})
+
+	t.Run("ship", func(t *testing.T) {
+		withheld := make(chan struct{}, 1)
+		sys, _ := newDurableCluster(t, 2, 1, func(c *Config) {
+			withTimeout(c)
+			c.Transport = &snapWithholder{Transport: c.Transport, withheld: withheld}
+		})
+		for _, s := range sys {
+			s.RegisterType("held", func() Actor { return &durableCounter{} })
+		}
+		secondTurnAnswers(t, sys, withheld)
+	})
 }

@@ -152,10 +152,10 @@ type System struct {
 
 	// Durability plane (durable.go): the replica store holding peers'
 	// snapshots (always non-nil — this node serves as a replica whether or
-	// not its own actors are durable), the background snapshotter pool, and
+	// not its own actors are durable), the background snapshotter stage, and
 	// the recovery-stampede semaphore (both nil unless DurableReplicas > 0).
 	snapStore   *durable.Store
-	snapPool    *durable.Pool
+	snapStage   *seda.Stage
 	recoverySem chan struct{}
 
 	// Per-peer fetch breaker for recovery pulls (durable.go): after a
@@ -205,7 +205,7 @@ const (
 	// trigger kind — a storm of violations produces one black-box dump,
 	// not one per violation.
 	flightDebounce = 30 * time.Second
-	// snapshotWorkers sizes the background snapshotter pool that encodes
+	// snapshotWorkers sizes the background snapshotter stage that encodes
 	// and ships captures off the turn path.
 	snapshotWorkers = 2
 )
@@ -242,7 +242,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.sloWin = &metrics.ConcurrentHistogram{}
 	}
 	if cfg.DurableReplicas > 0 {
-		s.snapPool = durable.NewPool(snapshotWorkers, 1024)
+		s.snapStage = seda.NewStage("snapshot", 1024, snapshotWorkers)
 		s.recoverySem = make(chan struct{}, cfg.RecoveryConcurrency)
 		s.snapProbeFail = make(map[transport.NodeID]time.Time)
 	}
@@ -368,8 +368,8 @@ func (s *System) Stop() {
 	s.workStage.Close()
 	s.sendStage.Close()
 	s.ctlStage.Close()
-	if s.snapPool != nil {
-		s.snapPool.Close()
+	if s.snapStage != nil {
+		s.snapStage.Close()
 	}
 	s.bg.Wait()
 }

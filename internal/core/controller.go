@@ -21,7 +21,7 @@ type ControllerConfig struct {
 	// Eta is the per-thread latency penalty η of (∗).
 	Eta float64
 	// Processors is the effective CPU budget p handed to the solver
-	// (already including any BudgetFactor relaxation).
+	// (already including any budgetFactor relaxation).
 	Processors float64
 	// Betas is the per-stage CPU fraction β_i (Table 1); len must equal the
 	// number of controlled stages.
@@ -167,16 +167,11 @@ type ThreadController struct {
 	// Registry gauge families (nil when no registry was configured).
 	gWorkers, gQueue, gLambda, gService, gUtil *metrics.GaugeFamily
 	gWait, gBusy                               *metrics.GaugeFamily
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	running  bool
 }
 
-// NewThreadController builds a controller over the given stages. It does
-// not start the loop; call Start, or drive Tick manually (tests, actopd's
-// optimizer).
+// NewThreadController builds a controller over the given stages. It owns
+// no goroutine: Optimizer's thread loop calls Tick every Interval, and tests
+// call it directly.
 func NewThreadController(stages []*seda.Stage, cfg ControllerConfig) (*ThreadController, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("core: controller needs at least one stage")
@@ -184,11 +179,7 @@ func NewThreadController(stages []*seda.Stage, cfg ControllerConfig) (*ThreadCon
 	if err := cfg.fill(len(stages)); err != nil {
 		return nil, err
 	}
-	c := &ThreadController{
-		stages: stages,
-		cfg:    cfg,
-		stop:   make(chan struct{}),
-	}
+	c := &ThreadController{stages: stages, cfg: cfg}
 	c.lambda = make([]*estimator.RateEWMA, len(stages))
 	c.service = make([]*estimator.EWMA, len(stages))
 	for i := range stages {
@@ -231,40 +222,6 @@ func (c *ThreadController) publishStages(stages []StageStatus) {
 	}
 }
 
-// Start launches the periodic loop (idempotent).
-func (c *ThreadController) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.running {
-		return
-	}
-	c.running = true
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		t := time.NewTicker(c.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				c.Tick()
-			}
-		}
-	}()
-}
-
-// Stop halts the loop and waits for it (idempotent; the controller cannot
-// be restarted after Stop).
-func (c *ThreadController) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	c.wg.Wait()
-	c.mu.Lock()
-	c.running = false
-	c.mu.Unlock()
-}
-
 // Status snapshots the controller state.
 func (c *ThreadController) Status() Status {
 	c.mu.Lock()
@@ -278,8 +235,7 @@ func (c *ThreadController) Status() Status {
 }
 
 // Tick runs one measure→estimate→solve→resize cycle immediately and
-// reports what it did. Safe to call concurrently with the periodic loop
-// (cycles serialize on the controller lock).
+// reports what it did. Concurrent calls serialize on the controller lock.
 func (c *ThreadController) Tick() TickOutcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()

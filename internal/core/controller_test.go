@@ -53,6 +53,28 @@ func skewedLoad(t *testing.T, heavy, light *seda.Stage, dur, measureFrom time.Du
 	return submitted, dropped
 }
 
+// driveTicks calls tc.Tick every d, as Optimizer's thread loop does, until
+// the returned stop is called.
+func driveTicks(tc *ThreadController, d time.Duration) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				tc.Tick()
+			}
+		}
+	}()
+	return func() { close(done); wg.Wait() }
+}
+
 // TestControllerReducesQueueDelayUnderSkew is the PR's acceptance
 // demonstration: under a skewed stage load, steady-state queue delay on the
 // overloaded stage collapses once the live controller is enabled, versus a
@@ -92,8 +114,7 @@ func TestControllerReducesQueueDelayUnderSkew(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.Start()
-			defer tc.Stop()
+			defer driveTicks(tc, tickEvery)()
 		}
 
 		var waits metrics.Histogram
@@ -160,8 +181,7 @@ func TestControllerHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.Start()
-	defer tc.Stop()
+	defer driveTicks(tc, interval)()
 
 	// Sample the heavy stage's worker count at high frequency while a
 	// steady load runs, counting observed allocation changes.

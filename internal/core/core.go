@@ -45,24 +45,6 @@ type Options struct {
 	ThreadTuning bool
 	// ThreadPeriod is the estimate→solve→resize control period.
 	ThreadPeriod time.Duration
-	// Eta is the per-thread latency penalty η (calibrate per deployment,
-	// §5.3; the paper uses 100µs/thread on its hardware).
-	Eta float64
-	// Processors is the core count handed to the queuing model
-	// (default runtime.NumCPU).
-	Processors int
-	// BudgetFactor relaxes the Σt·β ≤ p constraint for stages that idle
-	// between events (see internal/sim's calibration notes). 1 = strict.
-	BudgetFactor float64
-	// WorkerBeta is the worker stage's CPU fraction while processing
-	// (β of §5.2); below 1 when actors make synchronous blocking calls.
-	WorkerBeta float64
-	// MinSamples skips a retune when fewer events were observed (avoids
-	// resizing on noise).
-	MinSamples uint64
-	// Hysteresis is the controller's reallocation dead band (see
-	// ControllerConfig.Hysteresis; default 0.25).
-	Hysteresis float64
 	// Metrics, when set, receives the thread controller's per-stage gauges
 	// (see ControllerConfig.Metrics). Nil publishes nothing.
 	Metrics *metrics.Registry
@@ -81,14 +63,28 @@ func DefaultOptions() Options {
 		PartitionOpts:   partition.DefaultOptions(),
 		ThreadTuning:    true,
 		ThreadPeriod:    10 * time.Second,
-		Eta:             100e-6,
-		Processors:      runtime.NumCPU(),
-		BudgetFactor:    1.6,
-		WorkerBeta:      1.0,
-		MinSamples:      64,
-		Hysteresis:      0.25,
 	}
 }
+
+// Thread-controller settings no test, smoke or workload varies.
+const (
+	// eta is the per-thread latency penalty η (§5.3; the paper uses
+	// 100µs/thread on its hardware).
+	eta = 100e-6
+	// budgetFactor relaxes the Σt·β ≤ p constraint for stages that idle
+	// between events (see internal/sim's calibration notes); the budget is
+	// runtime.NumCPU() processors times this.
+	budgetFactor = 1.6
+	// workerBeta is the worker stage's CPU fraction while processing (β of
+	// §5.2), as for the serialization stages.
+	workerBeta = 1.0
+	// minSamples skips a retune when fewer events were observed (avoids
+	// resizing on noise).
+	minSamples = 64
+	// hysteresis is the controller's reallocation dead band (see
+	// ControllerConfig.Hysteresis).
+	hysteresis = 0.25
+)
 
 // Optimizer runs ActOp's control loops for one node.
 type Optimizer struct {
@@ -108,15 +104,6 @@ type Optimizer struct {
 // NewOptimizer binds an optimizer to a node. The node's actor.Config can
 // pre-wire the thread controller: DisableThreadControl forces ThreadTuning off.
 func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
-	if opts.Processors <= 0 {
-		opts.Processors = runtime.NumCPU()
-	}
-	if opts.BudgetFactor < 1 {
-		opts.BudgetFactor = 1
-	}
-	if opts.WorkerBeta <= 0 || opts.WorkerBeta > 1 {
-		opts.WorkerBeta = 1
-	}
 	if opts.PartitionPeriod <= 0 {
 		opts.PartitionPeriod = 15 * time.Second
 	}
@@ -132,24 +119,20 @@ func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 	}
 	o := &Optimizer{sys: sys, opts: opts, stop: make(chan struct{})}
 	recv, work, send := sys.Stages()
-	tc, err := NewThreadController(
+	// Three stages, three betas and a positive budget: the controller
+	// cannot refuse this configuration.
+	o.tc, _ = NewThreadController(
 		[]*seda.Stage{recv, work, send},
 		ControllerConfig{
 			Interval:   opts.ThreadPeriod,
-			Eta:        opts.Eta,
-			Processors: float64(opts.Processors) * opts.BudgetFactor,
-			Betas:      []float64{1, opts.WorkerBeta, 1},
-			MinSamples: opts.MinSamples,
-			Hysteresis: opts.Hysteresis,
+			Eta:        eta,
+			Processors: float64(runtime.NumCPU()) * budgetFactor,
+			Betas:      []float64{1, workerBeta, 1},
+			MinSamples: minSamples,
+			Hysteresis: hysteresis,
 			Metrics:    opts.Metrics,
 			Flight:     opts.Flight,
 		})
-	if err != nil {
-		// Unreachable with the clamped options above; fall back to a
-		// tuning-less optimizer rather than panicking the node.
-		opts.ThreadTuning = false
-	}
-	o.tc = tc
 	return o
 }
 

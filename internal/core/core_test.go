@@ -151,8 +151,6 @@ func TestOptimizerRetuneResizesStages(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Partitioning = false
 	opts.ThreadPeriod = time.Second
-	opts.MinSamples = 10
-	opts.Processors = 8
 	o := NewOptimizer(sys[0], opts)
 	o.Retune()
 	_, _, retunes := o.Counters()
@@ -168,10 +166,9 @@ func TestOptimizerRetuneResizesStages(t *testing.T) {
 }
 
 func TestOptimizerMinSamplesGate(t *testing.T) {
-	sys := newCluster(t, 1)
+	sys := newCluster(t, 1) // idle: its stages processed fewer than minSamples tasks
 	opts := DefaultOptions()
 	opts.Partitioning = false
-	opts.MinSamples = 1 << 30 // never enough
 	o := NewOptimizer(sys[0], opts)
 	o.Retune()
 	if _, _, retunes := o.Counters(); retunes != 0 {
@@ -193,11 +190,11 @@ func TestOptimizerStartStopIdempotent(t *testing.T) {
 
 func TestOptionsDefaultsClamped(t *testing.T) {
 	sys := newCluster(t, 1)
-	o := NewOptimizer(sys[0], Options{WorkerBeta: 5, BudgetFactor: 0.1})
-	if o.opts.WorkerBeta != 1 || o.opts.BudgetFactor != 1 {
-		t.Fatalf("opts not clamped: %+v", o.opts)
-	}
-	if o.opts.Processors <= 0 || o.opts.PartitionPeriod <= 0 || o.opts.ThreadPeriod <= 0 {
+	o := NewOptimizer(sys[0], Options{PartitionPeriod: -time.Second})
+	if o.opts.PartitionPeriod <= 0 || o.opts.ThreadPeriod <= 0 || o.opts.RejectWindow <= 0 {
 		t.Fatalf("defaults missing: %+v", o.opts)
+	}
+	if st := o.ThreadStatus(); st.Processors <= 0 || st.Interval != o.opts.ThreadPeriod {
+		t.Fatalf("controller not configured from the defaults: %+v", st)
 	}
 }

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
 
@@ -108,53 +107,4 @@ func TestStoreBytes(t *testing.T) {
 	if got := s.Bytes(); got != 42 {
 		t.Fatalf("Bytes = %d, want 42", got)
 	}
-}
-
-func TestPoolRunsJobs(t *testing.T) {
-	p := NewPool(2, 8)
-	var mu sync.Mutex
-	ran := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		for !p.TrySubmit(func() {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-			wg.Done()
-		}) {
-		}
-	}
-	wg.Wait()
-	p.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if ran != 16 {
-		t.Fatalf("ran %d jobs, want 16", ran)
-	}
-}
-
-func TestPoolCloseIdempotentAndRejects(t *testing.T) {
-	p := NewPool(1, 1)
-	p.Close()
-	p.Close()
-	if p.TrySubmit(func() {}) {
-		t.Fatal("TrySubmit succeeded after Close")
-	}
-}
-
-func TestPoolFullQueueDrops(t *testing.T) {
-	p := NewPool(1, 1)
-	defer p.Close()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	p.TrySubmit(func() { close(started); <-block })
-	<-started // worker busy; queue now free
-	if !p.TrySubmit(func() {}) {
-		t.Fatal("queue slot should be free")
-	}
-	if p.TrySubmit(func() {}) {
-		t.Fatal("full queue should drop")
-	}
-	close(block)
 }

@@ -4,7 +4,7 @@ import "sync"
 
 // storeStripes stripes the replica store so concurrent snapshot arrivals
 // for distinct actors never contend (snapshots stream in from every peer's
-// snapshotter pool at once).
+// snapshotter stage at once).
 const storeStripes = 16
 
 // Store is a node's replica store: the latest accepted snapshot per actor,

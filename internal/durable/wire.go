@@ -1,6 +1,6 @@
 // Package durable is the snapshot plane of the actor runtime (ISSUE 8):
 // a compact wire format for actor state snapshots, an epoch-ordered
-// in-memory replica store, and the background snapshotter pool that keeps
+// in-memory replica store, and the background snapshotter stage that keeps
 // encoding and shipping off the turn path (Aumayr & Gonzalez Boix:
 // checkpoints must never block the processing of messages).
 //

@@ -1,10 +1,9 @@
-// Package lint is actop's domain-specific static-analysis suite: six
+// Package lint is actop's domain-specific static-analysis suite: four
 // analyzers that enforce runtime invariants nothing else in the gate
 // (vet, staticcheck, the race and seeded batteries) can see — "never
 // block inside an actor turn", "no I/O while a mutex is held", "pooled
-// buffers don't outlive their release", "metric labels stay
-// low-cardinality", "no encode or I/O on the turn-locked
-// snapshot-capture path", "the actor-kind call graph is a DAG".
+// buffers don't outlive their release", "the actor-kind call graph is
+// a DAG".
 // Invariants a runtime gate already fails on are left to that gate (see
 // DESIGN.md "Static analysis" for the invariant → guard table).
 // Each invariant here was first paid for as a runtime bug found by the
@@ -135,8 +134,6 @@ func Analyzers() []*Analyzer {
 		TurnBlock,
 		LockHeldIO,
 		PoolEscape,
-		MetricLabel,
-		SnapBlock,
 		CallDag,
 	}
 }

@@ -27,16 +27,6 @@ func TestPoolEscape(t *testing.T) {
 	linttest.Run(t, "poolescape/a", lint.PoolEscape)
 }
 
-func TestMetricLabel(t *testing.T) {
-	linttest.CheckAnalyzer(t, lint.MetricLabel)
-	linttest.Run(t, "metriclabel/a", lint.MetricLabel)
-}
-
-func TestSnapBlock(t *testing.T) {
-	linttest.CheckAnalyzer(t, lint.SnapBlock)
-	linttest.Run(t, "snapblock/a", lint.SnapBlock)
-}
-
 func TestCallDag(t *testing.T) {
 	linttest.CheckAnalyzer(t, lint.CallDag)
 	// Two sibling packages whose kinds call each other synchronously —
@@ -46,11 +36,11 @@ func TestCallDag(t *testing.T) {
 }
 
 // TestCrossPackageFacts pins the facts plumbing end to end: facts/a
-// exports Blocker/EncodeIO/Retains/DirectIO facts, and every want in
-// facts/b fires only because the importing pass consumed them.
+// exports Blocker/Retains/DirectIO facts, and every want in facts/b
+// fires only because the importing pass consumed them.
 func TestCrossPackageFacts(t *testing.T) {
 	linttest.RunMulti(t, []string{"facts/a", "facts/b"},
-		lint.TurnBlock, lint.SnapBlock, lint.PoolEscape, lint.LockHeldIO)
+		lint.TurnBlock, lint.PoolEscape, lint.LockHeldIO)
 }
 
 // TestSuiteNamesUnique guards the directive namespace: duplicate or
@@ -66,7 +56,7 @@ func TestSuiteNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 6 {
-		t.Fatalf("expected the 6-analyzer suite, got %d", len(seen))
+	if len(seen) != 4 {
+		t.Fatalf("expected the 4-analyzer suite, got %d", len(seen))
 	}
 }

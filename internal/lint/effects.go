@@ -11,11 +11,11 @@ import (
 // The effects engine is the shared machinery behind cross-package
 // strengthening: for every function declared in a package it computes
 // whether the function (transitively, through same-package calls and
-// through imported facts) triggers some effect — blocks, encodes,
-// performs I/O — together with a human-readable witness chain. Each
-// analyzer parameterizes it with its own traversal (which subtrees are
-// on-path) and its own local/external detectors, then exports the
-// summaries of exported functions as object facts for importers.
+// through imported facts) triggers some effect — turnblock's is "blocks"
+// — together with a human-readable witness chain. The analyzer
+// parameterizes it with its own traversal (which subtrees are on-path)
+// and its own local/external detectors, then exports the summaries of
+// exported functions as object facts for importers.
 
 // A funcEffect is one function's summary: why it triggers the effect
 // and the local position witnessing it.

@@ -118,15 +118,6 @@ func (prog *Program) setPkgFact(pkg string, f Fact) {
 	prog.pkgFacts[pkgFactKey{pkg, factType(f)}] = f
 }
 
-func (prog *Program) getPkgFact(pkg string, dst Fact) bool {
-	src, ok := prog.pkgFacts[pkgFactKey{pkg, factType(dst)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
-	return true
-}
-
 // ExportObjectFact attaches f to obj for importing packages to consume.
 // Only exported objects declared in the current package are eligible:
 // those are the only ones a cross-package call site can reach, and the
@@ -163,15 +154,6 @@ func (p *Pass) ExportPackageFact(f Fact) {
 		return
 	}
 	p.prog.setPkgFact(p.Pkg.Path(), f)
-}
-
-// ImportPackageFact copies the package fact of f's type attached to
-// path into f, reporting whether one existed.
-func (p *Pass) ImportPackageFact(path string, f Fact) bool {
-	if p.prog == nil {
-		return false
-	}
-	return p.prog.getPkgFact(path, f)
 }
 
 // A FinishPass runs once per analyzer after every package has been

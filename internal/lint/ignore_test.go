@@ -10,13 +10,13 @@ import (
 	"actop/internal/lint/linttest"
 )
 
-// TestIgnoreScoping runs metriclabel over a fixture whose findings are
+// TestIgnoreScoping runs turnblock over a fixture whose findings are
 // variously suppressed: an own-line directive must cover exactly the
 // next line, an inline directive exactly its own line, and a directive
 // naming a different analyzer (or sitting too far away) must leave the
 // finding live. The fixture's want comments encode all four cases.
 func TestIgnoreScoping(t *testing.T) {
-	linttest.Run(t, "ignoredemo/a", lint.MetricLabel)
+	linttest.Run(t, "ignoredemo/a", lint.TurnBlock)
 }
 
 // TestIgnoreMalformed checks that broken directives are themselves
@@ -33,8 +33,8 @@ func TestIgnoreMalformed(t *testing.T) {
 	}
 	wantSubstrings := []string{
 		`names unknown analyzer "nosuchanalyzer"`,
-		`actoplint:ignore metriclabel needs a reason`,
-		`names unknown analyzer "simdet"`,
+		`actoplint:ignore turnblock needs a reason`,
+		`names unknown analyzer "metriclabel"`,
 		`needs an analyzer name and a reason`,
 		`names unknown analyzer "actoplint"`,
 	}
@@ -54,26 +54,25 @@ func TestIgnoreMalformed(t *testing.T) {
 // TestIgnoreSilencesOnlyNamedAnalyzer pins the "and nothing else"
 // half of the contract at the API level: with two analyzers producing
 // findings on one line, a directive naming one must leave the other's
-// finding standing. The shared fixture line is crafted so both
-// metriclabel (a strconv.Itoa label) and the directive scoping are in
+// finding standing. The shared fixture lines are crafted so both
+// turnblock (a time.Sleep in a turn) and the directive scoping are in
 // play.
 func TestIgnoreSilencesOnlyNamedAnalyzer(t *testing.T) {
 	pkgs := loadFixture(t, "ignoredemo/a")
-	findings, err := lint.RunPackages(pkgs, []*lint.Analyzer{lint.MetricLabel})
+	findings, err := lint.RunPackages(pkgs, []*lint.Analyzer{lint.TurnBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fixture carries 4 unbounded labels; 2 are suppressed by valid
-	// metriclabel directives, 2 survive (wrong analyzer name, out of
-	// range).
+	// The fixture carries 4 sleeps; 2 are suppressed by valid turnblock
+	// directives, 2 survive (wrong analyzer name, out of range).
 	var survivors int
 	for _, f := range findings {
-		if f.Analyzer == lint.MetricLabel.Name {
+		if f.Analyzer == lint.TurnBlock.Name {
 			survivors++
 		}
 	}
 	if survivors != 2 {
-		t.Fatalf("got %d surviving metriclabel findings, want 2:\n%v", survivors, findings)
+		t.Fatalf("got %d surviving turnblock findings, want 2:\n%v", survivors, findings)
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"actop/internal/lint"
 )
 
-// writeTempModule lays out a self-contained three-package module —
-// tmpmod/actor (the turn contract plus a helper that sleeps),
-// tmpmod/metrics (a counter family) and tmpmod/outer, which trips over
-// both — so RunProgram can exercise go list, cross-package facts, and
-// the stale-directive check against a real module on disk (RunPackages,
-// which the fixture harness uses, deliberately keeps staleness off).
+// writeTempModule lays out a self-contained two-package module —
+// tmpmod/actor (the turn contract plus a helper that sleeps) and
+// tmpmod/outer, whose turn trips over both — so RunProgram can exercise
+// go list, cross-package facts, and the stale-directive check against a
+// real module on disk (RunPackages, which the fixture harness uses,
+// deliberately keeps staleness off).
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -31,41 +31,27 @@ type Context struct{}
 // Pause sleeps: a turn calling it blocks its worker.
 func Pause() { time.Sleep(time.Millisecond) }
 `,
-		"metrics/metrics.go": `// Package metrics is the label-taking surface metriclabel polices.
-package metrics
-
-type CounterFamily struct{}
-
-func (*CounterFamily) Add(n uint64, labels ...string) {}
-`,
 		"outer/outer.go": `// Package outer holds one live finding, one suppressed finding, one
 // stale directive, and one cross-package blocked turn.
 package outer
 
 import (
-	"strconv"
+	"time"
 
 	"tmpmod/actor"
-	"tmpmod/metrics"
 )
-
-var calls metrics.CounterFamily
-
-func Count(id int) {
-	calls.Add(1, strconv.Itoa(id)) // live metriclabel finding
-}
-
-func Quiet(id int) {
-	calls.Add(1, strconv.Itoa(id)) //actoplint:ignore metriclabel audited: ids here come from a closed table of eight
-}
 
 type node struct{}
 
-//actoplint:ignore metriclabel anchored to nothing, must be reported stale
 func (node) Receive(ctx *actor.Context, method string, args []byte) ([]byte, error) {
-	actor.Pause() // cross-package turnblock finding via actor's BlockerFact
+	time.Sleep(time.Millisecond) // live turnblock finding
+	time.Sleep(time.Millisecond) //actoplint:ignore turnblock audited: a one-millisecond test pause
+	actor.Pause()                // cross-package turnblock finding via actor's BlockerFact
 	return nil, nil
 }
+
+//actoplint:ignore turnblock anchored to nothing, must be reported stale
+func idle() {}
 `,
 	}
 	for name, src := range files {
@@ -96,17 +82,17 @@ func runTempModule(t *testing.T, dir string) ([]lint.Finding, *lint.Stats) {
 func TestRunProgramStaleDirective(t *testing.T) {
 	dir := writeTempModule(t)
 	findings, stats := runTempModule(t, dir)
-	if stats.Packages != 3 {
-		t.Fatalf("expected 3 packages analyzed, got %+v", stats)
+	if stats.Packages != 2 {
+		t.Fatalf("expected 2 packages analyzed, got %+v", stats)
 	}
 	if len(findings) != 3 {
-		t.Fatalf("expected 3 findings (metriclabel, turnblock, stale directive), got %d:\n%v", len(findings), findings)
+		t.Fatalf("expected 3 findings (turnblock twice, stale directive), got %d:\n%v", len(findings), findings)
 	}
-	assertFinding(t, findings, "metriclabel", "built at the call site by strconv.Itoa")
+	assertFinding(t, findings, "turnblock", "time.Sleep blocks the worker thread in actor turn (node).Receive")
 	assertFinding(t, findings, "turnblock", "actor.Pause blocks in actor turn (node).Receive: time.Sleep")
-	assertFinding(t, findings, lint.DirectiveAnalyzer, "stale actoplint:ignore metriclabel: it suppresses no finding")
+	assertFinding(t, findings, lint.DirectiveAnalyzer, "stale actoplint:ignore turnblock: it suppresses no finding")
 	for _, f := range findings {
-		if strings.Contains(f.Message, "audited: ids here") {
+		if strings.Contains(f.Message, "audited: a one-millisecond") {
 			t.Fatalf("justified suppression leaked through: %v", f)
 		}
 	}

@@ -1,28 +1,20 @@
 // Fixture dependency for cross-package fact flow: every helper here is
 // innocuous at its call site and condemned (or cleared) only by what
 // its body does — the importing package (facts/b) holds the want
-// comments. Exports: BlockerFact (Blocky), EncodeIOFact (EncodeAll),
-// RetainsFact (Stash), DirectIOFact (SendIt). Polite is the near miss:
-// its only send hides behind select+default, so it carries no fact.
+// comments. Exports: BlockerFact (Blocky), RetainsFact (Stash),
+// DirectIOFact (SendIt). Polite is the near miss: its only send hides
+// behind select+default, so it carries no fact.
 package a
 
 import (
 	"time"
 
-	"actop/internal/codec"
 	"transport"
 )
 
 // Blocky sleeps: importers' turns must not call it (BlockerFact).
 func Blocky() {
 	time.Sleep(time.Millisecond)
-}
-
-// EncodeAll marshals: importers' turn-locked captures must not call it
-// (EncodeIOFact, kind "encode").
-func EncodeAll(v interface{}) []byte {
-	b, _ := codec.Marshal(v)
-	return b
 }
 
 // Stash retains its []byte parameter in a package variable

@@ -15,10 +15,9 @@ import (
 )
 
 type node struct {
-	mu    sync.Mutex
-	conn  *transport.Conn
-	ch    chan int
-	state []int
+	mu   sync.Mutex
+	conn *transport.Conn
+	ch   chan int
 }
 
 // Receive is a turn: calling a.Blocky synchronously blocks the worker
@@ -27,17 +26,6 @@ func (n *node) Receive(ctx *actor.Context, method string, args []byte) ([]byte, 
 	a.Blocky()    // want `a\.Blocky blocks in actor turn \(node\)\.Receive: time\.Sleep`
 	go a.Blocky() // near miss: off-turn
 	return nil, nil
-}
-
-// captureSnapshotLocked runs under the turn lock; a.EncodeAll encodes,
-// which only its EncodeIOFact reveals.
-func (n *node) captureSnapshotLocked() func() []byte {
-	cp := append([]int(nil), n.state...)
-	buf := a.EncodeAll(cp) // want `a\.EncodeAll encodes in turn-locked capture \(node\)\.captureSnapshotLocked: codec\.Marshal`
-	_ = buf
-	// Near miss: the returned closure runs on the snapshotter pool,
-	// off the lock — encoding there is the sanctioned pattern.
-	return func() []byte { return a.EncodeAll(cp) }
 }
 
 // stashPooled releases a pooled buffer it also leaked into a.Stash —

@@ -1,38 +1,33 @@
-// Fixture for the suppression mechanism, run under the metriclabel
-// analyzer (one finding per offending line, importing the real metrics
-// registry). Directives must silence exactly the named analyzer on
-// exactly one line.
+// Fixture for the suppression mechanism, run under the turnblock
+// analyzer (one finding per time.Sleep line in an actor turn).
+// Directives must silence exactly the named analyzer on exactly one
+// line.
 package a
 
 import (
-	"strconv"
+	"time"
 
-	"actop/internal/metrics"
+	"actor"
 )
 
-var counts = metrics.NewRegistry().Counter("calls_total", "calls by method", "method")
+type demo struct{}
 
-// suppressedNextLine: an own-line directive covers the next line.
-func suppressedNextLine(id int) {
-	//actoplint:ignore metriclabel fixture demonstrates next-line suppression
-	counts.Add(1, strconv.Itoa(id))
-}
+func (demo) Receive(ctx *actor.Context, method string, args []byte) ([]byte, error) {
+	// An own-line directive covers the next line.
+	//actoplint:ignore turnblock fixture demonstrates next-line suppression
+	time.Sleep(time.Millisecond)
 
-// suppressedInline: a trailing directive covers its own line.
-func suppressedInline(id int) {
-	counts.Add(1, strconv.Itoa(id)) //actoplint:ignore metriclabel fixture demonstrates same-line suppression
-}
+	// A trailing directive covers its own line.
+	time.Sleep(time.Millisecond) //actoplint:ignore turnblock fixture demonstrates same-line suppression
 
-// wrongAnalyzer: naming a different (valid) analyzer leaves the
-// metriclabel finding live — suppression is per-analyzer, not per-line.
-func wrongAnalyzer(id int) {
-	//actoplint:ignore turnblock suppressing the wrong analyzer must not hide metriclabel
-	counts.Add(1, strconv.Itoa(id)) // want `built at the call site by strconv\.Itoa`
-}
+	// Naming a different (valid) analyzer leaves the turnblock finding
+	// live — suppression is per-analyzer, not per-line.
+	//actoplint:ignore lockheldio suppressing the wrong analyzer must not hide turnblock
+	time.Sleep(time.Millisecond) // want `time\.Sleep blocks the worker thread`
 
-// tooFar: an own-line directive reaches only the next line, not beyond.
-func tooFar(id int) {
-	//actoplint:ignore metriclabel a directive reaches exactly one line
+	// An own-line directive reaches only the next line, not beyond.
+	//actoplint:ignore turnblock a directive reaches exactly one line
 	_ = 0
-	counts.Add(1, strconv.Itoa(id)) // want `built at the call site by strconv\.Itoa`
+	time.Sleep(time.Millisecond) // want `time\.Sleep blocks the worker thread`
+	return nil, nil
 }

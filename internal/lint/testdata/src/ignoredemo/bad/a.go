@@ -7,9 +7,9 @@ package bad
 func f() int {
 	//actoplint:ignore nosuchanalyzer the name does not exist
 	x := 1
-	//actoplint:ignore metriclabel
+	//actoplint:ignore turnblock
 	x++
-	//actoplint:ignore simdet an analyzer that left the suite is an unknown name
+	//actoplint:ignore metriclabel an analyzer that left the suite is an unknown name
 	x++
 	//actoplint:ignore
 	x++

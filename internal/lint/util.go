@@ -26,12 +26,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isConversion reports whether call is a type conversion like string(x).
-func isConversion(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	return ok && tv.IsType()
-}
-
 // funcPkgPath returns the import path of the package declaring fn, or ""
 // for builtins.
 func funcPkgPath(fn *types.Func) string {
@@ -94,15 +88,6 @@ func pathHasSegment(path, seg string) bool {
 		}
 	}
 	return false
-}
-
-// isMethodOn reports whether fn is a method named name on named type
-// typeName declared in a package whose path contains pkgSeg as a
-// segment.
-func isMethodOn(fn *types.Func, name, typeName, pkgSeg string) bool {
-	return fn != nil && fn.Name() == name &&
-		recvTypeName(fn) == typeName &&
-		pathHasSegment(funcPkgPath(fn), pkgSeg)
 }
 
 // isPkgFunc reports whether fn is the package-level function pkgPath.name.

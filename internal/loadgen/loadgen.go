@@ -252,7 +252,7 @@ func (a *specActor) Restore(data []byte) error {
 
 // CopyValue is the O(state) fast-capture path: a specActor is a handful
 // of ints plus the shared Runner pointer, so the turn-locked copy is one
-// struct copy and the encode runs on the snapshotter pool.
+// struct copy and the encode runs on the snapshotter stage.
 func (a *specActor) CopyValue() interface{} {
 	cp := *a
 	return &cp

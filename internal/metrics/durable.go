@@ -10,9 +10,9 @@ import "sync/atomic"
 // traffic are individually exact but not mutually consistent.
 type DurableCounters struct {
 	// Captured counts state copies taken under the turn lock and handed to
-	// the snapshotter pool.
+	// the snapshotter stage.
 	Captured atomic.Uint64
-	// CaptureDropped counts captures skipped because the snapshotter pool's
+	// CaptureDropped counts captures skipped because the snapshotter stage's
 	// queue was full (the activation stays dirty and retries next turn).
 	CaptureDropped atomic.Uint64
 	// CaptureErrors counts background encodes that failed.

@@ -194,7 +194,7 @@ func project(m *Model, lb, t []float64) {
 // minimal stable integer allocation Σ(⌊λ_i/s_i⌋+1)·β_i already exceeds p,
 // even though the continuous problem is feasible), the minimal stable
 // allocation is returned as-is — a server slightly over CPU budget beats
-// an unboundedly growing queue, and the runtime's BudgetFactor slack
+// an unboundedly growing queue, and core's budgetFactor slack
 // absorbs the overage. Greedy additions beyond that floor never exceed p.
 func IntegerAllocation(m *Model, t []float64) []int {
 	n := len(m.Stages)
