@@ -54,11 +54,13 @@ staticcheck:
 # its bound, hash collisions, a stopped node being collectable, and the
 # churn soak) in shuffled order: waiter ownership bugs show as one call
 # receiving another's outcome, and routing races as a lost increment, only
-# under some interleavings. The control-plane codec tests and the no-gob
-# cluster test ride along in both lines.
+# under some interleavings. The exchange tests run there too: a node that
+# initiates a round while it answers a peer's must decide on its own scratch
+# (TestExchangeInitiatorAndReceiverAtOnce). The control-plane codec tests and
+# the no-gob cluster test ride along in both lines.
 race:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/loadgen/... ./internal/workload/spec/... ./internal/flight/... ./internal/hotspot/...
-	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|HandOver|Overload|Chaos|Wire|NoGob|StatePlane' ./internal/actor
+	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|HandOver|Overload|Chaos|Wire|NoGob|StatePlane|Exchange' ./internal/actor
 
 # seeded repeats the packages whose results are functions of a seed — the
 # graph, the partition engine, the edge sketch (its differential test against

@@ -117,6 +117,7 @@ func BenchmarkSelectCandidatesScaling(b *testing.B) {
 			opts := partition.DefaultOptions()
 			view := partition.GraphView{G: g}
 			local := a.VerticesOn(0)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				partition.SelectCandidates(opts, view, a, 0, local, len(local))

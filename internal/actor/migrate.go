@@ -370,14 +370,23 @@ func (s *System) selfIndex() graph.ServerID {
 	return idx
 }
 
-// localVertices lists the vertices of locally hosted actors.
-func (s *System) localVertices() []graph.Vertex {
-	acts := s.activations()
-	out := make([]graph.Vertex, len(acts))
-	for i, a := range acts {
-		out[i] = graph.Vertex(a.refH)
-	}
-	return out
+// exchangeScratch is what one exchange role reuses from round to round: the
+// monitor snapshot it decides on and the list of local vertices. A node can
+// initiate a round while it answers a peer's, so the initiator and the
+// receiver each own one (System.exInit, System.exRecv). The candidates a
+// round selects are views into snap, so they live no longer than the round.
+type exchangeScratch struct {
+	snap  partition.MonitorSnapshot
+	local []graph.Vertex
+}
+
+// fill refreshes sc from the node's monitor and its live activations.
+func (sc *exchangeScratch) fill(s *System) {
+	s.monMu.Lock()
+	s.monitor.SnapshotInto(&sc.snap)
+	s.monMu.Unlock()
+	sc.local = sc.local[:0]
+	s.eachActivation(func(a *activation) { sc.local = append(sc.local, graph.Vertex(a.refH)) })
 }
 
 // ExchangeRound runs one initiator round of Algorithm 1 from this node:
@@ -394,12 +403,16 @@ func (s *System) ExchangeRound(opts partition.Options, window time.Duration) (in
 	if s.exchangeCooling(window) {
 		return 0, nil
 	}
-	s.monMu.Lock()
-	snap := s.monitor.Snapshot()
-	s.monMu.Unlock()
-	local := s.localVertices()
+	// One initiator round at a time per node, as in the paper. The flag is
+	// not a mutex because the round holds it across control calls.
+	if !s.exInitBusy.CompareAndSwap(false, true) {
+		return 0, nil
+	}
+	defer s.exInitBusy.Store(false)
+	sc := &s.exInit
+	sc.fill(s)
 	self := s.selfIndex()
-	props := partition.SelectCandidates(opts, snap, sysLocator{s: s}, self, local, len(local))
+	props := partition.SelectCandidates(opts, &sc.snap, sysLocator{s: s}, self, sc.local, len(sc.local))
 	for _, prop := range props {
 		peerIdx := int(prop.To)
 		if peerIdx < 0 || peerIdx >= len(s.peers) {
@@ -456,12 +469,10 @@ func (s *System) handleExchange(payload []byte, from transport.NodeID) ([]byte, 
 	req := wire.Req
 	req.To = s.selfIndex()
 
-	exchangeMu.Lock()
-	s.monMu.Lock()
-	snap := s.monitor.Snapshot()
-	s.monMu.Unlock()
-	local := s.localVertices()
-	resp := partition.DecideExchange(wire.Opts, snap, sysLocator{s: s}, req, local, len(local))
+	exchangeMu.Lock() // also guards exRecv
+	sc := &s.exRecv
+	sc.fill(s)
+	resp := partition.DecideExchange(wire.Opts, &sc.snap, sysLocator{s: s}, req, sc.local, len(sc.local))
 	exchangeMu.Unlock()
 
 	if len(resp.Accepted)+len(resp.Counter) > 0 {

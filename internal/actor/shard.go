@@ -274,17 +274,23 @@ func (s *System) refOf(v uint64) (refEntry, bool) {
 // activations lists the node's live activations, one shard at a time.
 func (s *System) activations() []*activation {
 	var out []*activation
+	s.eachActivation(func(a *activation) { out = append(out, a) })
+	return out
+}
+
+// eachActivation calls fn on each live activation, one shard at a time under
+// that shard's read lock, so fn must not take a shard lock.
+func (s *System) eachActivation(fn func(*activation)) {
 	for i := range s.state {
 		sh := &s.state[i]
 		sh.mu.RLock()
 		for j := range sh.ents {
 			if a := sh.ents[j].act; a != nil {
-				out = append(out, a)
+				fn(a)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return out
 }
 
 // --- location cache (per-shard clock/second-chance eviction) ---

@@ -122,6 +122,11 @@ type System struct {
 	// exchanges touch it concurrently, hence exchMu.
 	exchMu   sync.Mutex
 	exchLast time.Time
+	// Each exchange role's reused storage (see exchangeScratch): exInit
+	// belongs to the one ExchangeRound that holds exInitBusy (a round that
+	// finds it set does nothing), exRecv is guarded by exchangeMu.
+	exInit, exRecv exchangeScratch
+	exInitBusy     atomic.Bool
 	// edgeSampler picks the actor→actor messages the monitor records;
 	// edgeWarm is set once it has recorded one (see sampleEdge).
 	edgeSampler *trace.Sampler

@@ -165,8 +165,8 @@ func (p *migratePayload) UnmarshalBinary(data []byte) error {
 	return rd.end()
 }
 
-// AppendBinary writes each candidate's edges in ascending vertex order, so
-// an exchange frame is a pure function of its content.
+// AppendBinary writes each candidate's edges in their order, ascending by
+// vertex, so an exchange frame is a pure function of its content.
 func (w exchangeWire) AppendBinary(dst []byte) ([]byte, error) {
 	dst = codec.AppendVarint(dst, int64(w.Req.From))
 	dst = codec.AppendVarint(dst, int64(w.Req.FromPopulation))
@@ -179,14 +179,17 @@ func (w exchangeWire) AppendBinary(dst []byte) ([]byte, error) {
 		dst = codec.AppendFloat64(dst, c.HomeWeight)
 		dst = codec.AppendFloat64(dst, c.TargetWeight)
 		dst = codec.AppendUvarint(dst, uint64(len(c.Edges)))
-		for _, u := range graph.SortedKeys(c.Edges) {
-			dst = codec.AppendUvarint(dst, uint64(u))
-			dst = codec.AppendFloat64(dst, c.Edges[u])
+		for _, e := range c.Edges {
+			dst = codec.AppendUvarint(dst, uint64(e.U))
+			dst = codec.AppendFloat64(dst, e.W)
 		}
 	}
 	return dst, nil
 }
 
+// UnmarshalBinary decodes every candidate's edges into one slab, sized by
+// what the payload can hold, and refuses edges not strictly ascending: the
+// receiver looks them up by binary search.
 func (w *exchangeWire) UnmarshalBinary(data []byte) error {
 	rd := wireReader{data: data}
 	*w = exchangeWire{}
@@ -195,14 +198,20 @@ func (w *exchangeWire) UnmarshalBinary(data []byte) error {
 	if n := rd.count(18); n > 0 { // a candidate is at least V, two weights and a count
 		w.Req.Candidates = make([]partition.Candidate, n)
 	}
+	slab := make([]partition.Edge, 0, len(rd.data)/9) // an edge is at least a vertex and a weight
 	for i := range w.Req.Candidates {
 		c := &w.Req.Candidates[i]
 		c.V, c.HomeWeight, c.TargetWeight = graph.Vertex(rd.uvarint()), rd.float(), rd.float()
-		n := rd.count(9) // an edge is at least a vertex and a weight
-		c.Edges = make(map[graph.Vertex]float64, n)
-		for ; n > 0; n-- {
-			u := graph.Vertex(rd.uvarint())
-			c.Edges[u] = rd.float()
+		start := len(slab)
+		for n := rd.count(9); n > 0; n-- {
+			e := partition.Edge{U: graph.Vertex(rd.uvarint()), W: rd.float()}
+			if len(slab) > start && e.U <= slab[len(slab)-1].U && rd.err == nil {
+				rd.err = fmt.Errorf("actor: exchange edges of %d not ascending", c.V)
+			}
+			slab = append(slab, e)
+		}
+		if len(slab) > start {
+			c.Edges = slab[start:len(slab):len(slab)]
 		}
 	}
 	return rd.end()

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,8 +31,8 @@ type wireCase struct {
 
 func sampleCandidates() []partition.Candidate {
 	return []partition.Candidate{
-		{V: 7, HomeWeight: 8, TargetWeight: 40.5, Edges: map[graph.Vertex]float64{1: 8, 1 << 63: 16, 42: 24.25}},
-		{V: 1<<64 - 1, HomeWeight: 0, TargetWeight: 8, Edges: map[graph.Vertex]float64{}},
+		{V: 7, HomeWeight: 8, TargetWeight: 40.5, Edges: []partition.Edge{{U: 1, W: 8}, {U: 42, W: 24.25}, {U: 1 << 63, W: 16}}},
+		{V: 1<<64 - 1, HomeWeight: 0, TargetWeight: 8},
 	}
 }
 
@@ -52,6 +54,7 @@ func wireCases() []wireCase {
 			Opts: partition.Options{CandidateSetSize: 64, ImbalanceTolerance: 16, MinScore: 1e-9},
 		}, func() wireCodec { return new(exchangeWire) }},
 		{"exchangeWire/empty", exchangeWire{}, func() wireCodec { return new(exchangeWire) }},
+		{"exchangeWire/many", manyCandidates(), func() wireCodec { return new(exchangeWire) }},
 		{"exchangeReply", exchangeReply{Accepted: []graph.Vertex{1, 1 << 40}, Counter: []graph.Vertex{9}},
 			func() wireCodec { return new(exchangeReply) }},
 		{"exchangeReply/rejected", exchangeReply{Rejected: true}, func() wireCodec { return new(exchangeReply) }},
@@ -126,27 +129,22 @@ func TestWireCountCannotSizeAllocation(t *testing.T) {
 }
 
 // TestWireExchangeDeterministic: an exchange frame is a pure function of its
-// content — the order edges went into the map does not show.
+// content, decode then encode gives it back byte for byte, and a frame whose
+// edges are out of order is refused — the receiver binary-searches them.
 func TestWireExchangeDeterministic(t *testing.T) {
 	const edges = 200
-	keys := make([]graph.Vertex, edges)
-	for i := range keys {
-		keys[i] = graph.Vertex(rand.New(rand.NewSource(int64(i))).Uint64())
-	}
-	build := func(seed int64) exchangeWire {
-		order := rand.New(rand.NewSource(seed)).Perm(edges)
-		m := make(map[graph.Vertex]float64)
-		for _, i := range order {
-			m[keys[i]] = float64(8 * (i + 1))
+	build := func() exchangeWire {
+		es := make([]partition.Edge, edges)
+		for i := range es {
+			es[i] = partition.Edge{U: graph.Vertex(rand.New(rand.NewSource(int64(i))).Uint64()), W: float64(8 * (i + 1))}
 		}
+		sort.Slice(es, func(i, j int) bool { return es[i].U < es[j].U })
 		return exchangeWire{Req: partition.ExchangeRequest{From: 1, FromPopulation: 9,
-			Candidates: []partition.Candidate{{V: 5, HomeWeight: 1, TargetWeight: 2, Edges: m}}}}
+			Candidates: []partition.Candidate{{V: 5, HomeWeight: 1, TargetWeight: 2, Edges: es}}}}
 	}
-	want := encodeWire(t, build(0))
-	for seed := int64(1); seed <= 20; seed++ {
-		if got := encodeWire(t, build(seed)); !bytes.Equal(got, want) {
-			t.Fatalf("insertion order %d changed the frame", seed)
-		}
+	want := encodeWire(t, build())
+	if got := encodeWire(t, build()); !bytes.Equal(got, want) {
+		t.Fatal("one content, two frames")
 	}
 	var back exchangeWire
 	if err := back.UnmarshalBinary(want); err != nil {
@@ -155,6 +153,41 @@ func TestWireExchangeDeterministic(t *testing.T) {
 	if !bytes.Equal(encodeWire(t, back), want) {
 		t.Fatal("decode then encode changed the frame")
 	}
+	for _, swap := range [][2]int{{0, 1}, {edges - 2, edges - 1}} {
+		w := build()
+		es := w.Req.Candidates[0].Edges
+		es[swap[0]], es[swap[1]] = es[swap[1]], es[swap[0]]
+		if err := new(exchangeWire).UnmarshalBinary(encodeWire(t, w)); err == nil {
+			t.Errorf("edges %d and %d swapped: decoded without error", swap[0], swap[1])
+		}
+	}
+	w := build()
+	w.Req.Candidates[0].Edges[1].U = w.Req.Candidates[0].Edges[0].U
+	if err := new(exchangeWire).UnmarshalBinary(encodeWire(t, w)); err == nil {
+		t.Error("a repeated edge decoded without error")
+	}
+}
+
+// manyCandidates is an exchange frame as large as the runtime sends: k = 64
+// candidates of up to 24 edges, all decoded into one slab.
+func manyCandidates() exchangeWire {
+	rng := rand.New(rand.NewSource(31))
+	cands := make([]partition.Candidate, 64)
+	for i := range cands {
+		es := make([]partition.Edge, rng.Intn(25))
+		u := graph.Vertex(0)
+		for j := range es {
+			u += graph.Vertex(1 + rng.Intn(1<<20))
+			es[j] = partition.Edge{U: u, W: float64(8 * (1 + rng.Intn(64)))}
+		}
+		cands[i] = partition.Candidate{V: graph.Vertex(rng.Uint64()), HomeWeight: float64(rng.Intn(100)),
+			TargetWeight: float64(rng.Intn(200)), Edges: es}
+		if len(es) == 0 {
+			cands[i].Edges = nil
+		}
+	}
+	return exchangeWire{Req: partition.ExchangeRequest{From: 1, FromPopulation: 1450, Candidates: cands},
+		Opts: partition.DefaultOptions()}
 }
 
 // FuzzControlCodecs feeds arbitrary bytes to every control decoder: no
@@ -202,7 +235,7 @@ func hasNaN(v interface{}) bool {
 			return true
 		}
 		for _, e := range c.Edges {
-			if nan(e) {
+			if nan(e.W) {
 				return true
 			}
 		}
@@ -380,6 +413,75 @@ func TestControlPlaneNoGob(t *testing.T) {
 	}
 	if codec.GobOps() == before {
 		t.Fatal("a call with an int argument did not move the gob counter")
+	}
+}
+
+// TestExchangeInitiatorAndReceiverAtOnce: one node runs initiator rounds
+// while it answers a peer's offers. Two goroutines start rounds, so a round
+// also meets another that holds the initiator scratch and must skip. Each
+// role decides on its own snapshot and vertex list; were they shared, the
+// race detector (make race) would see one role refill what the other reads.
+func TestExchangeInitiatorAndReceiverAtOnce(t *testing.T) {
+	sys, _ := newFaultyCluster(t, 3, PlaceRandom, func(c *Config) { c.ExchangeRejectWindow = time.Nanosecond })
+	for _, s := range sys {
+		s.RegisterType("bin", func() Actor { return &binActor{} })
+	}
+	for round := 0; round < 10; round++ {
+		for h := 0; h < 9; h++ {
+			if err := sys[h%3].Call(Ref{Type: "bin", Key: fmt.Sprint("hub", h)}, "Fan", binCount(6), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The offer node 1 would make node 0, encoded once and delivered again
+	// and again.
+	opts := partition.DefaultOptions()
+	var sc exchangeScratch
+	sc.fill(sys[1])
+	offer := exchangeWire{Opts: opts, Req: partition.ExchangeRequest{From: sys[1].selfIndex(), FromPopulation: len(sc.local)}}
+	for _, prop := range partition.SelectCandidates(opts, &sc.snap, sysLocator{s: sys[1]}, sys[1].selfIndex(), sc.local, len(sc.local)) {
+		offer.Req.Candidates = append(offer.Req.Candidates, prop.Candidates...)
+	}
+	if len(offer.Req.Candidates) == 0 {
+		t.Fatal("node 1 has nothing to offer: no exchange frame to deliver")
+	}
+	payload, err := codec.Marshal(offer)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 30
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*rounds)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := sys[0].ExchangeRound(opts, time.Nanosecond); err != nil {
+					errs <- fmt.Errorf("initiator: %w", err)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			reply, err := sys[0].handleExchange(payload, sys[1].Node())
+			var resp exchangeReply
+			if err == nil {
+				err = codec.Unmarshal(reply, &resp)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("receiver: %w", err)
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

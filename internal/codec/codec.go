@@ -182,9 +182,24 @@ func MarshalAppend(dst []byte, v interface{}) ([]byte, error) {
 	return dst, nil
 }
 
-// Marshal serializes v into a fresh buffer.
+// Marshal serializes v into a fresh buffer of exactly its length, encoded in
+// pooled scratch: a warm fast-path Marshal up to maxPooledBuf allocates once.
+// A larger encoding grew out of the scratch into a buffer the pool would drop,
+// so that buffer is returned as it is and the scratch goes back.
 func Marshal(v interface{}) ([]byte, error) {
-	return MarshalAppend(nil, v)
+	scratch := GetBuffer()
+	buf, err := MarshalAppend(scratch, v)
+	if err != nil {
+		return nil, err
+	}
+	if cap(buf) > maxPooledBuf {
+		PutBuffer(scratch)
+		return buf, nil
+	}
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	PutBuffer(buf)
+	return out, nil
 }
 
 // Unmarshal deserializes data into v (a non-nil pointer), dispatching on

@@ -291,6 +291,35 @@ func TestMarshalAppendReusesCapacity(t *testing.T) {
 	}
 }
 
+// TestMarshalAllocatesOnce: a warm fast-path Marshal encodes into pooled
+// scratch and allocates only the exact-size result, for a 30-byte value and
+// a 3 KB one alike; growing the result from a nil slice took one allocation
+// per growth step. An encoding past maxPooledBuf outgrows the scratch and is
+// returned as it is, still in one allocation.
+func TestMarshalAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	for _, size := range []int{30, 3 << 10, 2 * maxPooledBuf} {
+		// Boxed once: the interface conversion is the caller's allocation.
+		var msg interface{} = fastMsg{ID: 42, Bits: make([]byte, size)}
+		want, _ := MarshalAppend(nil, msg)
+		var out []byte
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if out, err = Marshal(msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(out, want) || (size < maxPooledBuf && cap(out) != len(want)) {
+			t.Fatalf("Marshal of a %d-byte value: len %d cap %d, want the %d-byte encoding exactly", size, len(out), cap(out), len(want))
+		}
+		if allocs != 1 {
+			t.Fatalf("warm Marshal of a %d-byte encoding: %.1f allocs/op, want 1", len(want), allocs)
+		}
+	}
+}
+
 // TestGobFallbackStillHandlesAnything sanity-checks that a type with no
 // fast-path methods round-trips through the fallback unchanged.
 func TestGobFallbackStillHandlesAnything(t *testing.T) {

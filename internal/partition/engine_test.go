@@ -367,8 +367,11 @@ func TestMonitorSnapshotDeterministic(t *testing.T) {
 		m.ObserveMessage(graph.Vertex(rng.Intn(n)), graph.Vertex(rng.Intn(n)), uint64(1+rng.Intn(1<<20)))
 	}
 	local := assign.VerticesOn(0)
+	// Each proposal decides on storage of its own: candidate edges are views
+	// into the snapshot, so a shared one would compare a refill with itself.
 	propose := func() []Proposal {
-		snap := m.Snapshot()
+		snap := new(MonitorSnapshot)
+		m.SnapshotInto(snap)
 		vs := snap.Vertices()
 		if !sort.SliceIsSorted(vs, func(i, j int) bool { return vs[i] < vs[j] }) {
 			t.Fatalf("Vertices() not ascending: %v", vs)

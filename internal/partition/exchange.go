@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"container/heap"
+	"math"
+	"slices"
 
 	"actop/internal/graph"
 )
@@ -31,30 +34,28 @@ type ExchangeResponse struct {
 type scoredVertex struct {
 	cand  Candidate
 	score float64
-	index int
 }
 
-type scoreHeap []*scoredVertex
+// scoreHeap is a max-heap of candidates by score, held by value; push and
+// pop move elements exactly as heap.Push and heap.Pop would, unboxed.
+type scoreHeap []scoredVertex
 
 func (h scoreHeap) Len() int           { return len(h) }
 func (h scoreHeap) Less(i, j int) bool { return h[i].score > h[j].score } // max-heap
-func (h scoreHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *scoreHeap) Push(x interface{}) {
-	sv := x.(*scoredVertex)
-	sv.index = len(*h)
+func (h scoreHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *scoreHeap) Push(x any)        { *h = append(*h, x.(scoredVertex)) }
+func (h *scoreHeap) Pop() any          { panic("partition: scoreHeap pops through pop") }
+
+func (h *scoreHeap) push(sv scoredVertex) {
 	*h = append(*h, sv)
+	heap.Fix(h, len(*h)-1) // a leaf only sifts up, as in heap.Push
 }
-func (h *scoreHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	sv := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return sv
+
+func (h *scoreHeap) pop() {
+	n := len(*h) - 1
+	h.Swap(0, n)
+	*h = (*h)[:n]
+	heap.Fix(h, 0) // the root only sifts down, as in heap.Pop
 }
 
 // DecideExchange runs steps 2–3 of Algorithm 1 at the receiving server q:
@@ -84,30 +85,30 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 	// its own view of membership (the offer's TargetWeight may be stale or
 	// built from a partial sample). The weight internal to p is only known
 	// to p, so the carried HomeWeight is used as-is.
-	sHeap := &scoreHeap{}
+	scored := func(c Candidate) scoredVertex {
+		score := c.Score()
+		if opts.SizeAware && c.Size > 0 {
+			score /= c.Size
+		}
+		return scoredVertex{cand: c, score: score}
+	}
+	sHeap := make(scoreHeap, 0, len(req.Candidates))
 	for _, c := range req.Candidates {
-		// Summed in vertex order: a float sum taken in map order differs in
-		// its last bit from run to run, and that bit decides ties below.
+		// Summed in vertex order, as Edges is sorted: a float sum taken in
+		// another order can differ in its last bit, and that bit decides ties
+		// below.
 		var toQ float64
-		for _, u := range graph.SortedKeys(c.Edges) {
-			if s, ok := loc.Server(u); ok && s == q {
-				toQ += c.Edges[u]
+		for _, e := range c.Edges {
+			if s, ok := loc.Server(e.U); ok && s == q {
+				toQ += e.W
 			}
 		}
 		c.TargetWeight = toQ
-		score := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			score /= c.Size
-		}
-		heap.Push(sHeap, &scoredVertex{cand: c, score: score})
+		sHeap.push(scored(c))
 	}
-	tHeap := &scoreHeap{}
+	tHeap := make(scoreHeap, 0, len(tCands))
 	for _, c := range tCands {
-		score := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			score /= c.Size
-		}
-		heap.Push(tHeap, &scoredVertex{cand: c, score: score})
+		tHeap.push(scored(c))
 	}
 
 	// Step 3: iterative greedy selection. Accepting s∈S moves a vertex
@@ -115,42 +116,48 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 	// remaining scores are updated to reflect the migration:
 	//   same-direction peers of a moved vertex gain 2·w(peer,v)
 	//   opposite-direction peers lose 2·w(peer,v).
+	// With SizeAware, callers pass size-weighted populations.
 	sizeP := float64(req.FromPopulation)
 	sizeQ := float64(qPopulation)
-	if opts.SizeAware {
-		// Interpret populations as total size; callers pass size-weighted
-		// populations in that mode.
-		sizeP = float64(req.FromPopulation)
-		sizeQ = float64(qPopulation)
-	}
 	delta := float64(opts.ImbalanceTolerance)
 
-	abs := func(x float64) float64 {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
 	// A move is admissible if it keeps |sizeP−sizeQ| ≤ δ, or strictly
 	// reduces an imbalance that already exceeds δ.
 	admissible := func(newP, newQ float64) bool {
-		newDiff := abs(newP - newQ)
-		return newDiff <= delta || newDiff < abs(sizeP-sizeQ)
+		newDiff := math.Abs(newP - newQ)
+		return newDiff <= delta || newDiff < math.Abs(sizeP-sizeQ)
+	}
+	// shift is the populations after sv's move (p→q when fromS).
+	shift := func(fromS bool, sv scoredVertex) (float64, float64) {
+		sz := sv.cand.Size
+		if sz == 0 {
+			sz = 1
+		}
+		if fromS {
+			return sizeP - sz, sizeQ + sz
+		}
+		return sizeP + sz, sizeQ - sz
+	}
+	side := func(fromS bool) scoreHeap {
+		if fromS {
+			return sHeap
+		}
+		return tHeap
 	}
 
 	var resp ExchangeResponse
-	accepted := make(map[graph.Vertex]bool)
-	countered := make(map[graph.Vertex]bool)
 
 	// update adjusts remaining heap scores after vertex v migrated.
 	// sameDir is the heap whose candidates move in the same direction as v.
 	update := func(sameDir, oppDir *scoreHeap, v graph.Vertex) {
-		for _, sv := range *sameDir {
+		for i := range *sameDir {
+			sv := &(*sameDir)[i]
 			if w, ok := edgeWeight(sv.cand, v); ok {
 				sv.score += 2 * w / sizeOr1(opts, sv.cand)
 			}
 		}
-		for _, sv := range *oppDir {
+		for i := range *oppDir {
+			sv := &(*oppDir)[i]
 			if w, ok := edgeWeight(sv.cand, v); ok {
 				sv.score -= 2 * w / sizeOr1(opts, sv.cand)
 			}
@@ -159,74 +166,31 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 		heap.Init(oppDir)
 	}
 
-	for sHeap.Len() > 0 || tHeap.Len() > 0 {
+	for len(sHeap) > 0 || len(tHeap) > 0 {
 		// Pick the highest-scoring vertex across both heaps.
-		var fromS bool
-		switch {
-		case sHeap.Len() == 0:
-			fromS = false
-		case tHeap.Len() == 0:
-			fromS = true
-		default:
-			fromS = (*sHeap)[0].score >= (*tHeap)[0].score
-		}
-
-		var top *scoredVertex
-		if fromS {
-			top = (*sHeap)[0]
-		} else {
-			top = (*tHeap)[0]
-		}
+		fromS := len(tHeap) == 0 || len(sHeap) > 0 && sHeap[0].score >= tHeap[0].score
+		top := side(fromS)[0]
 		if top.score <= opts.MinScore {
 			// The best remaining move no longer reduces cost; since scores
 			// of remaining vertices only change when a selection happens,
 			// nothing below the top can be selected either — check the
 			// other heap before giving up.
-			var other *scoredVertex
-			if fromS && tHeap.Len() > 0 {
-				other = (*tHeap)[0]
-			} else if !fromS && sHeap.Len() > 0 {
-				other = (*sHeap)[0]
-			}
-			if other == nil || other.score <= opts.MinScore {
+			other := side(!fromS)
+			if len(other) == 0 || other[0].score <= opts.MinScore {
 				break
 			}
-			fromS = !fromS
-			top = other
+			fromS, top = !fromS, other[0]
 		}
-
-		sz := top.cand.Size
-		if sz == 0 {
-			sz = 1
-		}
-		var newP, newQ float64
-		if fromS {
-			newP, newQ = sizeP-sz, sizeQ+sz
-		} else {
-			newP, newQ = sizeP+sz, sizeQ-sz
-		}
+		newP, newQ := shift(fromS, top)
 		if !admissible(newP, newQ) {
 			// Balance would break: take the best vertex from the other
 			// heap instead (its move shifts the balance the other way).
-			otherHeap := tHeap
-			if !fromS {
-				otherHeap = sHeap
-			}
-			if otherHeap.Len() == 0 || (*otherHeap)[0].score <= opts.MinScore {
+			other := side(!fromS)
+			if len(other) == 0 || other[0].score <= opts.MinScore {
 				break // nothing movable remains
 			}
-			fromS = !fromS
-			top = (*otherHeap)[0]
-			sz = top.cand.Size
-			if sz == 0 {
-				sz = 1
-			}
-			if fromS {
-				newP, newQ = sizeP-sz, sizeQ+sz
-			} else {
-				newP, newQ = sizeP+sz, sizeQ-sz
-			}
-			if !admissible(newP, newQ) {
+			fromS, top = !fromS, other[0]
+			if newP, newQ = shift(fromS, top); !admissible(newP, newQ) {
 				break
 			}
 		}
@@ -234,24 +198,26 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 		// Commit the move.
 		sizeP, sizeQ = newP, newQ
 		if fromS {
-			heap.Pop(sHeap)
-			accepted[top.cand.V] = true
+			sHeap.pop()
 			resp.Accepted = append(resp.Accepted, top.cand.V)
-			update(sHeap, tHeap, top.cand.V)
+			update(&sHeap, &tHeap, top.cand.V)
 		} else {
-			heap.Pop(tHeap)
-			countered[top.cand.V] = true
+			tHeap.pop()
 			resp.Counter = append(resp.Counter, top.cand.V)
-			update(tHeap, sHeap, top.cand.V)
+			update(&tHeap, &sHeap, top.cand.V)
 		}
 	}
 	return resp
 }
 
-// edgeWeight looks up w(c.V, v) in the candidate's carried edge list.
+// edgeWeight looks up w(c.V, v) in the candidate's carried edge list, which
+// is sorted by vertex.
 func edgeWeight(c Candidate, v graph.Vertex) (float64, bool) {
-	w, ok := c.Edges[v]
-	return w, ok
+	i, ok := slices.BinarySearchFunc(c.Edges, v, func(e Edge, v graph.Vertex) int { return cmp.Compare(e.U, v) })
+	if !ok {
+		return 0, false
+	}
+	return c.Edges[i].W, true
 }
 
 func sizeOr1(opts Options, c Candidate) float64 {

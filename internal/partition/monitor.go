@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"cmp"
+	"slices"
+
 	"actop/internal/graph"
 	"actop/internal/sampling"
 )
@@ -26,7 +29,8 @@ func canonical(u, v graph.Vertex) edgeKey {
 // contention lesson.
 type Monitor struct {
 	summary *sampling.SpaceSaving[edgeKey, struct{}]
-	doomed  []edgeKey // ForgetVertex's scratch, reused across calls
+	doomed  []edgeKey       // ForgetVertex's scratch, reused across calls
+	snap    MonitorSnapshot // Snapshot's storage, refilled by every call
 }
 
 // NewMonitor creates a monitor retaining at most capacity heavy edges.
@@ -66,29 +70,62 @@ func (m *Monitor) ForgetVertex(v graph.Vertex) {
 // EdgeCount reports the number of monitored edges.
 func (m *Monitor) EdgeCount() int { return m.summary.Len() }
 
-// Snapshot materializes the summary into an adjacency view for one
-// partitioning round. The snapshot is O(k log k) to build and supports
-// O(deg) per-vertex edge iteration, which SelectCandidates needs.
+// Snapshot refills the monitor's own snapshot storage and returns it; it and
+// every candidate edge list selected from it are valid until the next call.
 func (m *Monitor) Snapshot() *MonitorSnapshot {
-	g := graph.New()
-	m.summary.Each(func(e *sampling.Entry[edgeKey, struct{}]) {
-		g.AddEdge(e.Key.A, e.Key.B, float64(e.Count))
-	})
-	return &MonitorSnapshot{g: g}
+	m.SnapshotInto(&m.snap)
+	return &m.snap
 }
 
-// MonitorSnapshot is an immutable adjacency view over a monitor's heavy
-// edges: a graph, so each vertex's neighbours are walked in ascending order
-// and two snapshots of one monitor sum every candidate's weights in the
-// same order. It implements EdgeView.
+// SnapshotInto refills storage the caller owns, allocating nothing once warm.
+// It is O(k log k) to build and supports O(deg) per-vertex edge iteration,
+// which SelectCandidates needs.
+func (m *Monitor) SnapshotInto(s *MonitorSnapshot) {
+	s.half = s.half[:0]
+	m.summary.Each(func(e *sampling.Entry[edgeKey, struct{}]) {
+		if w := float64(e.Count); w != 0 {
+			s.half = append(s.half, graph.Edge{U: e.Key.A, V: e.Key.B, Weight: w}, graph.Edge{U: e.Key.B, V: e.Key.A, Weight: w})
+		}
+	})
+	slices.SortFunc(s.half, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	s.verts, s.start, s.edges = s.verts[:0], s.start[:0], s.edges[:0]
+	for i, h := range s.half {
+		if i == 0 || h.U != s.half[i-1].U {
+			s.verts = append(s.verts, h.U)
+			s.start = append(s.start, i)
+		}
+		s.edges = append(s.edges, Edge{U: h.V, W: h.Weight})
+	}
+	s.start = append(s.start, len(s.edges))
+}
+
+// MonitorSnapshot is an adjacency view over a monitor's heavy edges in
+// compressed sparse rows: each vertex's neighbours sit in one run, ascending,
+// so two snapshots of one monitor sum every candidate's weights in the same
+// order. It implements EdgeView; the zero value is empty.
 type MonitorSnapshot struct {
-	g *graph.Graph
+	half  []graph.Edge   // SnapshotInto's scratch: both ends of every edge, U the owner
+	verts []graph.Vertex // vertices with an edge, ascending
+	start []int          // verts[i]'s run is edges[start[i]:start[i+1]]
+	edges []Edge
+}
+
+// edgesOf returns v's run of edges, ascending by neighbour, as a view into s.
+func (s *MonitorSnapshot) edgesOf(v graph.Vertex) []Edge {
+	i, ok := slices.BinarySearch(s.verts, v)
+	if !ok {
+		return nil
+	}
+	return s.edges[s.start[i]:s.start[i+1]:s.start[i+1]]
 }
 
 // VertexEdges implements EdgeView, in ascending order of u.
 func (s *MonitorSnapshot) VertexEdges(v graph.Vertex, fn func(u graph.Vertex, w float64)) {
-	s.g.Neighbors(v, fn)
+	for _, e := range s.edgesOf(v) {
+		fn(e.U, e.W)
+	}
 }
 
-// Vertices returns the vertices with at least one monitored edge, ascending.
-func (s *MonitorSnapshot) Vertices() []graph.Vertex { return s.g.Vertices() }
+// Vertices returns the vertices with at least one monitored edge, ascending,
+// as a view valid until s is refilled.
+func (s *MonitorSnapshot) Vertices() []graph.Vertex { return s.verts }

@@ -39,3 +39,32 @@ func TestMonitorNeverAllocates(t *testing.T) {
 		t.Fatalf("ForgetVertex on a full monitor: %.0f allocs per call, want 0", got)
 	}
 }
+
+// TestMonitorSnapshotReusesStorage: a warm snapshot of a full runtime-sized
+// monitor allocates nothing, into the monitor's storage or a caller's — an
+// exchange round takes one on each side, and the simulator one per migration.
+func TestMonitorSnapshotReusesStorage(t *testing.T) {
+	const capacity = 4096
+	m := NewMonitor(capacity)
+	for v := graph.Vertex(1); v <= capacity; v++ {
+		m.ObserveMessage(v, 1<<20+v%64, uint64(v%5+1)) // 64 hubs, 4 096 leaves
+	}
+	if m.EdgeCount() != capacity {
+		t.Fatalf("EdgeCount = %d, want %d", m.EdgeCount(), capacity)
+	}
+	var own MonitorSnapshot
+	m.SnapshotInto(&own)
+	if got := testing.AllocsPerRun(20, func() { m.Snapshot() }); got != 0 {
+		t.Fatalf("warm Snapshot of %d edges: %.0f allocs, want 0", capacity, got)
+	}
+	if got := testing.AllocsPerRun(20, func() { m.SnapshotInto(&own) }); got != 0 {
+		t.Fatalf("warm SnapshotInto of %d edges: %.0f allocs, want 0", capacity, got)
+	}
+	var n int
+	for _, v := range own.Vertices() {
+		own.VertexEdges(v, func(graph.Vertex, float64) { n++ })
+	}
+	if n != 2*capacity {
+		t.Fatalf("snapshot walks %d half-edges, want %d", n, 2*capacity)
+	}
+}

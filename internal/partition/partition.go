@@ -11,7 +11,8 @@
 package partition
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"actop/internal/graph"
 )
@@ -57,7 +58,8 @@ func (o Options) size(v graph.Vertex) float64 {
 // edges known to one server. Both the Space-Saving monitor and the oracle
 // full graph implement it.
 type EdgeView interface {
-	// VertexEdges calls fn with every known edge incident to v.
+	// VertexEdges calls fn with every known edge incident to v, once per
+	// neighbour u, in ascending order of u.
 	VertexEdges(v graph.Vertex, fn func(u graph.Vertex, w float64))
 }
 
@@ -67,14 +69,23 @@ type Locator interface {
 	Server(v graph.Vertex) (graph.ServerID, bool)
 }
 
+// Edge is one entry of a vertex's edge list: the neighbour U and the weight
+// of the edge to it.
+type Edge struct {
+	U graph.Vertex
+	W float64
+}
+
 // Candidate is one vertex offered for migration, with enough of its sampled
 // edge list for the receiving server to (re)score it and to run the pairwise
 // update steps of the greedy exchange.
 type Candidate struct {
 	V graph.Vertex
 	// Edges is the sampled heavy-edge list incident to V, as known by the
-	// offering server.
-	Edges map[graph.Vertex]float64
+	// offering server, ascending by U. Selected from a MonitorSnapshot it is
+	// a view into the snapshot, valid until that storage is refilled; from
+	// any other EdgeView it is a copy.
+	Edges []Edge
 	// HomeWeight is Σ w(V,u) over u currently on the offering server.
 	HomeWeight float64
 	// TargetWeight is Σ w(V,u) over u on the target server, per the
@@ -123,57 +134,20 @@ type Proposal struct {
 	FromPopulation int
 }
 
-// targetRank accumulates, per remote server, the best candidates found.
-type targetRank struct {
-	candidates []Candidate
-	total      float64
+// serverWeight is one remote server's share of a vertex's edge weight.
+type serverWeight struct {
+	s graph.ServerID
+	w float64
 }
 
 // SelectCandidates scans p's local vertices and computes, for every remote
 // server q, the top-k candidate set by transfer score; it returns proposals
 // for every server with positive total score, best first. localVertices
-// must be the vertices currently homed on p.
+// must be the vertices currently homed on p. Its allocations do not grow
+// with the vertex count: a vertex's edges are taken only once it becomes a
+// candidate, as a view of a *MonitorSnapshot or copied into one slab.
 func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID,
 	localVertices []graph.Vertex, population int) []Proposal {
-
-	perTarget := make(map[graph.ServerID]*targetRank)
-	for _, v := range localVertices {
-		// One pass over v's edges accumulates weight per remote server and
-		// the local weight — O(deg(v)) instead of O(n·deg(v)).
-		var toHome float64
-		toRemote := make(map[graph.ServerID]float64)
-		edges := make(map[graph.Vertex]float64)
-		view.VertexEdges(v, func(u graph.Vertex, w float64) {
-			edges[u] = w
-			s, ok := loc.Server(u)
-			if !ok {
-				return
-			}
-			if s == p {
-				toHome += w
-			} else {
-				toRemote[s] += w
-			}
-		})
-		for q, toQ := range toRemote {
-			score := toQ - toHome
-			size := opts.size(v)
-			if opts.SizeAware && size > 0 {
-				score /= size
-			}
-			if score <= opts.MinScore {
-				continue
-			}
-			tr := perTarget[q]
-			if tr == nil {
-				tr = &targetRank{}
-				perTarget[q] = tr
-			}
-			tr.candidates = append(tr.candidates, Candidate{
-				V: v, Edges: edges, HomeWeight: toHome, TargetWeight: toQ, Size: size,
-			})
-		}
-	}
 
 	// adjScore is the ranking score: size-normalized when SizeAware.
 	adjScore := func(c Candidate) float64 {
@@ -183,33 +157,87 @@ func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID
 		}
 		return s
 	}
-	proposals := make([]Proposal, 0, len(perTarget))
-	for q, tr := range perTarget {
-		// Keep the k best by score.
-		sort.Slice(tr.candidates, func(i, j int) bool {
-			si, sj := adjScore(tr.candidates[i]), adjScore(tr.candidates[j])
-			if si != sj {
-				return si > sj
-			}
-			return tr.candidates[i].V < tr.candidates[j].V // deterministic tie-break
-		})
-		if len(tr.candidates) > opts.CandidateSetSize {
-			tr.candidates = tr.candidates[:opts.CandidateSetSize]
-		}
-		tr.total = 0
-		for _, c := range tr.candidates {
-			tr.total += c.Score()
-		}
-		proposals = append(proposals, Proposal{
-			From: p, To: q, Candidates: tr.candidates,
-			TotalScore: tr.total, FromPopulation: population,
-		})
+	// better orders candidates best first, ties by vertex: a total order, so
+	// a target's list does not depend on the order vertices arrive in.
+	better := func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(adjScore(b), adjScore(a)), cmp.Compare(a.V, b.V))
 	}
-	sort.Slice(proposals, func(i, j int) bool {
-		if proposals[i].TotalScore != proposals[j].TotalScore {
-			return proposals[i].TotalScore > proposals[j].TotalScore
+
+	snap, _ := view.(*MonitorSnapshot)
+	var (
+		proposals []Proposal     // one per target; TotalScore filled last
+		remote    []serverWeight // v's weight per remote server
+		toHome    float64        // v's weight to p
+		vEdges    []Edge         // v's edges, unless view is a snapshot
+		slab      []Edge         // candidates' copied edges
+	)
+	// One pass over v's edges accumulates weight per remote server and the
+	// local weight — O(deg(v)) instead of O(n·deg(v)).
+	visit := func(u graph.Vertex, w float64) {
+		if snap == nil {
+			vEdges = append(vEdges, Edge{U: u, W: w})
 		}
-		return proposals[i].To < proposals[j].To
+		s, ok := loc.Server(u)
+		switch {
+		case !ok:
+		case s == p:
+			toHome += w
+		default:
+			i := slices.IndexFunc(remote, func(r serverWeight) bool { return r.s == s })
+			if i < 0 {
+				i, remote = len(remote), append(remote, serverWeight{s: s})
+			}
+			remote[i].w += w
+		}
+	}
+	for _, v := range localVertices {
+		toHome, remote, vEdges = 0, remote[:0], vEdges[:0]
+		view.VertexEdges(v, visit)
+		var edges []Edge
+		for _, r := range remote {
+			size := opts.size(v)
+			score := r.w - toHome
+			if opts.SizeAware && size > 0 {
+				score /= size
+			}
+			if score <= opts.MinScore {
+				continue
+			}
+			t := slices.IndexFunc(proposals, func(pr Proposal) bool { return pr.To == r.s })
+			if t < 0 {
+				t, proposals = len(proposals), append(proposals, Proposal{From: p, To: r.s, FromPopulation: population,
+					Candidates: make([]Candidate, 0, min(opts.CandidateSetSize, len(localVertices)))})
+			}
+			// Keep the k best by score, in order.
+			cands := proposals[t].Candidates
+			c := Candidate{V: v, HomeWeight: toHome, TargetWeight: r.w, Size: size}
+			i, _ := slices.BinarySearchFunc(cands, c, better)
+			if i >= opts.CandidateSetSize {
+				continue
+			}
+			if edges == nil {
+				if snap != nil {
+					edges = snap.edgesOf(v)
+				} else {
+					slab = append(slab, vEdges...)
+					edges = slab[len(slab)-len(vEdges) : len(slab) : len(slab)]
+				}
+			}
+			c.Edges = edges
+			if len(cands) == opts.CandidateSetSize {
+				cands = cands[:len(cands)-1]
+			}
+			proposals[t].Candidates = slices.Insert(cands, i, c)
+		}
+	}
+
+	for i := range proposals {
+		for _, c := range proposals[i].Candidates {
+			proposals[i].TotalScore += c.Score()
+		}
+	}
+	slices.SortFunc(proposals, func(a, b Proposal) int {
+		return cmp.Or(cmp.Compare(b.TotalScore, a.TotalScore), cmp.Compare(a.To, b.To))
 	})
 	return proposals
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"actop/internal/graph"
@@ -271,7 +272,7 @@ func TestDecideExchangeRescoresWithReceiverKnowledge(t *testing.T) {
 		From: 0, To: 1,
 		Candidates: []Candidate{{
 			V:            1,
-			Edges:        map[graph.Vertex]float64{2: 10},
+			Edges:        []Edge{{U: 2, W: 10}},
 			HomeWeight:   0,
 			TargetWeight: 10, // stale claim
 		}},
@@ -280,5 +281,40 @@ func TestDecideExchangeRescoresWithReceiverKnowledge(t *testing.T) {
 	resp := DecideExchange(DefaultOptions(), GraphView{G: g}, a, req, nil, 0)
 	if len(resp.Accepted) != 0 {
 		t.Fatalf("receiver accepted a stale candidate: %v", resp.Accepted)
+	}
+}
+
+// TestSelectCandidatesAllocsFlat: candidate selection off a monitor snapshot
+// allocates the same small number of objects at 150 and at 1 500 local
+// vertices — nothing per vertex, nothing per edge, nothing per candidate.
+func TestSelectCandidatesAllocsFlat(t *testing.T) {
+	allocs := func(perServer int) float64 {
+		rng := rand.New(rand.NewSource(int64(perServer)))
+		n := 3 * perServer
+		assign := graph.NewAssignment(servers(3)...)
+		for v := 0; v < n; v++ {
+			assign.Place(graph.Vertex(v), graph.ServerID(rng.Intn(3)))
+		}
+		m := NewMonitor(4096)
+		for v := 0; v < n; v++ { // groups of eight talk among themselves
+			for i := 0; i < 2; i++ {
+				m.ObserveMessage(graph.Vertex(v), graph.Vertex(v/8*8+rng.Intn(8)), uint64(1+rng.Intn(4)))
+			}
+		}
+		snap := m.Snapshot()
+		local := assign.VerticesOn(0)
+		var props []Proposal
+		got := testing.AllocsPerRun(20, func() {
+			props = SelectCandidates(DefaultOptions(), snap, assign, 0, local, len(local))
+		})
+		if len(props) != 2 || len(props[1].Candidates) == 0 {
+			t.Fatalf("%d local vertices: %d proposals, want candidates toward both peers", len(local), len(props))
+		}
+		return got
+	}
+	small, large := allocs(150), allocs(1500)
+	t.Logf("%.0f allocs at 150 local vertices, %.0f at 1 500", small, large)
+	if small != large || large > 12 {
+		t.Fatalf("SelectCandidates: %.0f allocs at 150 vertices, %.0f at 1 500; want one constant ≤ 12", small, large)
 	}
 }
