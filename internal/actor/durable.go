@@ -43,9 +43,10 @@ func (s *System) Durables() metrics.DurableSnapshot { return s.durables.Snapshot
 // runs on the snapshotter stage; plain Migratable actors pay Snapshot inline
 // (their encode IS the copy — there is no cheaper way to isolate their
 // state). No transport or codec call happens on this path. The returned job
-// (nil when the capture failed) encodes and ships; the caller submits it to
-// the stage AFTER releasing the turn lock and answering the caller, so even
-// the handoff stays off the reply path. TestSnapshotCaptureOffTurn holds
+// (nil when the capture failed) encodes and ships; drain submits it to the
+// stage AFTER releasing the turn lock and answering the caller, so even the
+// handoff stays off the reply path, and SyncSnapshots runs its jobs once
+// every lock is released. TestSnapshotCaptureOffTurn holds
 // the encode and the ship and requires the next turn to answer meanwhile.
 func (s *System) captureSnapshotLocked(a *activation) func() {
 	var encode func() ([]byte, error)
@@ -82,8 +83,8 @@ func (s *System) captureSnapshotLocked(a *activation) func() {
 }
 
 // shipSnapshot encodes the wire record once and streams it to each replica.
-// Runs on the snapshotter stage (or a SyncSnapshots caller), never under a
-// turn lock.
+// Runs in a capture's job — on the snapshotter stage or in a SyncSnapshots
+// caller — never under a turn lock.
 func (s *System) shipSnapshot(ref Ref, epoch, seq uint64, state []byte) {
 	payload := durable.AppendRecord(nil, durable.Record{
 		Type: ref.Type, Key: ref.Key, Epoch: epoch, Seq: seq, State: state,
@@ -366,46 +367,27 @@ func (s *System) handleSnapGet(payload []byte) ([]byte, error) {
 }
 
 // SyncSnapshots synchronously captures and ships every dirty Durable
-// activation on this node, returning the number shipped. Used as a
+// activation on this node, returning the number captured. Used as a
 // graceful flush (planned drains, chaos tests establishing a known-durable
-// baseline before a kill). State is captured under each turn lock; all
-// shipping happens after the lock is released.
+// baseline before a kill). Each capture is captureSnapshotLocked's, taken
+// under the activation's turn lock; its encode and ship run after every lock
+// is released.
 func (s *System) SyncSnapshots() int {
 	if !s.durabilityOn() {
 		return 0
 	}
-	type captured struct {
-		ref        Ref
-		epoch, seq uint64
-		state      []byte
-	}
-	var caps []captured
+	var jobs []func()
 	for _, a := range s.activations() {
 		a.turnMu.Lock()
-		if !a.durable || a.dirty == 0 {
-			a.turnMu.Unlock()
-			continue
+		if a.durable && a.dirty > 0 {
+			if job := s.captureSnapshotLocked(a); job != nil {
+				jobs = append(jobs, job)
+			}
 		}
-		m, ok := a.actor.(Migratable)
-		if !ok {
-			a.turnMu.Unlock()
-			continue
-		}
-		state, err := m.Snapshot()
-		if err != nil {
-			s.durables.CaptureErrors.Add(1)
-			a.turnMu.Unlock()
-			continue
-		}
-		a.snapSeq++
-		a.dirty = 0
-		a.lastSnap = time.Now()
-		s.durables.Captured.Add(1)
-		caps = append(caps, captured{ref: a.ref, epoch: a.epoch, seq: a.snapSeq, state: state})
 		a.turnMu.Unlock()
 	}
-	for _, c := range caps {
-		s.shipSnapshot(c.ref, c.epoch, c.seq, c.state)
+	for _, job := range jobs {
+		job()
 	}
-	return len(caps)
+	return len(jobs)
 }

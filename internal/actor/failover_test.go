@@ -103,11 +103,12 @@ func TestKillNodeFailover(t *testing.T) {
 	// Kill the victim: its process keeps running but no traffic flows.
 	flakies[victim].Kill()
 
-	// Detection threshold: DeadAfter consecutive misses, where a miss takes
-	// up to one heartbeat interval to time out and the next ping may wait
-	// out another interval — so 2×interval per miss, plus slack.
+	// Detection threshold: the first ping to go unanswered leaves within one
+	// heartbeat interval of the kill, and each of DeadAfter misses takes one
+	// interval to time out — DeadAfter+1 intervals, plus one of slack
+	// (TestDeadVerdictWithinBound holds the detector to the tighter bound).
 	cfg := sys[0].Config()
-	detection := time.Duration(2*cfg.DeadAfter+2) * cfg.HeartbeatInterval
+	detection := time.Duration(cfg.DeadAfter+2) * cfg.HeartbeatInterval
 	allowed := 2 * detection
 
 	for k := 0; k < actors; k++ {
@@ -192,6 +193,44 @@ func TestKillNodeFailover(t *testing.T) {
 	buf := make([]byte, 1<<16)
 	t.Fatalf("goroutines leaked after Stop: baseline %d, now %d\n%s",
 		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+}
+
+// TestDeadVerdictWithinBound pins the detector's documented bound: a peer
+// that falls silent is dead DeadAfter+1 heartbeat intervals after the kill at
+// the latest — one interval until the first ping that goes unanswered, then
+// one per miss — so the observer's PeerDead transition must arrive within
+// DeadAfter+1.5 intervals. A detector that skips a tick while a timed-out
+// ping is still in flight spends two intervals per miss and fails here.
+func TestDeadVerdictWithinBound(t *testing.T) {
+	sys, flakies := newFaultyCluster(t, 2, PlaceRandom, nil)
+	observer, victim := sys[0], sys[1].Node()
+	cfg := observer.Config()
+	dead := make(chan time.Time, 1)
+	observer.OnMembershipChange(func(p transport.NodeID, st PeerState) {
+		if p == victim && st == PeerDead {
+			select {
+			case dead <- time.Now():
+			default:
+			}
+		}
+	})
+	// A few heartbeats succeed first, so the kill lands mid-rhythm.
+	time.Sleep(3 * cfg.HeartbeatInterval)
+	if st := observer.PeerStateOf(victim); st != PeerAlive {
+		t.Fatalf("victim is %s before the kill", st)
+	}
+	killed := time.Now()
+	flakies[1].Kill()
+	bound := time.Duration(2*cfg.DeadAfter+3) * cfg.HeartbeatInterval / 2
+	select {
+	case at := <-dead:
+		if took := at.Sub(killed); took > bound {
+			t.Fatalf("dead verdict %v after the kill, want within %v (DeadAfter %d, interval %v)",
+				took, bound, cfg.DeadAfter, cfg.HeartbeatInterval)
+		}
+	case <-time.After(4 * bound):
+		t.Fatalf("no dead verdict within %v of the kill", 4*bound)
+	}
 }
 
 // TestRetryDoesNotDoubleExecute pins the reply-dedup window: when every

@@ -47,11 +47,10 @@ func (p PeerState) String() string {
 // pings" that lets the passive path (markPeerAlive, on every inbound
 // envelope) skip the mutex entirely in the steady state.
 type memberEntry struct {
-	state    PeerState
-	missed   int       // consecutive failed heartbeat round trips
-	inFlight bool      // a ping to this peer is outstanding
-	deadAt   time.Time // when state last transitioned to PeerDead
-	healthy  atomic.Bool
+	state   PeerState
+	missed  int       // consecutive failed heartbeat round trips
+	deadAt  time.Time // when state last transitioned to PeerDead
+	healthy atomic.Bool
 }
 
 // syncHealthyLocked re-derives the atomic mirror; call after any mutation
@@ -60,10 +59,13 @@ func (m *memberEntry) syncHealthyLocked() {
 	m.healthy.Store(m.state == PeerAlive && m.missed == 0)
 }
 
-// heartbeatLoop drives the detector: every HeartbeatInterval, ping every
-// peer without an outstanding ping, with the interval itself as the ping
-// timeout (a peer that cannot answer within one interval counts as a miss).
-func (s *System) heartbeatLoop() {
+// heartbeatLoop is the detector's loop for one peer: every
+// HeartbeatInterval it pings the peer, with the interval itself as the ping
+// timeout (a peer that cannot answer within one interval counts as a miss),
+// and folds the outcome. A ping that times out has used up its interval, so
+// the next one leaves at once: each interval is one verdict step, and a peer
+// that falls silent is dead within DeadAfter+1 intervals.
+func (s *System) heartbeatLoop(peer transport.NodeID) {
 	t := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
@@ -71,34 +73,10 @@ func (s *System) heartbeatLoop() {
 		case <-s.done:
 			return
 		case <-t.C:
-			s.pingPeers()
 		}
-	}
-}
-
-func (s *System) pingPeers() {
-	for _, p := range s.peers {
-		if p == s.Node() {
-			continue
-		}
-		peer := p
-		s.fdMu.Lock()
-		m := s.members[peer]
-		if m.inFlight {
-			s.fdMu.Unlock()
-			continue
-		}
-		m.inFlight = true
-		s.fdMu.Unlock()
-		if !s.trackGo(func() {
-			err := s.controlCallT(peer, ctlPing, nil, nil, s.cfg.HeartbeatInterval)
-			s.failures.HeartbeatsSent.Add(1)
-			s.heartbeatResult(peer, err == nil)
-		}) {
-			s.fdMu.Lock()
-			m.inFlight = false
-			s.fdMu.Unlock()
-		}
+		err := s.controlCallT(peer, ctlPing, nil, nil, s.cfg.HeartbeatInterval)
+		s.failures.HeartbeatsSent.Add(1)
+		s.heartbeatResult(peer, err == nil)
 	}
 }
 
@@ -113,7 +91,6 @@ func (s *System) heartbeatResult(peer transport.NodeID, ok bool) {
 	defer s.fdOrder.Unlock()
 	s.fdMu.Lock()
 	m := s.members[peer]
-	m.inFlight = false
 	old := m.state
 	if ok {
 		m.missed = 0

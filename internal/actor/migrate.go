@@ -304,8 +304,8 @@ func (s *System) handleMigrateDrop(payload []byte) ([]byte, error) {
 // exchangeWire is the ctlExchange request payload (wire form in wire.go):
 // Algorithm 1's offer, and the initiator's parameters so both sides decide
 // under the same configuration. Of Req, To stays behind — the receiver is
-// the target; of a candidate, Size; of Opts, only the candidate set size,
-// the imbalance tolerance and the minimum score travel.
+// the target; Opts is all of partition.Options: the candidate set size, the
+// imbalance tolerance and the minimum score.
 type exchangeWire struct {
 	Req  partition.ExchangeRequest
 	Opts partition.Options

@@ -277,12 +277,10 @@ func NewSystem(cfg Config) (*System, error) {
 	// keep its workers precisely when every adaptive stage is starved.
 	s.ctlStage = seda.NewStage("control", cfg.QueueCap, ctlStageWorkers(cfg.ReceiverWorkers))
 	s.tr.SetHandler(s.onEnvelope)
-	if len(peers) > 1 {
-		s.bg.Add(1)
-		go func() {
-			defer s.bg.Done()
-			s.heartbeatLoop()
-		}()
+	for _, p := range s.peers {
+		if p != s.Node() {
+			s.trackGo(func() { s.heartbeatLoop(p) })
+		}
 	}
 	if s.prof != nil || s.sloWin != nil {
 		s.bg.Add(1)

@@ -13,6 +13,7 @@ import (
 	"actop/internal/codec"
 	"actop/internal/graph"
 	"actop/internal/partition"
+	"actop/internal/transport"
 )
 
 // wireCodec is what every control payload type implements.
@@ -482,6 +483,101 @@ func TestExchangeInitiatorAndReceiverAtOnce(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// offerHold withholds a node's outbound exchange offers until release is
+// closed, so the node's initiator round waits on its reply for as long as a
+// test needs.
+type offerHold struct {
+	transport.Transport
+	held    chan struct{} // closed once the first offer is withheld
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *offerHold) Send(to transport.NodeID, env *transport.Envelope) error {
+	if env.Method != ctlExchange {
+		return h.Transport.Send(to, env)
+	}
+	cp := *env
+	cp.Payload = append([]byte(nil), env.Payload...)
+	h.once.Do(func() { close(h.held) })
+	go func() {
+		<-h.release
+		_ = h.Transport.Send(to, &cp)
+	}()
+	return nil
+}
+
+// TestExchangeAnswersWhileInitiating pins that a node answers a peer's offer
+// while its own round waits on a reply: node 0's offer is withheld, and node
+// 1's offer to node 0 must still get a decision, not Rejected. Letting a
+// node take part in one exchange at a time was measured to place worse on
+// presence_converge (DESIGN.md "Exchange rounds without garbage").
+func TestExchangeAnswersWhileInitiating(t *testing.T) {
+	hold := &offerHold{held: make(chan struct{}), release: make(chan struct{})}
+	sys, _ := newFaultyCluster(t, 2, PlaceRandom, func(c *Config) {
+		if c.Transport.Node() == "fn-0" {
+			hold.Transport = c.Transport
+			c.Transport = hold
+		}
+	})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold.release) }) }
+	defer release()
+	for _, s := range sys {
+		s.RegisterType("bin", func() Actor { return &binActor{} })
+	}
+	for round := 0; round < 10; round++ {
+		for h := 0; h < 8; h++ {
+			if err := sys[h%2].Call(Ref{Type: "bin", Key: fmt.Sprint("hub", h)}, "Fan", binCount(6), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	opts := partition.DefaultOptions()
+	var sc exchangeScratch
+	sc.fill(sys[1])
+	offer := exchangeWire{Opts: opts, Req: partition.ExchangeRequest{From: sys[1].selfIndex(), FromPopulation: len(sc.local)}}
+	for _, prop := range partition.SelectCandidates(opts, &sc.snap, sysLocator{s: sys[1]}, sys[1].selfIndex(), sc.local, len(sc.local)) {
+		offer.Req.Candidates = append(offer.Req.Candidates, prop.Candidates...)
+	}
+	if len(offer.Req.Candidates) == 0 {
+		t.Fatal("node 1 has nothing to offer")
+	}
+	payload, err := codec.Marshal(offer)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	round := make(chan error, 1)
+	go func() {
+		_, err := sys[0].ExchangeRound(opts, time.Minute)
+		round <- err
+	}()
+	select {
+	case <-hold.held:
+	case err := <-round:
+		t.Fatalf("node 0's round ended without making an offer (err %v)", err)
+	}
+	reply, err := sys[0].handleExchange(payload, sys[1].Node())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp exchangeReply
+	if err := codec.Unmarshal(reply, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rejected {
+		t.Fatal("node 0 rejected an offer while its own round was in flight")
+	}
+	if !sys[0].exInitBusy.Load() {
+		t.Fatal("node 0's round finished before the offer was answered")
+	}
+	release()
+	if err := <-round; err != nil {
+		t.Fatalf("node 0's round: %v", err)
 	}
 }
 

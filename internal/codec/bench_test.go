@@ -169,30 +169,3 @@ func BenchmarkCodecUnmarshal(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCodecDeepCopy measures the LPC isolation copy through CopyValue.
-func BenchmarkCodecDeepCopy(b *testing.B) {
-	src := newBenchMsg()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var dst benchMsg
-		if err := DeepCopy(&dst, &src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecDeepCopyGobFallback is the serializing deep copy the
-// fallback pays.
-func BenchmarkCodecDeepCopyGobFallback(b *testing.B) {
-	src := gobBenchMsg(newBenchMsg())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var dst gobBenchMsg
-		if err := DeepCopy(&dst, &src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

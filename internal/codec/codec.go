@@ -1,13 +1,15 @@
-// Package codec provides argument serialization for RPC and deep copying
-// for LPC in the actor runtime.
+// Package codec provides argument serialization for RPC and the pieces the
+// actor runtime isolates LPC arguments with.
 //
 // Orleans serializes arguments for remote calls and deep-copies them for
-// local calls so actors never share mutable state (§2). This package does
-// both, with a two-tier design: message types may implement the fast-path
-// interfaces (Marshaler/Unmarshaler/Copier) for reflection-free,
-// allocation-light encoding and copying; every other type falls back to
-// encoding/gob. Payloads are self-describing — a one-byte tag selects the
-// decoder — so fast-path and fallback types can mix freely on the wire.
+// local calls so actors never share mutable state (§2). Serialization is two
+// tiers: message types may implement the fast-path interfaces
+// (Marshaler/Unmarshaler) for reflection-free, allocation-light encoding;
+// every other type falls back to encoding/gob. Payloads are self-describing —
+// a one-byte tag selects the decoder — so fast-path and fallback types can
+// mix freely on the wire. A local call hands a RefFree value over as it is,
+// copies a Copier by its CopyValue, and isolates anything else by an encode
+// and a decode.
 //
 // Buffer ownership: GetBuffer/PutBuffer recycle payload buffers through a
 // sync.Pool. A buffer passed to PutBuffer must have no other live
@@ -250,26 +252,4 @@ func Assign(dst, src interface{}) error {
 		return fmt.Errorf("codec: cannot assign %T to %T", src, dst)
 	}
 	return nil
-}
-
-// DeepCopy copies src into dst (both pointers to the same type),
-// guaranteeing the isolation semantics of a local actor call: no aliasing
-// survives. Types implementing Copier are copied without serialization;
-// everything else pays an encode/decode round trip through a pooled
-// buffer.
-func DeepCopy(dst, src interface{}) error {
-	if c, ok := src.(Copier); ok {
-		if err := Assign(dst, c.CopyValue()); err == nil {
-			return nil
-		}
-		// Shape mismatch (e.g. CopyValue returned a different type):
-		// fall through to the serializing path, which type-checks.
-	}
-	buf, err := MarshalAppend(GetBuffer(), src)
-	if err != nil {
-		return err
-	}
-	err = Unmarshal(buf, dst)
-	PutBuffer(buf)
-	return err
 }

@@ -34,19 +34,6 @@ func TestUnmarshalError(t *testing.T) {
 	}
 }
 
-func TestDeepCopyIsolation(t *testing.T) {
-	src := payload{Tags: []string{"a"}, Meta: map[string]int{"k": 1}}
-	var dst payload
-	if err := DeepCopy(&dst, &src); err != nil {
-		t.Fatal(err)
-	}
-	dst.Tags[0] = "MUTATED"
-	dst.Meta["k"] = 99
-	if src.Tags[0] != "a" || src.Meta["k"] != 1 {
-		t.Fatalf("deep copy aliased the source: %+v", src)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(name string, score int, tags []string) bool {
 		in := payload{Name: name, Score: score, Tags: tags}

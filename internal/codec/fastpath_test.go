@@ -155,21 +155,6 @@ func TestRefFree(t *testing.T) {
 	}
 }
 
-// TestDeepCopyCopier checks that Copier types deep-copy without aliasing
-// and without touching the serialization machinery (the encoding would
-// reject an unregistered interface, so success implies the value path ran).
-func TestDeepCopyCopier(t *testing.T) {
-	src := fastMsg{ID: 3, Bits: []byte{9, 9}}
-	var dst fastMsg
-	if err := DeepCopy(&dst, &src); err != nil {
-		t.Fatal(err)
-	}
-	dst.Bits[0] = 0
-	if src.Bits[0] != 9 {
-		t.Fatalf("DeepCopy via Copier aliased Bits: %+v", src)
-	}
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	var wire bytes.Buffer
 	fw := NewFrameWriter(&wire)

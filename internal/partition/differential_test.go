@@ -16,7 +16,7 @@ import (
 // TestMatchesMapBasedExchange runs candidate selection and the exchange
 // decision next to the map-based code they replaced (kept below verbatim
 // but for names) on 40 seeded cases — random monitors and assignments,
-// unplaced vertices, k and δ varied, SizeAware on and off — through both a
+// unplaced vertices, k and δ varied — through both a
 // monitor snapshot (integer weights, the runtime's view) and the oracle
 // graph (weights in tenths, inexact, so a sum taken in another order differs
 // in its last bit and can break a tie the other way). Proposals must match in order, vertex, every weight's bits and
@@ -59,10 +59,6 @@ func TestMatchesMapBasedExchange(t *testing.T) {
 		opts := DefaultOptions()
 		opts.CandidateSetSize = []int{1, 2, 4, 8, 16, 64}[rng.Intn(6)]
 		opts.ImbalanceTolerance = []int{0, 1, 2, 4, 16}[rng.Intn(5)]
-		if seed%2 == 0 {
-			opts.SizeAware = true
-			opts.Sizes = func(v graph.Vertex) float64 { return float64(1+v%3) / 2 }
-		}
 
 		for _, kind := range []string{"snapshot", "graph"} {
 			views := func(s graph.ServerID) (EdgeView, EdgeView) {
@@ -72,8 +68,8 @@ func TestMatchesMapBasedExchange(t *testing.T) {
 				return monitors[s].Snapshot(), refSnapshot(monitors[s])
 			}
 			for p := graph.ServerID(0); p < graph.ServerID(ns); p++ {
-				label := fmt.Sprintf("seed %d %s p=%d k=%d δ=%d size-aware=%v", seed, kind, p,
-					opts.CandidateSetSize, opts.ImbalanceTolerance, opts.SizeAware)
+				label := fmt.Sprintf("seed %d %s p=%d k=%d δ=%d", seed, kind, p,
+					opts.CandidateSetSize, opts.ImbalanceTolerance)
 				local := assign.VerticesOn(p)
 				view, old := views(p)
 				got := SelectCandidates(opts, view, assign, p, local, len(local))
@@ -120,7 +116,7 @@ func sameProposals(t *testing.T, label string, got []Proposal, want []refProposa
 		for j, gc := range g.Candidates {
 			wc := w.Candidates[j]
 			if gc.V != wc.V || bits(gc.HomeWeight) != bits(wc.HomeWeight) ||
-				bits(gc.TargetWeight) != bits(wc.TargetWeight) || bits(gc.Size) != bits(wc.Size) {
+				bits(gc.TargetWeight) != bits(wc.TargetWeight) {
 				t.Fatalf("%s: proposal %d candidate %d is %+v, want %+v", label, i, j, gc, wc)
 			}
 			keys := graph.SortedKeys(wc.Edges)
@@ -145,7 +141,6 @@ type refCandidate struct {
 	Edges        map[graph.Vertex]float64
 	HomeWeight   float64
 	TargetWeight float64
-	Size         float64
 }
 
 func (c refCandidate) Score() float64 { return c.TargetWeight - c.HomeWeight }
@@ -200,10 +195,6 @@ func refSelectCandidates(opts Options, view EdgeView, loc Locator, p graph.Serve
 		})
 		for q, toQ := range toRemote {
 			score := toQ - toHome
-			size := opts.size(v)
-			if opts.SizeAware && size > 0 {
-				score /= size
-			}
 			if score <= opts.MinScore {
 				continue
 			}
@@ -213,24 +204,16 @@ func refSelectCandidates(opts Options, view EdgeView, loc Locator, p graph.Serve
 				perTarget[q] = tr
 			}
 			tr.candidates = append(tr.candidates, refCandidate{
-				V: v, Edges: edges, HomeWeight: toHome, TargetWeight: toQ, Size: size,
+				V: v, Edges: edges, HomeWeight: toHome, TargetWeight: toQ,
 			})
 		}
 	}
 
-	// adjScore is the ranking score: size-normalized when SizeAware.
-	adjScore := func(c refCandidate) float64 {
-		s := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			s /= c.Size
-		}
-		return s
-	}
 	proposals := make([]refProposal, 0, len(perTarget))
 	for q, tr := range perTarget {
 		// Keep the k best by score.
 		sort.Slice(tr.candidates, func(i, j int) bool {
-			si, sj := adjScore(tr.candidates[i]), adjScore(tr.candidates[j])
+			si, sj := tr.candidates[i].Score(), tr.candidates[j].Score()
 			if si != sj {
 				return si > sj
 			}
@@ -316,19 +299,11 @@ func refDecideExchange(opts Options, view EdgeView, loc Locator,
 			}
 		}
 		c.TargetWeight = toQ
-		score := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			score /= c.Size
-		}
-		heap.Push(sHeap, &refScoredVertex{cand: c, score: score})
+		heap.Push(sHeap, &refScoredVertex{cand: c, score: c.Score()})
 	}
 	tHeap := &refScoreHeap{}
 	for _, c := range tCands {
-		score := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			score /= c.Size
-		}
-		heap.Push(tHeap, &refScoredVertex{cand: c, score: score})
+		heap.Push(tHeap, &refScoredVertex{cand: c, score: c.Score()})
 	}
 
 	// Step 3: iterative greedy selection. Accepting s∈S moves a vertex
@@ -338,12 +313,6 @@ func refDecideExchange(opts Options, view EdgeView, loc Locator,
 	//   opposite-direction peers lose 2·w(peer,v).
 	sizeP := float64(req.FromPopulation)
 	sizeQ := float64(qPopulation)
-	if opts.SizeAware {
-		// Interpret populations as total size; callers pass size-weighted
-		// populations in that mode.
-		sizeP = float64(req.FromPopulation)
-		sizeQ = float64(qPopulation)
-	}
 	delta := float64(opts.ImbalanceTolerance)
 
 	abs := func(x float64) float64 {
@@ -368,12 +337,12 @@ func refDecideExchange(opts Options, view EdgeView, loc Locator,
 	update := func(sameDir, oppDir *refScoreHeap, v graph.Vertex) {
 		for _, sv := range *sameDir {
 			if w, ok := refEdgeWeight(sv.cand, v); ok {
-				sv.score += 2 * w / refSizeOr1(opts, sv.cand)
+				sv.score += 2 * w
 			}
 		}
 		for _, sv := range *oppDir {
 			if w, ok := refEdgeWeight(sv.cand, v); ok {
-				sv.score -= 2 * w / refSizeOr1(opts, sv.cand)
+				sv.score -= 2 * w
 			}
 		}
 		heap.Init(sameDir)
@@ -416,10 +385,7 @@ func refDecideExchange(opts Options, view EdgeView, loc Locator,
 			top = other
 		}
 
-		sz := top.cand.Size
-		if sz == 0 {
-			sz = 1
-		}
+		const sz = 1
 		var newP, newQ float64
 		if fromS {
 			newP, newQ = sizeP-sz, sizeQ+sz
@@ -438,10 +404,6 @@ func refDecideExchange(opts Options, view EdgeView, loc Locator,
 			}
 			fromS = !fromS
 			top = (*otherHeap)[0]
-			sz = top.cand.Size
-			if sz == 0 {
-				sz = 1
-			}
 			if fromS {
 				newP, newQ = sizeP-sz, sizeQ+sz
 			} else {
@@ -473,11 +435,4 @@ func refDecideExchange(opts Options, view EdgeView, loc Locator,
 func refEdgeWeight(c refCandidate, v graph.Vertex) (float64, bool) {
 	w, ok := c.Edges[v]
 	return w, ok
-}
-
-func refSizeOr1(opts Options, c refCandidate) float64 {
-	if !opts.SizeAware || c.Size <= 0 {
-		return 1
-	}
-	return c.Size
 }

@@ -7,10 +7,12 @@ import (
 	"actop/internal/graph"
 )
 
-// Engine drives the pairwise coordination protocol over a shared graph and
-// assignment — the substrate for partition-quality experiments and the
-// Theorem 1 convergence tests. The cluster simulator and the real runtime
-// embed the same protocol functions but carry the messages themselves.
+// Engine runs the pairwise coordination protocol over one process's
+// assignment: Algorithm 1's round, its reject window and the hand-off of a
+// moved vertex's statistics. The discrete-event cluster simulator steps it
+// from each server's exchange timer; the partition-quality experiments and
+// the Theorem 1 convergence tests round it. The real runtime calls the same
+// protocol functions but carries the messages itself.
 type Engine struct {
 	Opts Options
 	// RejectWindow is the minimum interval between two exchanges involving
@@ -22,14 +24,15 @@ type Engine struct {
 	Assign *graph.Assignment
 
 	// Monitors, when non-nil, supply each server's sampled edge view;
-	// otherwise servers see the true graph (the oracle configuration).
+	// otherwise servers see the true graph G (the oracle configuration), and
+	// G may be nil only when every server has a monitor.
 	Monitors map[graph.ServerID]*Monitor
 
 	lastExchange map[graph.ServerID]time.Duration
 	rng          *rand.Rand
 
-	// Moves counts applied migrations; Exchanges counts accepted exchanges;
-	// Rejected counts cooldown rejections.
+	// Moves counts migrations, Move's included; Exchanges counts accepted
+	// exchanges; Rejected counts cooldown rejections.
 	Moves, Exchanges, Rejected int
 }
 
@@ -89,7 +92,6 @@ func (e *Engine) StepServer(p graph.ServerID, now time.Duration) int {
 			continue
 		}
 		e.Exchanges++
-		e.Moves += moved
 		e.lastExchange[p] = now
 		e.lastExchange[q] = now
 		return moved
@@ -97,27 +99,27 @@ func (e *Engine) StepServer(p graph.ServerID, now time.Duration) int {
 	return 0
 }
 
-// apply commits an exchange decision to the assignment and, when monitors
-// are in play, hands the migrated vertices' statistics to the new home.
+// apply commits an exchange decision to the assignment.
 func (e *Engine) apply(req ExchangeRequest, resp ExchangeResponse) int {
 	if resp.Rejected {
 		return 0
 	}
-	moved := 0
 	for _, v := range resp.Accepted {
-		e.Assign.Place(v, req.To)
-		e.migrateStats(v, req.From, req.To)
-		moved++
+		e.Move(v, req.From, req.To)
 	}
 	for _, v := range resp.Counter {
-		e.Assign.Place(v, req.From)
-		e.migrateStats(v, req.To, req.From)
-		moved++
+		e.Move(v, req.To, req.From)
 	}
-	return moved
+	return len(resp.Accepted) + len(resp.Counter)
 }
 
-func (e *Engine) migrateStats(v graph.Vertex, from, to graph.ServerID) {
+// Move places v, homed on from, on to and counts it in Moves. When monitors
+// are in play, v's monitored edges travel to the new home so it can keep
+// refining placement, and are dropped at the source (§4.3, "Transparent
+// actor migration").
+func (e *Engine) Move(v graph.Vertex, from, to graph.ServerID) {
+	e.Assign.Place(v, to)
+	e.Moves++
 	if e.Monitors == nil {
 		return
 	}
@@ -125,10 +127,7 @@ func (e *Engine) migrateStats(v graph.Vertex, from, to graph.ServerID) {
 	if src == nil || dst == nil {
 		return
 	}
-	// Transfer v's monitored edges to the destination so it can keep
-	// refining placement; drop them at the source.
-	snap := src.Snapshot()
-	snap.VertexEdges(v, func(u graph.Vertex, w float64) {
+	src.Snapshot().VertexEdges(v, func(u graph.Vertex, w float64) {
 		dst.ObserveMessage(v, u, uint64(w))
 	})
 	src.ForgetVertex(v)

@@ -298,33 +298,6 @@ func TestPairwiseApproachesMultilevelQuality(t *testing.T) {
 	}
 }
 
-func TestSizeAwareExchangePrefersSmallActors(t *testing.T) {
-	// Two candidates with equal raw score; the size-aware mode must prefer
-	// the small one when balance only allows one move.
-	g := graph.New()
-	hub := graph.Vertex(50)
-	g.AddEdge(10, hub, 6) // big actor
-	g.AddEdge(11, hub, 6) // small actor
-	a := graph.NewAssignment(0, 1)
-	a.Place(10, 0)
-	a.Place(11, 0)
-	a.Place(hub, 1)
-	a.Place(51, 1)
-	sizes := map[graph.Vertex]float64{10: 4, 11: 1, hub: 1, 51: 1}
-	opts := DefaultOptions()
-	opts.SizeAware = true
-	opts.Sizes = func(v graph.Vertex) float64 { return sizes[v] }
-	opts.ImbalanceTolerance = 2
-	local := a.VerticesOn(0)
-	props := SelectCandidates(opts, GraphView{G: g}, a, 0, local, len(local))
-	if len(props) != 1 {
-		t.Fatalf("props = %+v", props)
-	}
-	if props[0].Candidates[0].V != 11 {
-		t.Fatalf("size-aware ranking should put small actor first, got %v", props[0].Candidates[0].V)
-	}
-}
-
 func TestMonitorSnapshotSymmetry(t *testing.T) {
 	m := NewMonitor(16)
 	m.ObserveMessage(1, 2, 5)

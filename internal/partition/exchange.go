@@ -3,7 +3,6 @@ package partition
 import (
 	"cmp"
 	"container/heap"
-	"math"
 	"slices"
 
 	"actop/internal/graph"
@@ -85,13 +84,6 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 	// its own view of membership (the offer's TargetWeight may be stale or
 	// built from a partial sample). The weight internal to p is only known
 	// to p, so the carried HomeWeight is used as-is.
-	scored := func(c Candidate) scoredVertex {
-		score := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			score /= c.Size
-		}
-		return scoredVertex{cand: c, score: score}
-	}
 	sHeap := make(scoreHeap, 0, len(req.Candidates))
 	for _, c := range req.Candidates {
 		// Summed in vertex order, as Edges is sorted: a float sum taken in
@@ -104,11 +96,11 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 			}
 		}
 		c.TargetWeight = toQ
-		sHeap.push(scored(c))
+		sHeap.push(scoredVertex{cand: c, score: c.Score()})
 	}
 	tHeap := make(scoreHeap, 0, len(tCands))
 	for _, c := range tCands {
-		tHeap.push(scored(c))
+		tHeap.push(scoredVertex{cand: c, score: c.Score()})
 	}
 
 	// Step 3: iterative greedy selection. Accepting s∈S moves a vertex
@@ -116,27 +108,20 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 	// remaining scores are updated to reflect the migration:
 	//   same-direction peers of a moved vertex gain 2·w(peer,v)
 	//   opposite-direction peers lose 2·w(peer,v).
-	// With SizeAware, callers pass size-weighted populations.
-	sizeP := float64(req.FromPopulation)
-	sizeQ := float64(qPopulation)
-	delta := float64(opts.ImbalanceTolerance)
+	nP, nQ := req.FromPopulation, qPopulation
 
-	// A move is admissible if it keeps |sizeP−sizeQ| ≤ δ, or strictly
-	// reduces an imbalance that already exceeds δ.
-	admissible := func(newP, newQ float64) bool {
-		newDiff := math.Abs(newP - newQ)
-		return newDiff <= delta || newDiff < math.Abs(sizeP-sizeQ)
+	// A move is admissible if it keeps |nP−nQ| ≤ δ, or strictly reduces an
+	// imbalance that already exceeds δ.
+	admissible := func(newP, newQ int) bool {
+		newDiff := abs64(newP - newQ)
+		return newDiff <= opts.ImbalanceTolerance || newDiff < abs64(nP-nQ)
 	}
-	// shift is the populations after sv's move (p→q when fromS).
-	shift := func(fromS bool, sv scoredVertex) (float64, float64) {
-		sz := sv.cand.Size
-		if sz == 0 {
-			sz = 1
-		}
+	// shift is the populations after one move (p→q when fromS).
+	shift := func(fromS bool) (int, int) {
 		if fromS {
-			return sizeP - sz, sizeQ + sz
+			return nP - 1, nQ + 1
 		}
-		return sizeP + sz, sizeQ - sz
+		return nP + 1, nQ - 1
 	}
 	side := func(fromS bool) scoreHeap {
 		if fromS {
@@ -153,13 +138,13 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 		for i := range *sameDir {
 			sv := &(*sameDir)[i]
 			if w, ok := edgeWeight(sv.cand, v); ok {
-				sv.score += 2 * w / sizeOr1(opts, sv.cand)
+				sv.score += 2 * w
 			}
 		}
 		for i := range *oppDir {
 			sv := &(*oppDir)[i]
 			if w, ok := edgeWeight(sv.cand, v); ok {
-				sv.score -= 2 * w / sizeOr1(opts, sv.cand)
+				sv.score -= 2 * w
 			}
 		}
 		heap.Init(sameDir)
@@ -181,7 +166,7 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 			}
 			fromS, top = !fromS, other[0]
 		}
-		newP, newQ := shift(fromS, top)
+		newP, newQ := shift(fromS)
 		if !admissible(newP, newQ) {
 			// Balance would break: take the best vertex from the other
 			// heap instead (its move shifts the balance the other way).
@@ -190,13 +175,13 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 				break // nothing movable remains
 			}
 			fromS, top = !fromS, other[0]
-			if newP, newQ = shift(fromS, top); !admissible(newP, newQ) {
+			if newP, newQ = shift(fromS); !admissible(newP, newQ) {
 				break
 			}
 		}
 
 		// Commit the move.
-		sizeP, sizeQ = newP, newQ
+		nP, nQ = newP, newQ
 		if fromS {
 			sHeap.pop()
 			resp.Accepted = append(resp.Accepted, top.cand.V)
@@ -218,11 +203,4 @@ func edgeWeight(c Candidate, v graph.Vertex) (float64, bool) {
 		return 0, false
 	}
 	return c.Edges[i].W, true
-}
-
-func sizeOr1(opts Options, c Candidate) float64 {
-	if !opts.SizeAware || c.Size <= 0 {
-		return 1
-	}
-	return c.Size
 }

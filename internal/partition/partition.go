@@ -6,8 +6,10 @@
 // centralized multilevel).
 //
 // The protocol pieces are pure functions over explicit request/response
-// values so that the same code drives the discrete-event cluster simulator,
-// the real actor runtime, and the unit tests.
+// values. Engine runs one exchange round of them in a single process — the
+// discrete-event cluster simulator, the benchmark ladder and the unit tests
+// all step it — and the real actor runtime calls the same functions at each
+// end of a wire. Scores are edge weights and balance counts vertices (§4.1).
 package partition
 
 import (
@@ -29,12 +31,6 @@ type Options struct {
 	// considered for migration. Slightly above zero avoids ping-ponging
 	// vertices with near-zero benefit under a sampled, drifting graph.
 	MinScore float64
-	// SizeAware enables the §4.2 extension: transfer scores are divided by
-	// the actor's size so that cheap-to-move actors migrate first, and the
-	// balance constraint is interpreted over total size.
-	SizeAware bool
-	// Sizes reports an actor's size when SizeAware is set; nil means size 1.
-	Sizes func(v graph.Vertex) float64
 }
 
 // DefaultOptions mirror the prototype's configuration: small candidate sets,
@@ -45,13 +41,6 @@ func DefaultOptions() Options {
 		ImbalanceTolerance: 16,
 		MinScore:           1e-9,
 	}
-}
-
-func (o Options) size(v graph.Vertex) float64 {
-	if !o.SizeAware || o.Sizes == nil {
-		return 1
-	}
-	return o.Sizes(v)
 }
 
 // EdgeView exposes the (possibly sampled, possibly stale) communication
@@ -92,8 +81,6 @@ type Candidate struct {
 	// offering server's sample. The receiver recomputes this from its own
 	// view when possible.
 	TargetWeight float64
-	// Size is the actor's size (1 unless Options.SizeAware).
-	Size float64
 }
 
 // Score is the transfer score R_{p,q}(v) of the candidate: the cost
@@ -149,18 +136,10 @@ type serverWeight struct {
 func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID,
 	localVertices []graph.Vertex, population int) []Proposal {
 
-	// adjScore is the ranking score: size-normalized when SizeAware.
-	adjScore := func(c Candidate) float64 {
-		s := c.Score()
-		if opts.SizeAware && c.Size > 0 {
-			s /= c.Size
-		}
-		return s
-	}
 	// better orders candidates best first, ties by vertex: a total order, so
 	// a target's list does not depend on the order vertices arrive in.
 	better := func(a, b Candidate) int {
-		return cmp.Or(cmp.Compare(adjScore(b), adjScore(a)), cmp.Compare(a.V, b.V))
+		return cmp.Or(cmp.Compare(b.Score(), a.Score()), cmp.Compare(a.V, b.V))
 	}
 
 	snap, _ := view.(*MonitorSnapshot)
@@ -195,12 +174,7 @@ func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID
 		view.VertexEdges(v, visit)
 		var edges []Edge
 		for _, r := range remote {
-			size := opts.size(v)
-			score := r.w - toHome
-			if opts.SizeAware && size > 0 {
-				score /= size
-			}
-			if score <= opts.MinScore {
+			if r.w-toHome <= opts.MinScore {
 				continue
 			}
 			t := slices.IndexFunc(proposals, func(pr Proposal) bool { return pr.To == r.s })
@@ -210,7 +184,7 @@ func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID
 			}
 			// Keep the k best by score, in order.
 			cands := proposals[t].Candidates
-			c := Candidate{V: v, HomeWeight: toHome, TargetWeight: r.w, Size: size}
+			c := Candidate{V: v, HomeWeight: toHome, TargetWeight: r.w}
 			i, _ := slices.BinarySearchFunc(cands, c, better)
 			if i >= opts.CandidateSetSize {
 				continue

@@ -30,6 +30,7 @@ type Cluster struct {
 	rng     *des.Rand
 	servers []*server
 	assign  *graph.Assignment
+	part    *partition.Engine // Algorithm 1 over assign and the servers' monitors
 	actors  map[ActorID]*actorRec
 
 	nextActor ActorID
@@ -66,6 +67,9 @@ func New(cfg Config) *Cluster {
 		nextActor:  1,
 	}
 	c.assign = graph.NewAssignment(cfg.ServerIDs()...)
+	c.part = partition.NewEngine(cfg.PartitionOpts, nil, c.assign, cfg.Seed)
+	c.part.RejectWindow = cfg.RejectWindow
+	c.part.EnableMonitors(cfg.MonitorCapacity)
 	for _, id := range cfg.ServerIDs() {
 		c.servers = append(c.servers, newServer(c, id))
 	}
@@ -86,9 +90,14 @@ func New(cfg Config) *Cluster {
 	// initiate independently (as independent runtimes would).
 	if cfg.Partitioning {
 		for i, s := range c.servers {
-			s := s
+			p := s.id
 			phase := time.Duration(i) * cfg.PartitionPeriod / time.Duration(len(c.servers))
-			c.K.Every(cfg.PartitionPeriod, cfg.PartitionPeriod+phase, func() { c.runExchange(s) })
+			c.K.Every(cfg.PartitionPeriod, cfg.PartitionPeriod+phase, func() {
+				if moved := c.part.StepServer(p, c.K.Now()); moved > 0 {
+					c.Exchanges++
+					c.moved(moved)
+				}
+			})
 		}
 	}
 
@@ -378,80 +387,23 @@ func (c *Cluster) ResetMetrics() {
 	}
 }
 
-// --- distributed partitioning (Algorithm 1 over the live cluster) ---
-
-func (c *Cluster) cooling(s *server) bool {
-	return s.everExchanged && c.K.Now()-s.lastExchange < c.Cfg.RejectWindow
-}
-
-// runExchange is one protocol round initiated by server p, driven by its
-// sampled monitor view.
-func (c *Cluster) runExchange(p *server) {
-	if c.cooling(p) {
-		return
-	}
-	snap := p.monitor.Snapshot()
-	local := c.assign.VerticesOn(p.id)
-	props := partition.SelectCandidates(c.Cfg.PartitionOpts, snap, c.assign, p.id, local, len(local))
-	for _, prop := range props {
-		q := c.servers[prop.To]
-		if c.cooling(q) {
-			continue // try the next-best target (Algorithm 1)
-		}
-		req := partition.ExchangeRequest{
-			From: p.id, To: q.id,
-			Candidates:     prop.Candidates,
-			FromPopulation: prop.FromPopulation,
-		}
-		qVerts := c.assign.VerticesOn(q.id)
-		resp := partition.DecideExchange(c.Cfg.PartitionOpts, q.monitor.Snapshot(), c.assign, req, qVerts, len(qVerts))
-		moved := 0
-		for _, v := range resp.Accepted {
-			c.migrate(v, p.id, q.id)
-			moved++
-		}
-		for _, v := range resp.Counter {
-			c.migrate(v, q.id, p.id)
-			moved++
-		}
-		if moved == 0 {
-			continue
-		}
-		c.Exchanges++
-		now := c.K.Now()
-		p.lastExchange, p.everExchanged = now, true
-		q.lastExchange, q.everExchanged = now, true
-		return
-	}
-}
-
-// migrate transparently moves an actor between servers: the placement
-// directory is updated and the actor's edge statistics travel with it
-// (§4.3, "Transparent actor migration"). In-flight messages re-resolve the
-// directory on arrival.
-func (c *Cluster) migrate(v ActorID, from, to graph.ServerID) {
-	if _, ok := c.actors[v]; !ok {
-		return
-	}
-	c.assign.Place(v, to)
-	src, dst := c.servers[from].monitor, c.servers[to].monitor
-	snap := src.Snapshot()
-	snap.VertexEdges(v, func(u graph.Vertex, w float64) {
-		dst.ObserveMessage(v, u, uint64(w))
-	})
-	src.ForgetVertex(v)
-	c.Moves++
-	c.movesWindow++
+// moved counts n migrations in the totals and the current stats window.
+func (c *Cluster) moved(n int) {
+	c.Moves += n
+	c.movesWindow += n
 }
 
 // MoveActor relocates an actor explicitly (used by the §3 oracle-placement
-// baseline and by tests); statistics travel with it like any migration.
+// baseline and by tests). It moves like any exchange migration: the
+// placement directory is updated and the actor's edge statistics travel with
+// it; in-flight messages re-resolve the directory on arrival.
 func (c *Cluster) MoveActor(v ActorID, to graph.ServerID) {
 	from, ok := c.assign.Server(v)
 	if !ok || from == to {
 		return
 	}
-	c.migrate(v, from, to)
+	c.part.Move(v, from, to)
+	c.moved(1)
 }
 
 // MeanCPUUtilization reports the steady-state mean of the CPU series after

@@ -3,7 +3,6 @@ package sim
 import (
 	"time"
 
-	"actop/internal/des"
 	"actop/internal/estimator"
 	"actop/internal/graph"
 	"actop/internal/partition"
@@ -21,9 +20,6 @@ type server struct {
 	monitor *partition.Monitor
 	est     *estimator.Estimator
 
-	lastExchange  des.Time
-	everExchanged bool
-
 	cpuBusy       time.Duration // lifetime core-time integral
 	cpuBusyWindow time.Duration
 
@@ -35,7 +31,7 @@ func newServer(c *Cluster, id graph.ServerID) *server {
 	for i := range s.stages {
 		s.stages[i] = &stage{srv: s, id: StageID(i), threads: c.Cfg.InitialThreads[i]}
 	}
-	s.monitor = partition.NewMonitor(c.Cfg.MonitorCapacity)
+	s.monitor = c.part.Monitors[id]
 	if c.Cfg.ThreadTuning {
 		est, err := estimator.New([]estimator.StageSpec{
 			{Name: StageNames[StageReceiver], NonBlocking: true},

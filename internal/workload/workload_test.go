@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -188,5 +189,46 @@ func TestHaloDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestHaloDeterministicDigest pins a seeded Halo run with both of the paper's
+// mechanisms on — the exchange rounds and the thread controller — to the
+// values the simulator printed when they were recorded. A refactor of either
+// mechanism that changes one decision moves a count, a quantile or a point of
+// the remote-fraction series, and fails here.
+func TestHaloDeterministicDigest(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Servers = 3
+	cfg.StatsWindow = 10 * time.Second
+	cfg.Partitioning = true
+	cfg.PartitionPeriod = 3 * time.Second
+	cfg.RejectWindow = 5 * time.Second
+	cfg.ThreadTuning = true
+	cfg.ThreadPeriod = 2 * time.Second
+	c := sim.New(cfg)
+	h := NewHalo(c, quickHalo(600, 150))
+	h.Start()
+	c.Run(time.Minute)
+
+	type digest struct {
+		completed                 uint64
+		moves, exchanges, retunes int
+		p50, p99                  time.Duration
+	}
+	got := digest{c.Completed, c.Moves, c.Exchanges, c.Retunes,
+		c.Latency.Quantile(0.5), c.Latency.Quantile(0.99)}
+	want := digest{9244, 350, 12, 88, 3014656, 7602176}
+	if got != want {
+		t.Errorf("digest = %+v, want %+v", got, want)
+	}
+	var series []float64
+	for _, p := range c.RemoteSeries.Points {
+		series = append(series, p.Value)
+	}
+	wantSeries := []float64{0.49932750504371215, 0.1789920269182942, 0.0675784984190014,
+		0.055045534665099885, 0.055148942399180265, 0.04451844076875747}
+	if !slices.Equal(series, wantSeries) {
+		t.Errorf("remote-fraction series = %v, want %v", series, wantSeries)
 	}
 }
