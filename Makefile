@@ -5,10 +5,10 @@
 GO ?= go
 LINT_BIN := bin/actop-lint
 
-.PHONY: check build test vet staticcheck lint race seeded fuzz-smoke cluster-smoke bench-scale bench-recovery
+.PHONY: check fmt build test vet staticcheck lint race seeded fuzz-smoke cluster-smoke bench-scale bench-recovery
 
-# check is the pre-PR gate, and the whole of CI: vet (+ staticcheck when
-# installed), the four-analyzer domain lint suite (the invariants no other
+# check is the pre-PR gate, and the whole of CI: gofmt, vet (+ staticcheck
+# when installed), the four-analyzer domain lint suite (the invariants no other
 # step here fails on), build everything, race-test the
 # concurrency-heavy packages (transport, actor, seda, codec, durable,
 # loadgen, flight, hotspot) — a fresh run, so the crash-chaos battery
@@ -19,7 +19,12 @@ LINT_BIN := bin/actop-lint
 # order (the determinism guard), then the full tier-1 suite, a short fuzz
 # pass over the wire decoders, and a reduced-scale run of the multi-process
 # cluster benchmark.
-check: vet staticcheck lint build race seeded test fuzz-smoke cluster-smoke
+check: fmt vet staticcheck lint build race seeded test fuzz-smoke cluster-smoke
+
+# fmt fails when gofmt would rewrite any tracked Go file, and names them.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # lint builds the whole-program analyzer suite (turnblock, lockheldio,
 # poolescape, calldag) into bin/ and runs it over the module, one package
@@ -67,11 +72,12 @@ race:
 # the container/heap summary it replaced), the discrete-event simulator and
 # the workload spec's schedules — twenty times in shuffled order: a test there
 # that passes by luck (map iteration order deciding a tie) fails here. The second line
-# repeats only the determinism tests of the cluster simulator and the
-# simulated workloads (seconds; their full suites twenty times over are not).
+# repeats only the determinism tests of the cluster simulator and of the paper
+# harness's Halo and single-hop runs (seconds; their full suites twenty times
+# over are not).
 seeded:
 	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/sampling ./internal/des ./internal/workload/spec
-	$(GO) test -count=20 -shuffle=on -run Determinis ./internal/sim ./internal/workload
+	$(GO) test -count=20 -shuffle=on -run Determinis ./internal/sim ./internal/experiments
 
 test:
 	$(GO) test ./...

@@ -101,14 +101,11 @@ func main() {
 		base.Measure = *measure
 	}
 
-	counterOpts := experiments.DefaultCounterOpts()
-	counterOpts.Seed = *seed
-	hbOpts := experiments.DefaultHeartbeatOpts()
-	hbOpts.Seed = *seed
+	hopOpts := experiments.DefaultSingleHopOpts()
+	hopOpts.Seed = *seed
 	hbLoads := []float64{10000, 12500, 15000}
 	if *measure > 0 {
-		counterOpts.Measure = *measure
-		hbOpts.Measure = *measure
+		hopOpts.Measure = *measure
 	}
 
 	run := func(name string) {
@@ -118,9 +115,9 @@ func main() {
 		case "section3":
 			fmt.Print(experiments.RunSection3(base).Render())
 		case "fig4":
-			fmt.Print(experiments.RunFig4(counterOpts).Render())
+			fmt.Print(experiments.RunFig4(hopOpts).Render())
 		case "fig5":
-			fmt.Print(experiments.RunFig5(counterOpts, gridW, gridS).Render())
+			fmt.Print(experiments.RunFig5(hopOpts, gridW, gridS).Render())
 		case "fig7":
 			o := experiments.DefaultFig7Opts()
 			o.Seed = *seed
@@ -139,7 +136,7 @@ func main() {
 		case "fig10f":
 			fmt.Print(experiments.RunFig10f(base, playerSweep).Render())
 		case "fig11a":
-			fmt.Print(experiments.RunFig11a(hbOpts, hbLoads).Render())
+			fmt.Print(experiments.RunFig11a(hopOpts, hbLoads).Render())
 		case "fig11b":
 			fmt.Print(experiments.RunFig11b(base).Render())
 		case "throughput":

@@ -35,7 +35,7 @@ func main() {
 		Players: *players, Servers: *servers, Load: *load,
 		Warmup: *warmup, Measure: *measure,
 		Partitioning: *part, ThreadTuning: *threads, Oracle: *oracle,
-		FastControl: *fast, Seed: *seed, TimeScale: 1,
+		FastControl: *fast, Seed: *seed,
 	}
 	start := time.Now()
 	r := experiments.RunHalo(o)

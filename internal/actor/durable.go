@@ -2,7 +2,6 @@ package actor
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -110,16 +109,10 @@ func (s *System) shipSnapshot(ref Ref, epoch, seq uint64, state []byte) {
 // snapScore is the rendezvous weight of one (peer, ref) pair. The "snap"
 // salt decorrelates replica choice from directoryOwner, so losing one node
 // doesn't take out an actor's directory home and its replica set together.
+// It is FNV-1a over "snap\x00peer\x00Type\x00Key".
 func snapScore(p transport.NodeID, ref Ref) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte("snap"))
-	h.Write([]byte{0})
-	h.Write([]byte(p))
-	h.Write([]byte{0})
-	h.Write([]byte(ref.Type))
-	h.Write([]byte{0})
-	h.Write([]byte(ref.Key))
-	return h.Sum64()
+	h := fnvString(fnvOffset64, "snap") * fnvPrime64
+	return fnvRef(fnvString(h, string(p))*fnvPrime64, ref)
 }
 
 // topSnapPeers returns the k highest-scoring peers for ref by rendezvous

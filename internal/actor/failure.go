@@ -1,7 +1,6 @@
 package actor
 
 import (
-	"hash/fnv"
 	"sync/atomic"
 	"time"
 
@@ -328,15 +327,15 @@ func (s *System) directoryOwner(ref Ref) transport.NodeID {
 	best := live[0]
 	var bestScore uint64
 	for _, p := range live {
-		h := fnv.New64a()
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-		h.Write([]byte(ref.Type))
-		h.Write([]byte{0})
-		h.Write([]byte(ref.Key))
-		if score := h.Sum64(); score >= bestScore {
+		if score := ownerScore(p, ref); score >= bestScore {
 			best, bestScore = p, score
 		}
 	}
 	return best
+}
+
+// ownerScore is directoryOwner's rendezvous weight of one (peer, ref) pair:
+// FNV-1a over "peer\x00Type\x00Key".
+func ownerScore(p transport.NodeID, ref Ref) uint64 {
+	return fnvRef(strHash(string(p))*fnvPrime64, ref)
 }

@@ -51,25 +51,23 @@ const (
 // bit-identical to hash/fnv over "Type\x00Key" — and therefore equal to
 // uint64(ref.Vertex()). It is the state table's key, its shard selector and
 // the partitioner's vertex id at once.
-func refHash(r Ref) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(r.Type); i++ {
-		h = (h ^ uint64(r.Type[i])) * fnvPrime64
-	}
-	h *= fnvPrime64 // the \x00 separator: XOR with zero is the identity
-	for i := 0; i < len(r.Key); i++ {
-		h = (h ^ uint64(r.Key[i])) * fnvPrime64
-	}
-	return h
-}
+func refHash(r Ref) uint64 { return fnvRef(fnvOffset64, r) }
 
 // strHash is allocation-free FNV-1a over a plain string (node ids).
-func strHash(s string) uint64 {
-	h := uint64(fnvOffset64)
+func strHash(s string) uint64 { return fnvString(fnvOffset64, s) }
+
+// fnvString continues the FNV-1a hash h over s.
+func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
+}
+
+// fnvRef continues the FNV-1a hash h over "Type\x00Key".
+func fnvRef(h uint64, r Ref) uint64 {
+	h = fnvString(h, r.Type) * fnvPrime64 // the \x00 separator: XOR with zero is the identity
+	return fnvString(h, r.Key)
 }
 
 // refEntry is everything this node knows about one ref. An entry exists

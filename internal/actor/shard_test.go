@@ -41,7 +41,9 @@ func newShardTestSystem(t *testing.T, cacheSize int, reg *metrics.Registry) *Sys
 
 // refHash must stay bit-identical to hash/fnv over "Type\x00Key": the shard
 // key, the vertex index key, and Ref.Vertex all assume the same hash, and
-// partitioner vertex ids computed before this PR must not move.
+// partitioner vertex ids must not move between versions. strHash (node seeds,
+// dedup shards) and the rendezvous scores (snapScore, ownerScore) are held
+// to hash/fnv the same way.
 func TestRefHashMatchesStdlibFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alpha := "abcdefghijklmnopqrstuvwxyz0123456789-_/."
@@ -79,6 +81,21 @@ func TestRefHashMatchesStdlibFNV(t *testing.T) {
 		h.Write([]byte(s))
 		if want, got := h.Sum64(), strHash(s); got != want {
 			t.Fatalf("strHash(%q) = %#x, stdlib fnv = %#x", s, got, want)
+		}
+		// The rendezvous scores pick replica sets and post-death directory
+		// owners on every node; they must not move either.
+		p := transport.NodeID(s)
+		for _, r := range refs[:50] {
+			h.Reset()
+			h.Write([]byte("snap\x00" + s + "\x00" + r.Type + "\x00" + r.Key))
+			if want, got := h.Sum64(), snapScore(p, r); got != want {
+				t.Fatalf("snapScore(%q, %q/%q) = %#x, stdlib fnv = %#x", s, r.Type, r.Key, got, want)
+			}
+			h.Reset()
+			h.Write([]byte(s + "\x00" + r.Type + "\x00" + r.Key))
+			if want, got := h.Sum64(), ownerScore(p, r); got != want {
+				t.Fatalf("ownerScore(%q, %q/%q) = %#x, stdlib fnv = %#x", s, r.Type, r.Key, got, want)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package actor
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
@@ -228,7 +227,7 @@ func NewSystem(cfg Config) (*System, error) {
 		tr:          cfg.Transport,
 		peers:       peers,
 		types:       make(map[string]Factory),
-		rng:         rand.New(rand.NewSource(cfg.Seed ^ int64(hashNode(cfg.Transport.Node())))),
+		rng:         rand.New(rand.NewSource(cfg.Seed ^ int64(strHash(string(cfg.Transport.Node()))))),
 		monitor:     partition.NewMonitor(monitorCapacity),
 		edgeSampler: trace.NewSampler(1.0 / edgeSample),
 		members:     make(map[transport.NodeID]*memberEntry, len(peers)),
@@ -252,7 +251,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.snapProbeFail = make(map[transport.NodeID]time.Time)
 	}
 	s.initShards(cfg.LocCacheSize)
-	s.sampler.Seed(hashNode(cfg.Transport.Node()))
+	s.sampler.Seed(strHash(string(cfg.Transport.Node())))
 	if cfg.Metrics != nil {
 		s.callDur = cfg.Metrics.Summary("actop_call_duration_seconds",
 			"actor call round-trip latency by method", "method")
@@ -318,12 +317,6 @@ func ctlStageWorkers(receiverWorkers int) int {
 		return w
 	}
 	return 2
-}
-
-func hashNode(n transport.NodeID) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(n))
-	return h.Sum64()
 }
 
 // Node reports this node's id.

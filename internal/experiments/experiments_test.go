@@ -51,7 +51,7 @@ func TestFig4QueuesDominate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := DefaultCounterOpts()
+	o := DefaultSingleHopOpts()
 	o.Measure = 30 * time.Second
 	r := RunFig4(o)
 	bd := r.Run.Breakdown
@@ -75,7 +75,7 @@ func TestFig5ShapeAndController(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := DefaultCounterOpts()
+	o := DefaultSingleHopOpts()
 	o.Measure = 30 * time.Second
 	// Coarse grid keeps the test quick; the harness runs the full 2..8 grid.
 	r := RunFig5(o, []int{2, 4, 8}, []int{3, 6, 8})
@@ -201,7 +201,7 @@ func TestFig11aTuningWinsUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := DefaultHeartbeatOpts()
+	o := DefaultSingleHopOpts()
 	o.Measure = 45 * time.Second
 	r := RunFig11a(o, []float64{10000, 15000})
 	top := r.Rows[len(r.Rows)-1]

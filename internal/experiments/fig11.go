@@ -3,94 +3,38 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"actop/internal/metrics"
 	"actop/internal/sim"
-	"actop/internal/workload"
 )
-
-// HeartbeatOpts configures the §6.2 heartbeat service runs.
-type HeartbeatOpts struct {
-	Entities int
-	Rate     float64
-	Warmup   time.Duration
-	Measure  time.Duration
-	Seed     int64
-}
-
-// DefaultHeartbeatOpts mirrors the paper's single-server setup.
-func DefaultHeartbeatOpts() HeartbeatOpts {
-	return HeartbeatOpts{
-		Entities: 8000,
-		Rate:     15000,
-		Warmup:   30 * time.Second,
-		Measure:  time.Minute,
-		Seed:     5,
-	}
-}
-
-// HeartbeatResult is one heartbeat run's outcome.
-type HeartbeatResult struct {
-	Opts    HeartbeatOpts
-	Tuned   bool
-	Latency metrics.Summary
-	Threads [sim.NumStages]int
-	CPU     float64
-}
-
-// RunHeartbeat executes one heartbeat run with or without the §5 thread
-// controller (the baseline keeps the default 8 threads per stage).
-func RunHeartbeat(o HeartbeatOpts, tuned bool) HeartbeatResult {
-	cfg := sim.DefaultConfig()
-	cfg.Servers = 1
-	cfg.Seed = o.Seed
-	// Same lean per-event costs as the counter app (single tiny update).
-	cfg.DeserializeTime = 130 * time.Microsecond
-	cfg.SerializeTime = 130 * time.Microsecond
-	cfg.WorkerTime = 88 * time.Microsecond
-	cfg.ClientRequestExtra = 0
-	// 8 threads per *active* stage (receiver/worker/client-sender); the
-	// server-sender stage is idle in this single-hop workload.
-	cfg.InitialThreads = [sim.NumStages]int{8, 8, 1, 8}
-	cfg.ThreadTuning = tuned
-	cfg.ThreadPeriod = 5 * time.Second
-	c := sim.New(cfg)
-	w := workload.NewHeartbeat(c, o.Entities, o.Rate, o.Seed+9)
-	w.Start()
-	c.Run(o.Warmup)
-	warmEnd := c.Now()
-	c.ResetMetrics()
-	c.Run(o.Measure)
-	return HeartbeatResult{
-		Opts:    o,
-		Tuned:   tuned,
-		Latency: c.Latency.Summarize(),
-		Threads: c.ThreadAllocation(0),
-		CPU:     c.CPUSeries.MeanAfter(warmEnd),
-	}
-}
 
 // Fig11aResult is the thread-allocation-only evaluation across loads.
 type Fig11aResult struct {
 	Rows []struct {
 		Load            float64
-		Baseline, Tuned HeartbeatResult
+		Baseline, Tuned SingleHopResult
 	}
 }
 
 // RunFig11a regenerates Fig. 11(a): heartbeat latency improvement from the
 // optimized thread allocation at increasing loads (paper: 10K/12.5K/15K
-// req/s; −58% median and −68% p99 at the top load).
-func RunFig11a(base HeartbeatOpts, loads []float64) Fig11aResult {
+// req/s; −58% median and −68% p99 at the top load). The heartbeat service is
+// the single-hop workload with 8 threads per *active* stage (receiver,
+// worker, client sender) — the server-sender stage is idle when no request
+// leaves its first actor — run with and without the §5 thread controller.
+func RunFig11a(base SingleHopOpts, loads []float64) Fig11aResult {
 	var res Fig11aResult
 	for _, load := range loads {
 		o := base
 		o.Rate = load
+		o.Threads = [sim.NumStages]int{8, 8, 1, 8}
+		o.ThreadTuning = false
+		tuned := o
+		tuned.ThreadTuning = true
 		res.Rows = append(res.Rows, struct {
 			Load            float64
-			Baseline, Tuned HeartbeatResult
-		}{load, RunHeartbeat(o, false), RunHeartbeat(o, true)})
+			Baseline, Tuned SingleHopResult
+		}{load, RunSingleHop(o), RunSingleHop(tuned)})
 	}
 	return res
 }

@@ -11,7 +11,6 @@ import (
 
 	"actop/internal/metrics"
 	"actop/internal/sim"
-	"actop/internal/workload"
 )
 
 // HaloOpts configures one Halo Presence run.
@@ -27,8 +26,7 @@ type HaloOpts struct {
 	ThreadTuning bool // ActOp model-driven thread allocation
 	Oracle       bool // §3 co-located upper bound (placement oracle)
 
-	TimeScale int // accelerate game churn (1 = paper timing)
-	Seed      int64
+	Seed int64
 
 	// FastControl shortens the controller periods (exchange every 5s,
 	// reject window 20s, retune every 5s, decay every 30s) so quick runs
@@ -42,13 +40,12 @@ type HaloOpts struct {
 // Load: 6000, Warmup: 10m, Measure: 50m}.
 func DefaultHaloOpts() HaloOpts {
 	return HaloOpts{
-		Players:   6000,
-		Servers:   3,
-		Load:      1800,
-		Warmup:    3 * time.Minute,
-		Measure:   3 * time.Minute,
-		TimeScale: 1,
-		Seed:      1,
+		Players: 6000,
+		Servers: 3,
+		Load:    1800,
+		Warmup:  3 * time.Minute,
+		Measure: 3 * time.Minute,
+		Seed:    1,
 	}
 }
 
@@ -97,21 +94,13 @@ func RunHalo(o HaloOpts) HaloResult {
 
 	c := sim.New(cfg)
 
-	wcfg := workload.DefaultHaloConfig()
-	wcfg.TargetPlayers = o.Players
-	wcfg.IdlePoolTarget = o.Players / 100
-	if wcfg.IdlePoolTarget < 8 {
-		wcfg.IdlePoolTarget = 8
-	}
-	wcfg.RequestRate = o.Load
-	wcfg.OraclePlacement = o.Oracle
-	if o.TimeScale > 0 {
-		wcfg.TimeScale = o.TimeScale
-	}
-	wcfg.Seed = o.Seed + 100
-
-	h := workload.NewHalo(c, wcfg)
-	h.Start()
+	NewHalo(c, HaloConfig{
+		TargetPlayers:   o.Players,
+		IdlePoolTarget:  max(o.Players/100, 8),
+		RequestRate:     o.Load,
+		OraclePlacement: o.Oracle,
+		Seed:            o.Seed + 100,
+	}).Start()
 
 	c.Run(o.Warmup)
 	warmEnd := c.Now()

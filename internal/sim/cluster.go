@@ -10,12 +10,6 @@ import (
 	"actop/internal/partition"
 )
 
-// typeCost overrides the worker demand for one message type.
-type typeCost struct {
-	compute  time.Duration
-	blocking time.Duration
-}
-
 type actorRec struct {
 	handler Handler
 	state   interface{}
@@ -35,8 +29,6 @@ type Cluster struct {
 
 	nextActor ActorID
 	nextReq   uint64
-
-	workerCost map[string]typeCost
 
 	// Metrics. Latency is end-to-end client latency; ActorCall is one-way
 	// actor→actor delivery latency (created → handler completed), the
@@ -59,12 +51,11 @@ type Cluster struct {
 // New creates a cluster per cfg and installs its periodic controllers.
 func New(cfg Config) *Cluster {
 	c := &Cluster{
-		Cfg:        cfg,
-		K:          &des.Kernel{},
-		rng:        des.NewRand(cfg.Seed),
-		actors:     make(map[ActorID]*actorRec),
-		workerCost: make(map[string]typeCost),
-		nextActor:  1,
+		Cfg:       cfg,
+		K:         &des.Kernel{},
+		rng:       des.NewRand(cfg.Seed),
+		actors:    make(map[ActorID]*actorRec),
+		nextActor: 1,
 	}
 	c.assign = graph.NewAssignment(cfg.ServerIDs()...)
 	c.part = partition.NewEngine(cfg.PartitionOpts, nil, c.assign, cfg.Seed)
@@ -127,12 +118,6 @@ func (c *Cluster) Now() des.Time { return c.K.Now() }
 // Run advances virtual time by d.
 func (c *Cluster) Run(d time.Duration) { c.K.RunUntil(c.K.Now() + d) }
 
-// SetTypeCost overrides the worker compute/blocking demand for messages of
-// the given type (0 keeps the config default for that component).
-func (c *Cluster) SetTypeCost(typ string, compute, blocking time.Duration) {
-	c.workerCost[typ] = typeCost{compute: compute, blocking: blocking}
-}
-
 // CreateActor instantiates an actor under the default random placement
 // policy (§3: Orleans's default) and returns its id.
 func (c *Cluster) CreateActor(h Handler, state interface{}) ActorID {
@@ -183,15 +168,6 @@ func (c *Cluster) SetThreads(s graph.ServerID, alloc [NumStages]int) {
 	}
 }
 
-// QueueLengths reports the stage queue lengths of a server.
-func (c *Cluster) QueueLengths(s graph.ServerID) [NumStages]int {
-	var out [NumStages]int
-	for i, st := range c.servers[s].stages {
-		out[i] = st.queueLen()
-	}
-	return out
-}
-
 func (c *Cluster) serverOf(id ActorID) (graph.ServerID, bool) {
 	return c.assign.Server(id)
 }
@@ -217,19 +193,10 @@ func (c *Cluster) serviceDemand(st StageID, m *Message) (time.Duration, time.Dur
 		return c.Cfg.SerializeTime, 0
 	default: // worker
 		x := c.Cfg.WorkerTime
-		w := c.Cfg.WorkerBlocking
-		if tc, ok := c.workerCost[m.Type]; ok {
-			if tc.compute > 0 {
-				x = tc.compute
-			}
-			if tc.blocking > 0 {
-				w = tc.blocking
-			}
-		}
 		if m.Kind == KindClientRequest {
 			x += c.Cfg.ClientRequestExtra
 		}
-		return x, w
+		return x, c.Cfg.WorkerBlocking
 	}
 }
 
@@ -240,7 +207,7 @@ func (c *Cluster) SubmitRequest(to ActorID, typ string, payload interface{}, don
 	req := &Request{ID: c.nextReq, Start: c.K.Now(), Done: done}
 	c.Submitted++
 	m := &Message{To: to, Kind: KindClientRequest, Type: typ, Payload: payload, Req: req, createdAt: c.K.Now()}
-	c.K.After(c.Cfg.NetworkHop, func() {
+	c.K.After(networkHop, func() {
 		c.accountNetwork(m)
 		if s, ok := c.serverOf(to); ok {
 			c.servers[s].stages[StageReceiver].enqueue(m)
@@ -346,7 +313,7 @@ func (c *Cluster) accountProcessing(st StageID, m *Message, cpu, ready, blocked 
 }
 
 func (c *Cluster) accountNetwork(m *Message) {
-	c.Breakdown.Add("Network", c.Cfg.NetworkHop)
+	c.Breakdown.Add("Network", networkHop)
 }
 
 // --- periodic stats ---

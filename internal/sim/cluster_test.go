@@ -38,7 +38,7 @@ func TestClientRequestRoundTrip(t *testing.T) {
 		t.Fatal("request never completed")
 	}
 	// Round trip ≥ 2 network hops + some processing.
-	if finished < 2*c.Cfg.NetworkHop {
+	if finished < 2*networkHop {
 		t.Fatalf("round trip %v implausibly fast", finished)
 	}
 	if c.Completed != 1 || c.Latency.Count() != 1 {
@@ -82,7 +82,7 @@ func TestLocalVsRemoteCallPath(t *testing.T) {
 		t.Fatalf("completed: %d local, %d remote", cl.Completed, cr.Completed)
 	}
 	// The remote path adds serialize + network + deserialize (Fig. 3).
-	if remoteLat <= localLat+cl.Cfg.NetworkHop {
+	if remoteLat <= localLat+networkHop {
 		t.Fatalf("remote %v not sufficiently above local %v", remoteLat, localLat)
 	}
 	// The remote run exercised the server-sender stage; the local did not.

@@ -35,6 +35,26 @@ const (
 // StageNames maps StageID to display names.
 var StageNames = [NumStages]string{"receiver", "worker", "server sender", "client sender"}
 
+// The calibration every run shares; no configuration varies it.
+const (
+	// serverCores is each server's processor count (paper: 8).
+	serverCores = 8
+	// networkHop is the one-way network latency between any two machines.
+	networkHop = 500 * time.Microsecond
+	// threadBudgetFactor scales the processor budget handed to the (∗)
+	// solver. The model's constraint Σt·β ≤ p pins every thread to a core
+	// even when stages run far below saturation; a factor > 1 restores the
+	// headroom that per-stage idle time provides. Calibrated (like η,
+	// following the paper's procedure) against the Fig. 5 sweep.
+	threadBudgetFactor = 1.6
+	// modelEta is the per-thread latency penalty η. The paper calibrates η
+	// by tuning the model against a workload with a known-optimal
+	// allocation and uses 100µs/thread on its hardware; the same procedure
+	// against this simulator's Fig. 5 sweep yields 10µs/thread (service
+	// times here are leaner than the .NET runtime's).
+	modelEta = 10e-6
+)
+
 // Config holds every calibration constant of the simulator. Defaults are
 // derived from the paper's operating points (see DESIGN.md, "Scale notes"):
 // at 6K req/s on ten 8-core servers with ~90% remote messaging, baseline CPU
@@ -42,7 +62,6 @@ var StageNames = [NumStages]string{"receiver", "worker", "server sender", "clien
 // milliseconds.
 type Config struct {
 	Servers int // number of servers (paper: 10)
-	Cores   int // processors per server (paper: 8)
 
 	// InitialThreads is the default per-stage thread count; the paper's
 	// baseline is one thread per stage per core (8).
@@ -57,9 +76,6 @@ type Config struct {
 	// WorkerBlocking is synchronous blocking time in the worker stage
 	// (w_i of §5.2); zero for fully asynchronous applications.
 	WorkerBlocking time.Duration
-
-	// NetworkHop is the one-way network latency between any two machines.
-	NetworkHop time.Duration
 
 	// ContextSwitchOverhead inflates per-event CPU time by this fraction
 	// for every thread beyond the core count — the multithreading overhead
@@ -94,18 +110,6 @@ type Config struct {
 	ThreadTuning bool
 	// ThreadPeriod is the estimate→solve→resize control period.
 	ThreadPeriod time.Duration
-	// ThreadBudgetFactor scales the processor budget handed to the (∗)
-	// solver. The model's constraint Σt·β ≤ p pins every thread to a core
-	// even when stages run far below saturation; a factor > 1 restores the
-	// headroom that per-stage idle time provides. Calibrated (like η,
-	// following the paper's procedure) against the Fig. 5 sweep.
-	ThreadBudgetFactor float64
-	// Eta is the per-thread latency penalty η. The paper calibrates η by
-	// tuning the model against a workload with a known-optimal allocation
-	// and uses 100µs/thread on its hardware; the same procedure against
-	// this simulator's Fig. 5 sweep yields 10µs/thread (service times here
-	// are leaner than the .NET runtime's).
-	Eta float64
 
 	// StatsWindow is the sampling period for time-series metrics.
 	StatsWindow time.Duration
@@ -120,14 +124,12 @@ func DefaultConfig() Config {
 	opts.CandidateSetSize = 128
 	return Config{
 		Servers:               10,
-		Cores:                 8,
 		InitialThreads:        [NumStages]int{8, 8, 8, 8},
 		DeserializeTime:       150 * time.Microsecond,
 		SerializeTime:         150 * time.Microsecond,
 		WorkerTime:            135 * time.Microsecond,
 		ClientRequestExtra:    50 * time.Microsecond,
 		WorkerBlocking:        0,
-		NetworkHop:            500 * time.Microsecond,
 		ContextSwitchOverhead: 0.025,
 		QueueCap:              50_000,
 		MonitorCapacity:       4096,
@@ -139,8 +141,6 @@ func DefaultConfig() Config {
 		PartitionOpts:         opts,
 		ThreadTuning:          false,
 		ThreadPeriod:          10 * time.Second,
-		ThreadBudgetFactor:    1.6,
-		Eta:                   10e-6,
 		StatsWindow:           30 * time.Second,
 		Seed:                  1,
 	}

@@ -56,13 +56,8 @@ func TestServiceDemandTypeOverrides(t *testing.T) {
 	cfg.WorkerTime = 100 * time.Microsecond
 	cfg.ClientRequestExtra = 40 * time.Microsecond
 	c := New(cfg)
-	c.SetTypeCost("heavy", 900*time.Microsecond, 2*time.Millisecond)
 
-	x, w := c.serviceDemand(StageWorker, &Message{Kind: KindActor, Type: "heavy"})
-	if x != 900*time.Microsecond || w != 2*time.Millisecond {
-		t.Fatalf("override not applied: %v, %v", x, w)
-	}
-	x, w = c.serviceDemand(StageWorker, &Message{Kind: KindActor, Type: "light"})
+	x, w := c.serviceDemand(StageWorker, &Message{Kind: KindActor, Type: "light"})
 	if x != 100*time.Microsecond || w != 0 {
 		t.Fatalf("default demand wrong: %v, %v", x, w)
 	}

@@ -40,7 +40,7 @@ type pstage struct {
 	// arrivals in the current control window (for the model controller)
 	arrivals uint64
 	// measurement sums for the estimator path
-	sumWall, sumCPU time.Duration
+	sumCPU          time.Duration
 	processedWindow uint64
 }
 
@@ -126,7 +126,6 @@ func (ps *pstage) start(ev *pevent) {
 	wall := time.Duration(float64(xEff)*f) + ps.blocking
 	p.K.After(wall, func() {
 		ps.busy--
-		ps.sumWall += wall
 		ps.sumCPU += xEff
 		ps.processedWindow++
 		ps.dispatch()
@@ -246,7 +245,6 @@ func (p *Pipeline) retune(period time.Duration, eta float64) {
 	for _, s := range p.stages {
 		st := queuing.Stage{Name: "stage"}
 		if s.processedWindow > 0 {
-			meanWall := time.Duration(uint64(s.sumWall) / s.processedWindow)
 			meanCPU := time.Duration(uint64(s.sumCPU) / s.processedWindow)
 			base := meanCPU + s.blocking
 			if base <= 0 {
@@ -255,7 +253,6 @@ func (p *Pipeline) retune(period time.Duration, eta float64) {
 			st.Lambda = float64(s.arrivals) / period.Seconds()
 			st.ServiceRate = 1 / base.Seconds()
 			st.Beta = float64(meanCPU) / float64(base)
-			_ = meanWall
 		} else {
 			st.ServiceRate = 1000
 			st.Beta = 1
@@ -267,7 +264,7 @@ func (p *Pipeline) retune(period time.Duration, eta float64) {
 			st.Beta = 1
 		}
 		stages = append(stages, st)
-		s.arrivals, s.processedWindow, s.sumWall, s.sumCPU = 0, 0, 0, 0
+		s.arrivals, s.processedWindow, s.sumCPU = 0, 0, 0
 	}
 	m := &queuing.Model{Stages: stages, Processors: p.cores, Eta: eta}
 	sol, err := queuing.Solve(m)

@@ -77,12 +77,11 @@ func (s *server) complete(st StageID, m *Message) {
 		c.runHandler(s, m)
 	case StageServerSender:
 		// Serialized RPC: cross the network to the destination server.
-		dest, ok := c.serverOf(m.To)
-		if !ok {
+		if _, ok := c.serverOf(m.To); !ok {
 			c.reject(m)
 			return
 		}
-		c.K.After(c.Cfg.NetworkHop, func() {
+		c.K.After(networkHop, func() {
 			// Re-resolve on arrival: the actor may have migrated while the
 			// message was in flight.
 			if cur, ok := c.serverOf(m.To); ok {
@@ -91,10 +90,9 @@ func (s *server) complete(st StageID, m *Message) {
 				c.reject(m)
 			}
 		})
-		_ = dest
 	case StageClientSender:
 		// Serialized reply: network back to the frontend.
-		c.K.After(c.Cfg.NetworkHop, func() {
+		c.K.After(networkHop, func() {
 			c.completeRequest(m.Req)
 		})
 	}
@@ -116,11 +114,7 @@ func (s *server) retune(period time.Duration) {
 		return
 	}
 	stages := s.est.Estimate(period)
-	budget := float64(s.c.Cfg.Cores)
-	if f := s.c.Cfg.ThreadBudgetFactor; f > 1 {
-		budget *= f
-	}
-	m := &queuing.Model{Stages: stages, Processors: budget, Eta: s.c.Cfg.Eta}
+	m := &queuing.Model{Stages: stages, Processors: serverCores * threadBudgetFactor, Eta: modelEta}
 	sol, err := queuing.Solve(m)
 	if err != nil {
 		return // infeasible or degenerate epoch: keep the current allocation

@@ -120,7 +120,7 @@ func (s *server) overheadFactor() float64 {
 	for _, st := range s.stages {
 		total += st.threads
 	}
-	extra := total - s.c.Cfg.Cores
+	extra := total - serverCores
 	if extra < 0 {
 		extra = 0
 	}
@@ -135,7 +135,7 @@ func (s *server) contentionFactor() float64 {
 	for id, st := range s.stages {
 		demand += float64(st.busy) * s.stageBeta(StageID(id))
 	}
-	f := demand / float64(s.c.Cfg.Cores)
+	f := demand / float64(serverCores)
 	if f < 1 {
 		return 1
 	}
@@ -161,7 +161,7 @@ func (s *server) utilizationSince(window time.Duration) float64 {
 	if window <= 0 {
 		return 0
 	}
-	u := float64(s.cpuBusyWindow) / (float64(s.c.Cfg.Cores) * float64(window))
+	u := float64(s.cpuBusyWindow) / (float64(serverCores) * float64(window))
 	s.cpuBusyWindow = 0
 	return u
 }
