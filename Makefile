@@ -11,12 +11,12 @@ LINT_BIN := bin/actop-lint
 # when installed), the four-analyzer domain lint suite (the invariants no other
 # step here fails on), build everything, race-test the
 # concurrency-heavy packages (transport, actor, seda, codec, durable,
-# loadgen, flight, hotspot) — a fresh run, so the crash-chaos battery
-# (TestChaosKill*), the observability smoke (TestObsSmoke,
-# TestSLOBreachDump), placement convergence (TestConverge*) and DES-vs-real
-# workload conformance (TestConformanceAllScenarios) are never answered
-# from the test cache — the seeded packages twenty times over in shuffled
-# order (the determinism guard), then the full tier-1 suite, a short fuzz
+# flight, hotspot) — a fresh run, so the call-tree exactly-once and
+# crash-chaos tests (TestCallTrees*, TestChaosKill*), the observability
+# smoke (TestObsSmoke,
+# TestSLOBreachDump) and placement convergence (TestConverge*) are never
+# answered from the test cache — the seeded packages twenty times over in
+# shuffled order (the determinism guard), then the full tier-1 suite, a short fuzz
 # pass over the wire decoders, and a reduced-scale run of the multi-process
 # cluster benchmark.
 check: fmt vet staticcheck lint build race seeded test fuzz-smoke cluster-smoke
@@ -64,19 +64,19 @@ staticcheck:
 # (TestExchangeInitiatorAndReceiverAtOnce). The control-plane codec tests and
 # the no-gob cluster test ride along in both lines.
 race:
-	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/loadgen/... ./internal/workload/spec/... ./internal/flight/... ./internal/hotspot/...
+	$(GO) test -race -count=1 ./internal/transport/... ./internal/actor/... ./internal/seda/... ./internal/codec/... ./internal/durable/... ./internal/flight/... ./internal/hotspot/...
 	$(GO) test -race -count=5 -shuffle=on -run 'Waiter|LocalValue|HandOver|Overload|Chaos|Wire|NoGob|StatePlane|Exchange' ./internal/actor
 
 # seeded repeats the packages whose results are functions of a seed — the
 # graph, the partition engine, the edge sketch (its differential test against
-# the container/heap summary it replaced), the discrete-event simulator and
-# the workload spec's schedules — twenty times in shuffled order: a test there
-# that passes by luck (map iteration order deciding a tie) fails here. The second line
+# the container/heap summary it replaced) and the discrete-event simulator —
+# twenty times in shuffled order: a test there that passes by luck (map
+# iteration order deciding a tie) fails here. The second line
 # repeats only the determinism tests of the cluster simulator and of the paper
 # harness's Halo and single-hop runs (seconds; their full suites twenty times
 # over are not).
 seeded:
-	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/sampling ./internal/des ./internal/workload/spec
+	$(GO) test -count=20 -shuffle=on ./internal/graph ./internal/partition ./internal/sampling ./internal/des
 	$(GO) test -count=20 -shuffle=on -run Determinis ./internal/sim ./internal/experiments
 
 test:

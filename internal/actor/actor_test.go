@@ -37,8 +37,9 @@ func (c *counterActor) Receive(ctx *Context, method string, args []byte) ([]byte
 func (c *counterActor) Snapshot() ([]byte, error) { return codec.Marshal(c.N) }
 func (c *counterActor) Restore(b []byte) error    { return codec.Unmarshal(b, &c.N) }
 
-// newCluster spins up n in-memory nodes with the counter type registered.
-func newCluster(t *testing.T, n int, placement PlacementPolicy) []*System {
+// newCluster spins up n in-memory nodes with the counter type registered;
+// tweaks adjust each node's Config before it starts.
+func newCluster(t *testing.T, n int, placement PlacementPolicy, tweaks ...func(*Config)) []*System {
 	t.Helper()
 	net := transport.NewNetwork(0)
 	peers := make([]transport.NodeID, n)
@@ -49,11 +50,15 @@ func newCluster(t *testing.T, n int, placement PlacementPolicy) []*System {
 	}
 	systems := make([]*System, n)
 	for i := 0; i < n; i++ {
-		sys, err := NewSystem(Config{
+		cfg := Config{
 			Transport: trs[i], Peers: peers,
 			Placement: placement, Seed: int64(42 + i),
 			CallTimeout: 3 * time.Second,
-		})
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -210,24 +210,8 @@ func (r *Rand) Uniform(lo, hi time.Duration) time.Duration {
 // Intn draws uniformly from [0, n).
 func (r *Rand) Intn(n int) int { return r.rng.Intn(n) }
 
-// Zipf returns a Zipf-distributed sampler over [0, n) with exponent s > 1:
-// index 0 is the most popular key, with probability ∝ 1/(i+1)^s. The sampler
-// draws from this stream's seeded source, so runs stay reproducible.
-func (r *Rand) Zipf(s float64, n int) *rand.Zipf {
-	if n < 1 {
-		n = 1
-	}
-	if s <= 1 {
-		s = 1.0001
-	}
-	return rand.NewZipf(r.rng, s, 1, uint64(n-1))
-}
-
 // Float64 draws uniformly from [0, 1).
 func (r *Rand) Float64() float64 { return r.rng.Float64() }
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.rng.Perm(n) }
 
 // Shuffle randomizes the order of n elements.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.rng.Shuffle(n, swap) }

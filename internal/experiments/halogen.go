@@ -122,7 +122,7 @@ func (h *Halo) Start() {
 		query = func() {
 			if len(h.players) > 0 {
 				p := h.players[h.rng.Intn(len(h.players))]
-				h.C.SubmitRequest(p, "status", nil, nil)
+				h.C.SubmitRequest(p, "status", nil)
 			}
 			h.C.K.After(h.rng.Exp(mean), query)
 		}

@@ -90,7 +90,7 @@ func startSingleHop(c *sim.Cluster, n int, rate float64, seed int64) []sim.Actor
 	mean := time.Duration(float64(time.Second) / rate)
 	var fire func()
 	fire = func() {
-		c.SubmitRequest(actors[rng.Intn(n)], "inc", nil, nil)
+		c.SubmitRequest(actors[rng.Intn(n)], "inc", nil)
 		c.K.After(rng.Exp(mean), fire)
 	}
 	c.K.After(rng.Exp(mean), fire)

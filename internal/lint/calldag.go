@@ -13,8 +13,7 @@ import (
 // the real runtime: each turn holds its activation's turn lock while
 // awaiting the other (the ctlStage livelock of the control-plane PR was
 // exactly this shape, hidden across two packages that never import each
-// other). spec.Validate rejects such cycles in declared workloads at
-// the data level; CallDag rejects them in code, at kind granularity.
+// other). CallDag rejects such cycles in code, at kind granularity.
 //
 // Per package, Run records which kinds the package registers (the
 // factory's concrete type binds a Go type to a kind string) and which
@@ -26,8 +25,7 @@ import (
 // any back edge is reported at the call site that closes the cycle.
 //
 // Limitation, by design: Ref values whose Type field is computed
-// dynamically (loadgen's table-driven refs) contribute no edge. Those
-// workloads are covered at the data level by spec.Validate's kindCycle.
+// dynamically contribute no edge.
 var CallDag = &Analyzer{
 	Name:   "calldag",
 	Doc:    "synchronous actor calls must form a DAG at kind level; a kind-level cycle (A's turn calls B, B's calls A) deadlocks both activations on the real runtime",
@@ -185,8 +183,7 @@ func runCallDag(pass *Pass) error {
 }
 
 // finishCallDag unions every package's registrations and edges, lifts
-// type-level edges to kind level, and three-colors the kind graph (the
-// same walk spec.Validate runs on declared workloads).
+// type-level edges to kind level, and three-colors the kind graph.
 func finishCallDag(pass *FinishPass) {
 	var regs []KindReg
 	var edges []KindEdge

@@ -28,7 +28,6 @@ type Cluster struct {
 	actors  map[ActorID]*actorRec
 
 	nextActor ActorID
-	nextReq   uint64
 
 	// Metrics. Latency is end-to-end client latency; ActorCall is one-way
 	// actor→actor delivery latency (created → handler completed), the
@@ -200,11 +199,10 @@ func (c *Cluster) serviceDemand(st StageID, m *Message) (time.Duration, time.Dur
 	}
 }
 
-// SubmitRequest injects one client request addressed to actor `to`. done
-// (optional) observes completion; the cluster also records latency.
-func (c *Cluster) SubmitRequest(to ActorID, typ string, payload interface{}, done func(r *Request, at des.Time, rejected bool)) *Request {
-	c.nextReq++
-	req := &Request{ID: c.nextReq, Start: c.K.Now(), Done: done}
+// SubmitRequest injects one client request addressed to actor `to`; the
+// cluster records its latency when the reply reaches the client.
+func (c *Cluster) SubmitRequest(to ActorID, typ string, payload interface{}) {
+	req := &Request{Start: c.K.Now()}
 	c.Submitted++
 	m := &Message{To: to, Kind: KindClientRequest, Type: typ, Payload: payload, Req: req, createdAt: c.K.Now()}
 	c.K.After(networkHop, func() {
@@ -215,7 +213,6 @@ func (c *Cluster) SubmitRequest(to ActorID, typ string, payload interface{}, don
 			c.reject(m)
 		}
 	})
-	return req
 }
 
 // sendActorMessage routes an actor→actor call (Ctx.Send).
@@ -247,7 +244,9 @@ func (c *Cluster) sendActorMessage(from, to ActorID, typ string, payload interfa
 func (c *Cluster) sendClientReply(from ActorID, req *Request) {
 	s, ok := c.serverOf(from)
 	if !ok {
-		req.finish(c.K.Now(), true)
+		if req != nil {
+			req.done = true
+		}
 		return
 	}
 	m := &Message{From: from, Kind: KindClientReply, Req: req, createdAt: c.K.Now()}
@@ -270,7 +269,7 @@ func (c *Cluster) runHandler(s *server, m *Message) {
 func (c *Cluster) reject(m *Message) {
 	if m.Req != nil && !m.Req.done {
 		c.Rejected++
-		m.Req.finish(c.K.Now(), true)
+		m.Req.done = true
 	}
 }
 
@@ -280,7 +279,7 @@ func (c *Cluster) completeRequest(req *Request) {
 	}
 	c.Completed++
 	c.Latency.Record(time.Duration(c.K.Now() - req.Start))
-	req.finish(c.K.Now(), false)
+	req.done = true
 }
 
 func (c *Cluster) recordActorDelivery(m *Message) {

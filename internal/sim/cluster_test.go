@@ -25,24 +25,17 @@ func testConfig(servers int) Config {
 func TestClientRequestRoundTrip(t *testing.T) {
 	c := New(testConfig(1))
 	a := c.CreateActorOn(0, echoHandler, nil)
-	var finished des.Time
-	rejected := false
-	c.SubmitRequest(a, "ping", nil, func(r *Request, at des.Time, rej bool) {
-		finished, rejected = at, rej
-	})
+	c.SubmitRequest(a, "ping", nil)
 	c.Run(time.Second)
-	if rejected {
+	if c.Rejected != 0 {
 		t.Fatal("request rejected")
-	}
-	if finished == 0 {
-		t.Fatal("request never completed")
-	}
-	// Round trip ≥ 2 network hops + some processing.
-	if finished < 2*networkHop {
-		t.Fatalf("round trip %v implausibly fast", finished)
 	}
 	if c.Completed != 1 || c.Latency.Count() != 1 {
 		t.Fatalf("completed=%d latencyCount=%d", c.Completed, c.Latency.Count())
+	}
+	// Round trip ≥ 2 network hops + some processing.
+	if rt := c.Latency.Min(); rt < 2*networkHop {
+		t.Fatalf("round trip %v implausibly fast", rt)
 	}
 }
 
@@ -65,7 +58,7 @@ func TestLocalVsRemoteCallPath(t *testing.T) {
 	aL := cl.CreateActorOn(0, forwardHandler, &pingState{})
 	bL := cl.CreateActorOn(0, forwardHandler, nil)
 	cl.ActorState(aL).(*pingState).peer = bL
-	cl.SubmitRequest(aL, "fwd", nil, nil)
+	cl.SubmitRequest(aL, "fwd", nil)
 	cl.Run(time.Second)
 	localLat := cl.Latency.Mean()
 
@@ -74,7 +67,7 @@ func TestLocalVsRemoteCallPath(t *testing.T) {
 	aR := cr.CreateActorOn(0, forwardHandler, &pingState{})
 	bR := cr.CreateActorOn(1, forwardHandler, nil)
 	cr.ActorState(aR).(*pingState).peer = bR
-	cr.SubmitRequest(aR, "fwd", nil, nil)
+	cr.SubmitRequest(aR, "fwd", nil)
 	cr.Run(time.Second)
 	remoteLat := cr.Latency.Mean()
 
@@ -96,7 +89,7 @@ func TestActorCallLatencyRecorded(t *testing.T) {
 	a := c.CreateActorOn(0, forwardHandler, &pingState{})
 	b := c.CreateActorOn(1, forwardHandler, nil)
 	c.ActorState(a).(*pingState).peer = b
-	c.SubmitRequest(a, "fwd", nil, nil)
+	c.SubmitRequest(a, "fwd", nil)
 	c.Run(time.Second)
 	if c.ActorCall.Count() != 1 {
 		t.Fatalf("actor call count = %d, want 1", c.ActorCall.Count())
@@ -111,7 +104,7 @@ func TestQueueOverflowRejects(t *testing.T) {
 	c := New(cfg)
 	a := c.CreateActorOn(0, echoHandler, nil)
 	for i := 0; i < 100; i++ {
-		c.SubmitRequest(a, "x", nil, nil)
+		c.SubmitRequest(a, "x", nil)
 	}
 	c.Run(30 * time.Second)
 	if c.Rejected == 0 {
@@ -124,7 +117,7 @@ func TestQueueOverflowRejects(t *testing.T) {
 
 func TestMissingActorRejects(t *testing.T) {
 	c := New(testConfig(1))
-	c.SubmitRequest(999, "x", nil, nil)
+	c.SubmitRequest(999, "x", nil)
 	c.Run(time.Second)
 	if c.Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", c.Rejected)
@@ -134,7 +127,7 @@ func TestMissingActorRejects(t *testing.T) {
 func TestDestroyActorInFlight(t *testing.T) {
 	c := New(testConfig(1))
 	a := c.CreateActorOn(0, echoHandler, nil)
-	c.SubmitRequest(a, "x", nil, nil)
+	c.SubmitRequest(a, "x", nil)
 	c.DestroyActor(a) // destroyed before the request arrives
 	c.Run(time.Second)
 	if c.Completed != 0 || c.Rejected != 1 {
@@ -154,7 +147,7 @@ func TestMoveActorReroutesTraffic(t *testing.T) {
 	if s, _ := c.ServerOf(b); s != 0 {
 		t.Fatalf("b on %v after move", s)
 	}
-	c.SubmitRequest(a, "fwd", nil, nil)
+	c.SubmitRequest(a, "fwd", nil)
 	c.Run(time.Second)
 	if c.Completed != 1 {
 		t.Fatal("request failed after migration")
@@ -180,7 +173,7 @@ func TestDeterministicRuns(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			a := actors[r.Intn(len(actors))]
 			c.K.After(r.Exp(10*time.Millisecond), func() {
-				c.SubmitRequest(a, "x", nil, nil)
+				c.SubmitRequest(a, "x", nil)
 			})
 		}
 		c.Run(time.Minute)
@@ -288,7 +281,7 @@ func TestRejectWindowHonored(t *testing.T) {
 func TestStatsSeriesPopulated(t *testing.T) {
 	c := New(testConfig(1))
 	a := c.CreateActorOn(0, echoHandler, nil)
-	c.K.Every(10*time.Millisecond, 0, func() { c.SubmitRequest(a, "x", nil, nil) })
+	c.K.Every(10*time.Millisecond, 0, func() { c.SubmitRequest(a, "x", nil) })
 	c.Run(5 * time.Second)
 	if len(c.CPUSeries.Points) == 0 || len(c.RemoteSeries.Points) == 0 {
 		t.Fatal("stats series empty")
@@ -302,14 +295,14 @@ func TestStatsSeriesPopulated(t *testing.T) {
 func TestResetMetrics(t *testing.T) {
 	c := New(testConfig(1))
 	a := c.CreateActorOn(0, echoHandler, nil)
-	c.SubmitRequest(a, "x", nil, nil)
+	c.SubmitRequest(a, "x", nil)
 	c.Run(time.Second)
 	c.ResetMetrics()
 	if c.Completed != 0 || c.Latency.Count() != 0 || c.Breakdown.Total() != 0 {
 		t.Fatal("metrics not reset")
 	}
 	// Cluster still functional.
-	c.SubmitRequest(a, "x", nil, nil)
+	c.SubmitRequest(a, "x", nil)
 	c.Run(time.Second)
 	if c.Completed != 1 {
 		t.Fatal("cluster broken after reset")

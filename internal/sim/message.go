@@ -49,23 +49,9 @@ type Message struct {
 
 // Request is one external client request and its accounting.
 type Request struct {
-	ID    uint64
 	Start des.Time
-	// Done is invoked exactly once, when the reply reaches the client or
-	// the request is rejected.
-	Done func(r *Request, finished des.Time, rejected bool)
 
-	done bool
-}
-
-func (r *Request) finish(at des.Time, rejected bool) {
-	if r == nil || r.done {
-		return
-	}
-	r.done = true
-	if r.Done != nil {
-		r.Done(r, at, rejected)
-	}
+	done bool // the reply reached the client, or the request was rejected
 }
 
 // Ctx is the environment an actor handler runs in.

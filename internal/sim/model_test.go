@@ -80,7 +80,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	c := New(cfg)
 	a := c.CreateActorOn(0, echoHandler, nil)
 	// Steady request stream for a few stats windows.
-	c.K.Every(2*time.Millisecond, 0, func() { c.SubmitRequest(a, "x", nil, nil) })
+	c.K.Every(2*time.Millisecond, 0, func() { c.SubmitRequest(a, "x", nil) })
 	c.Run(5 * time.Second)
 	util := c.MeanCPUUtilization(time.Second)
 	// 500 req/s × ~(150+135+50+150)µs ≈ 0.24 core-s/s ≈ 3% of 8 cores.
@@ -98,7 +98,7 @@ func TestBlockingWorkloadHoldsThreadsNotCPU(t *testing.T) {
 	cfg.InitialThreads = [NumStages]int{2, 16, 2, 2}
 	c := New(cfg)
 	a := c.CreateActorOn(0, echoHandler, nil)
-	c.K.Every(time.Millisecond, 0, func() { c.SubmitRequest(a, "x", nil, nil) })
+	c.K.Every(time.Millisecond, 0, func() { c.SubmitRequest(a, "x", nil) })
 	c.Run(5 * time.Second)
 	if c.Completed == 0 {
 		t.Fatal("no completions")
