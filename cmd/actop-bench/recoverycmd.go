@@ -304,7 +304,7 @@ func runRecoveryBench(args []string) {
 		Cores:     runtime.NumCPU(),
 		GoVersion: runtime.Version(),
 		Note: "Overhead: median per-call latency over interleaved rounds on an identical 3-node " +
-			"in-memory topology, durability off vs 1 vs 2 replicas (SnapshotEvery=16 default); " +
+			"in-memory topology, durability off vs 1 vs 2 replicas (a capture every 16 dirty turns); " +
 			"ship throughput from the runtime's shipped-bytes counters. Recovery: snapshots " +
 			"synced, one node hard-killed, then every victim-hosted actor driven from the " +
 			"survivors until it answers with restored state; recover_all_ms is that wall time " +

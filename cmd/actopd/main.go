@@ -152,8 +152,6 @@ func main() {
 	var opt *core.Optimizer
 	if !*noActOp {
 		opts := core.DefaultOptions()
-		opts.Metrics = reg
-		opts.Flight = sys.FlightRecorder()
 		if *tuneIvl > 0 {
 			opts.ThreadPeriod = *tuneIvl
 		}

@@ -92,7 +92,8 @@ func main() {
 	for i, p := range peers {
 		sys, err := actor.NewSystem(actor.Config{
 			Transport: net.Join(p), Peers: peers, Seed: int64(i),
-			Workers: 32,
+			Workers:              32,
+			ExchangeRejectWindow: 600 * time.Millisecond,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -105,7 +106,6 @@ func main() {
 		opts := core.DefaultOptions()
 		opts.ThreadTuning = false
 		opts.PartitionPeriod = 300 * time.Millisecond
-		opts.RejectWindow = 600 * time.Millisecond
 		opt := core.NewOptimizer(sys, opts)
 		opt.Start()
 		defer opt.Stop()

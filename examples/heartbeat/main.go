@@ -55,13 +55,16 @@ func main() {
 	sys, err := actor.NewSystem(actor.Config{
 		Transport: net.Join(peers[0]),
 		Peers:     peers,
-		// Deliberately oversubscribed default: one thread per stage per
-		// "core", as the paper's baseline.
-		ReceiverWorkers: 8, Workers: 8, SenderWorkers: 8,
+		Workers:   8,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Deliberately oversubscribed: one thread per stage per "core", as the
+	// paper's baseline.
+	recv, work, send := sys.Stages()
+	recv.SetWorkers(8)
+	send.SetWorkers(8)
 	sys.RegisterType("entity", func() actor.Actor { return &entity{} })
 	defer sys.Stop()
 
@@ -93,7 +96,6 @@ func main() {
 		return med
 	}
 
-	recv, work, send := sys.Stages()
 	fmt.Printf("default allocation : recv=%d work=%d send=%d\n", recv.Workers(), work.Workers(), send.Workers())
 	run("default threads")
 

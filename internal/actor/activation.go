@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"actop/internal/codec"
@@ -59,8 +60,10 @@ type activation struct {
 	// marker while the node runs with DurableReplicas > 0. dirty counts
 	// turns since the last capture, snapSeq the captures of this
 	// incarnation (piggybacked across migrations), lastSnap the wall-clock
-	// of the last capture.
+	// of the last capture. shipped, written off the lock by capture jobs, is
+	// the low half of the last snapSeq whose job has finished.
 	durable  bool
+	shipped  atomic.Uint32
 	dirty    int
 	snapSeq  uint64
 	lastSnap time.Time
@@ -290,7 +293,7 @@ func (a *activation) drain(s *System) {
 			// the state (one deep copy — encode and ship run on the
 			// snapshotter stage, never here).
 			a.dirty++
-			if a.dirty >= s.cfg.SnapshotEvery || time.Since(a.lastSnap) >= s.cfg.SnapshotInterval {
+			if a.dirty >= snapshotEvery || time.Since(a.lastSnap) >= s.cfg.SnapshotInterval {
 				if snapJob = s.captureSnapshotLocked(a); snapJob != nil && inv.trc != nil {
 					inv.trc.snapshot = true
 				}
@@ -414,7 +417,7 @@ func (s *System) isolatePanic(a *activation) {
 // co-located?") keep the cheap cache answer: the cache never holds
 // self-routes (setRoute), so it cannot trigger a spurious local activation —
 // at worst the probe declines and the call takes the routed path.
-func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, error) {
+func (s *System) activationFor(ref Ref, routed bool) (*activation, error) {
 	h := refHash(ref)
 	if act := s.localActivation(h, ref); act != nil {
 		return act, nil
@@ -424,9 +427,6 @@ func (s *System) activationFor(ref Ref, activate, routed bool) (*activation, err
 	s.mu.RUnlock()
 	if !typeOK {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownType, ref.Type)
-	}
-	if !activate {
-		return nil, nil
 	}
 	node, err := s.resolve(h, ref, routed, true, time.Now().Add(s.cfg.CallTimeout))
 	if err != nil {

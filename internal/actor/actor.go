@@ -74,8 +74,8 @@ type Migratable interface {
 
 // Durable is the opt-in marker for actors whose state must survive node
 // death, not just migration: the runtime periodically captures their state
-// off the turn path (see Config.SnapshotEvery/SnapshotInterval), ships it
-// to Config.DurableReplicas rendezvous-chosen peers, and on failover
+// off the turn path (every 16 dirty turns, or after Config.SnapshotInterval),
+// ships it to Config.DurableReplicas rendezvous-chosen peers, and on failover
 // re-activation restores the highest-epoch replica snapshot before
 // admitting the first turn. The DurableActor method is a pure marker.
 // Durability is only active when Config.DurableReplicas > 0.
@@ -112,12 +112,11 @@ type Config struct {
 	// Peers is the full static cluster membership, including this node.
 	Peers []transport.NodeID
 
-	// Stage sizing (defaults: 2 receivers, GOMAXPROCS workers, 2 senders;
-	// queue capacity 4096).
-	ReceiverWorkers int
-	Workers         int
-	SenderWorkers   int
-	QueueCap        int
+	// Workers sizes the worker stage (default 4) and QueueCap every stage's
+	// queue (default 4096). The receive and send stages start at two
+	// workers; Stages exposes all three for resizing.
+	Workers  int
+	QueueCap int
 
 	// CallTimeout bounds a single actor call round trip (default 5s).
 	CallTimeout time.Duration
@@ -159,22 +158,15 @@ type Config struct {
 	// default — disables durability entirely: no captures, no snapshot
 	// traffic, no recovery pulls.
 	DurableReplicas int
-	// SnapshotEvery is the dirty-turn count that triggers a snapshot
-	// capture for a Durable activation (default 16).
-	SnapshotEvery int
 	// SnapshotInterval is the wall-clock bound on snapshot staleness: a
 	// dirty Durable activation captures at its next turn once this much
-	// time has passed since its last capture, even below SnapshotEvery
-	// (default 2s).
+	// time has passed since its last capture, even below the 16 dirty
+	// turns that trigger one anyway (default 2s).
 	SnapshotInterval time.Duration
-	// RecoveryConcurrency bounds concurrent failover recovery pulls so a
-	// hot dead node cannot thundering-herd the surviving replicas
-	// (default 8).
-	RecoveryConcurrency int
 
 	// DisableThreadControl turns off the live thread-allocation control
 	// loop (§5) that core.NewOptimizer attaches to this node's stages; the
-	// initial Workers/ReceiverWorkers/SenderWorkers split then stays fixed.
+	// initial stage sizes then stay fixed.
 	DisableThreadControl bool
 
 	// TraceSampleRate is the fraction of root calls that carry a trace
@@ -221,14 +213,8 @@ func (c *Config) fill() error {
 	if !found {
 		return fmt.Errorf("actor: peers must include this node %s", c.Transport.Node())
 	}
-	if c.ReceiverWorkers <= 0 {
-		c.ReceiverWorkers = 2
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.SenderWorkers <= 0 {
-		c.SenderWorkers = 2
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4096
@@ -254,14 +240,8 @@ func (c *Config) fill() error {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
 	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 16
-	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 2 * time.Second
-	}
-	if c.RecoveryConcurrency <= 0 {
-		c.RecoveryConcurrency = 8
 	}
 	if c.TraceRingSize <= 0 {
 		c.TraceRingSize = 4096

@@ -72,6 +72,7 @@ func (s *System) captureSnapshotLocked(a *activation) func() {
 	s.durables.Captured.Add(1)
 	ref, epoch, seq := a.ref, a.epoch, a.snapSeq
 	return func() {
+		defer a.shipped.Store(uint32(seq))
 		state, err := encode()
 		if err != nil {
 			s.durables.CaptureErrors.Add(1)
@@ -359,12 +360,13 @@ func (s *System) handleSnapGet(payload []byte) ([]byte, error) {
 	return durable.AppendRecord(nil, rec), nil
 }
 
-// SyncSnapshots synchronously captures and ships every dirty Durable
-// activation on this node, returning the number captured. Used as a
-// graceful flush (planned drains, chaos tests establishing a known-durable
-// baseline before a kill). Each capture is captureSnapshotLocked's, taken
-// under the activation's turn lock; its encode and ship run after every lock
-// is released.
+// SyncSnapshots synchronously captures and ships every Durable activation
+// on this node that is dirty or whose last capture has not finished shipping
+// (still queued on the snapshotter, or dropped), returning the number
+// captured. Used as a graceful flush (planned drains, chaos tests
+// establishing a known-durable baseline before a kill). Each capture is
+// captureSnapshotLocked's, taken under the activation's turn lock; its
+// encode and ship run after every lock is released.
 func (s *System) SyncSnapshots() int {
 	if !s.durabilityOn() {
 		return 0
@@ -372,7 +374,7 @@ func (s *System) SyncSnapshots() int {
 	var jobs []func()
 	for _, a := range s.activations() {
 		a.turnMu.Lock()
-		if a.durable && a.dirty > 0 {
+		if a.durable && (a.dirty > 0 || a.shipped.Load() != uint32(a.snapSeq)) {
 			if job := s.captureSnapshotLocked(a); job != nil {
 				jobs = append(jobs, job)
 			}

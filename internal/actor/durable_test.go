@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,14 +24,14 @@ func (d *durableCounter) CopyValue() interface{} {
 	return &durableCounter{counterActor: counterActor{N: d.N}}
 }
 
-// newDurableCluster is newFaultyCluster plus durability: K replicas, a
-// 1-turn capture threshold (every turn snapshots — tests want determinism,
-// not amortization), and the durable counter type registered.
+// newDurableCluster is newFaultyCluster plus durability: K replicas, no
+// time-triggered captures (a capture comes from snapshotEvery dirty turns or
+// SyncSnapshots — tests want determinism), and the durable counter type
+// registered.
 func newDurableCluster(t *testing.T, n, replicas int, tweak func(*Config)) ([]*System, []*transport.Flaky) {
 	t.Helper()
 	sys, flakies := newFaultyCluster(t, n, PlaceRandom, func(c *Config) {
 		c.DurableReplicas = replicas
-		c.SnapshotEvery = 1
 		c.SnapshotInterval = time.Minute
 		if tweak != nil {
 			tweak(c)
@@ -200,16 +201,16 @@ func TestSnapEpochOrdering(t *testing.T) {
 }
 
 // TestRecoveryStampedeBounded pins the failover-stampede semaphore: with
-// RecoveryConcurrency 1 and the only slot held, a recovery pull must record
-// a throttle and wait for the slot rather than fanning out immediately.
+// every slot held, a recovery pull must record a throttle and wait for a
+// slot rather than fanning out immediately.
 func TestRecoveryStampedeBounded(t *testing.T) {
-	sys, _ := newDurableCluster(t, 1, 1, func(c *Config) {
-		c.RecoveryConcurrency = 1
-	})
+	sys, _ := newDurableCluster(t, 1, 1, nil)
 	s := sys[0]
 
-	// Occupy the single recovery slot.
-	s.recoverySem <- struct{}{}
+	// Occupy every recovery slot.
+	for i := 0; i < cap(s.recoverySem); i++ {
+		s.recoverySem <- struct{}{}
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -232,7 +233,7 @@ func TestRecoveryStampedeBounded(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	// Release the slot: the blocked pull acquires it and the call lands.
+	// Release one slot: the blocked pull acquires it and the call lands.
 	<-s.recoverySem
 	select {
 	case err := <-done:
@@ -253,7 +254,7 @@ func TestRecoveryStampedeBounded(t *testing.T) {
 func TestMigrationPiggybacksSnapSeq(t *testing.T) {
 	sys, _ := newDurableCluster(t, 2, 1, nil)
 	ref := Ref{Type: "dcounter", Key: "mig"}
-	// Three turns at SnapshotEvery=1 → three captures on the host.
+	// Three turns and a flush → one capture on the host.
 	var where string
 	for i := 0; i < 3; i++ {
 		if err := sys[0].Call(ref, "Add", 1, nil); err != nil {
@@ -271,10 +272,11 @@ func TestMigrationPiggybacksSnapSeq(t *testing.T) {
 			dst = s
 		}
 	}
-	srcAct, _ := src.activationFor(ref, false, false)
+	srcAct := src.localActivation(refHash(ref), ref)
 	if srcAct == nil {
 		t.Fatalf("no activation on reported host %s", where)
 	}
+	src.SyncSnapshots()
 	srcAct.turnMu.Lock()
 	wantSeq := srcAct.snapSeq
 	wantEpoch := srcAct.epoch
@@ -285,7 +287,7 @@ func TestMigrationPiggybacksSnapSeq(t *testing.T) {
 	if err := src.Migrate(ref, dst.Node()); err != nil {
 		t.Fatal(err)
 	}
-	dstAct, _ := dst.activationFor(ref, false, false)
+	dstAct := dst.localActivation(refHash(ref), ref)
 	if dstAct == nil {
 		t.Fatalf("no activation on %s after migrate", dst.Node())
 	}
@@ -363,12 +365,15 @@ func TestDurableOverheadGuard(t *testing.T) {
 }
 
 // TestSyncSnapshotsFlushes checks the synchronous flush captures dirty
-// durable state and lands it on replicas.
+// durable state and lands it on replicas, and captures again a clean
+// activation whose last turn-path capture has not finished shipping.
 func TestSyncSnapshotsFlushes(t *testing.T) {
+	var dropNext atomic.Bool
+	withheld := make(chan struct{}, 1)
 	sys, _ := newDurableCluster(t, 2, 1, func(c *Config) {
-		c.SnapshotEvery = 1000 // no turn-path captures: only the flush
+		c.Transport = &snapWithholder{Transport: c.Transport, withheld: withheld, armed: &dropNext}
 	})
-	ref := Ref{Type: "dcounter", Key: "fl"}
+	ref := Ref{Type: "dcounter", Key: "fl"} // two turns capture nothing: only the flush does
 	var where string
 	if err := sys[0].Call(ref, "Add", 7, nil); err != nil {
 		t.Fatal(err)
@@ -387,21 +392,43 @@ func TestSyncSnapshotsFlushes(t *testing.T) {
 	if n := host.SyncSnapshots(); n != 1 {
 		t.Fatalf("SyncSnapshots flushed %d actors, want 1", n)
 	}
-	rec, ok := other.snapStore.Get(ref.Type, ref.Key)
-	if !ok {
-		t.Fatal("flush shipped nothing to the replica")
+	replicaState := func(want int) {
+		t.Helper()
+		rec, ok := other.snapStore.Get(ref.Type, ref.Key)
+		if !ok {
+			t.Fatal("flush shipped nothing to the replica")
+		}
+		var n int
+		if err := codec.Unmarshal(rec.State, &n); err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Fatalf("replica state = %d, want %d", n, want)
+		}
 	}
-	var n int
-	if err := codec.Unmarshal(rec.State, &n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("replica state = %d, want 7", n)
-	}
+	replicaState(7)
 	// A second flush with nothing dirty is a no-op.
 	if n := host.SyncSnapshots(); n != 0 {
 		t.Fatalf("idle SyncSnapshots flushed %d actors, want 0", n)
 	}
+
+	// The snapshotEvery-th dirty turn captures, and that capture's ship is
+	// withheld: the activation is clean, yet not durable until a flush.
+	dropNext.Store(true)
+	for i := 0; i < snapshotEvery; i++ {
+		if err := sys[0].Call(ref, "Add", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-withheld:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the turn-path capture never shipped")
+	}
+	if n := host.SyncSnapshots(); n != 1 {
+		t.Fatalf("SyncSnapshots with a capture in flight flushed %d actors, want 1", n)
+	}
+	replicaState(7 + snapshotEvery)
 }
 
 // heldCounter is a durable counter whose copies — the state a capture
@@ -433,16 +460,18 @@ func (h *heldCounter) Snapshot() ([]byte, error) {
 	return h.counterActor.Snapshot()
 }
 
-// snapWithholder never delivers the actop.snap envelopes its node sends, so
-// a ship waits out its whole CallTimeout for the replica's answer; the first
-// one withheld is signalled.
+// snapWithholder never delivers the actop.snap envelopes its node sends — or,
+// with armed, only the next one after armed is set — so a ship waits out its
+// whole CallTimeout for the replica's answer; the first one withheld is
+// signalled.
 type snapWithholder struct {
 	transport.Transport
 	withheld chan struct{}
+	armed    *atomic.Bool
 }
 
 func (w *snapWithholder) Send(to transport.NodeID, env *transport.Envelope) error {
-	if env.Kind == transport.KindControl && env.Method == ctlSnap {
+	if env.Kind == transport.KindControl && env.Method == ctlSnap && (w.armed == nil || w.armed.CompareAndSwap(true, false)) {
 		select {
 		case w.withheld <- struct{}{}:
 		default:
@@ -453,16 +482,21 @@ func (w *snapWithholder) Send(to transport.NodeID, env *transport.Envelope) erro
 }
 
 // TestSnapshotCaptureOffTurn pins the capture contract: a snapshot adds
-// neither its encode nor its shipping to the actor's turn. With every turn
-// capturing, the first turn's encode (held in the copy's Snapshot) or its
-// ship (withheld by the transport) is held, and a second turn on the same
-// actor must still answer within a second. CallTimeout is 5 s, so a turn
-// that waits on the held capture shows up as a missed second, never as a
-// slow success.
+// neither its encode nor its shipping to the actor's turn. The capture that
+// the snapshotEvery-th dirty turn takes has its encode (held in the copy's
+// Snapshot) or its ship (withheld by the transport) held, and a second turn
+// on the same actor must still answer within a second. CallTimeout is 5 s,
+// so a turn that waits on the held capture shows up as a missed second,
+// never as a slow success.
 func TestSnapshotCaptureOffTurn(t *testing.T) {
 	secondTurnAnswers := func(t *testing.T, sys []*System, held <-chan struct{}) {
 		t.Helper()
 		ref := Ref{Type: "held", Key: "h"}
+		for i := 1; i < snapshotEvery; i++ { // dirty turns short of a capture
+			if err := sys[0].Call(ref, "Add", 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		first := make(chan error, 1)
 		go func() { first <- sys[0].Call(ref, "Add", 1, nil) }()
 		select {

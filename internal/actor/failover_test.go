@@ -1,6 +1,7 @@
 package actor
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -282,48 +283,89 @@ func TestRetryDoesNotDoubleExecute(t *testing.T) {
 
 // TestDuplicateDeliveryDedup drives a call delivery directly with a duplicated
 // envelope — the wire-level shape of a retry — and checks the turn runs
-// once.
+// once. The duplicate arrives while the turn runs, or after its reply went
+// out (a retry after a lost reply) to a turn that returned an error reading
+// like a routing dead end: the text a turn propagates when one of its own
+// calls hits one on another node. A turn's outcome is recorded whatever its
+// text says.
 func TestDuplicateDeliveryDedup(t *testing.T) {
-	sys, _ := newFaultyCluster(t, 2, PlaceLocal, nil)
-	var execs atomic.Int64
-	for _, s := range sys {
-		s.RegisterType("exec", func() Actor {
-			return execCountActor{execs: &execs}
+	for _, tc := range []struct {
+		name       string
+		turnErr    error
+		afterReply bool
+	}{
+		{name: "in-flight"},
+		{name: "after-reply-routing-text", turnErr: errors.New("actor: cannot route leaf/1"), afterReply: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, _ := newFaultyCluster(t, 2, PlaceLocal, nil)
+			var execs atomic.Int64
+			for _, s := range sys {
+				s.RegisterType("exec", func() Actor {
+					return execCountActor{execs: &execs, err: tc.turnErr}
+				})
+			}
+			ref := Ref{Type: "exec", Key: "once"}
+			if err := sys[1].Call(ref, "Hit", nil, nil); err != nil && tc.turnErr == nil {
+				t.Fatal(err)
+			}
+			execs.Store(0)
+
+			const id = 424242
+			env := &transport.Envelope{
+				Kind: transport.KindCall, ID: id, From: sys[0].Node(),
+				ActorType: ref.Type, ActorKey: ref.Key, Method: "Hit",
+			}
+			dup := *env
+			// awaitReply waits for the reply sys[1] sends sys[0] for id.
+			awaitReply := func(w *callWaiter) {
+				t.Helper()
+				out, err := sys[0].await(w, 2*time.Second)
+				if err != nil {
+					t.Fatalf("no reply to the delivery: %v", err)
+				}
+				if _, errStr := detachReply(out.reply); errStr != tc.turnErr.Error() {
+					t.Fatalf("reply error %q, want the turn's %q", errStr, tc.turnErr)
+				}
+			}
+			var first, replay *callWaiter
+			if tc.afterReply {
+				first = sys[0].waiter(id)
+			}
+			sys[1].newServerCall(env).handle(0)
+			if tc.afterReply {
+				awaitReply(first)
+				replay = sys[0].waiter(id)
+			}
+			sys[1].newServerCall(&dup).handle(0)
+			if tc.afterReply {
+				awaitReply(replay)
+			}
+
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) && execs.Load() == 0 {
+				time.Sleep(5 * time.Millisecond)
+			}
+			time.Sleep(50 * time.Millisecond) // would catch a late double execution
+			if n := execs.Load(); n != 1 {
+				t.Fatalf("duplicate delivery executed the turn %d times, want 1", n)
+			}
+			if f := sys[1].Failures(); f.DedupHits == 0 {
+				t.Errorf("no dedup hit recorded: %+v", f)
+			}
 		})
-	}
-	ref := Ref{Type: "exec", Key: "once"}
-	if err := sys[1].Call(ref, "Hit", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	execs.Store(0)
-
-	env := &transport.Envelope{
-		Kind: transport.KindCall, ID: 424242, From: sys[0].Node(),
-		ActorType: ref.Type, ActorKey: ref.Key, Method: "Hit",
-	}
-	sys[1].newServerCall(env).handle(0)
-	dup := *env
-	sys[1].newServerCall(&dup).handle(0)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && execs.Load() == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond) // would catch a late double execution
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("duplicate delivery executed the turn %d times, want 1", n)
-	}
-	if f := sys[1].Failures(); f.DedupHits == 0 {
-		t.Errorf("no dedup hit recorded: %+v", f)
 	}
 }
 
-// execCountActor counts how many turns actually ran.
-type execCountActor struct{ execs *atomic.Int64 }
+// execCountActor counts how many turns actually ran; each returns err.
+type execCountActor struct {
+	execs *atomic.Int64
+	err   error
+}
 
 func (e execCountActor) Receive(ctx *Context, method string, args []byte) ([]byte, error) {
 	e.execs.Add(1)
-	return nil, nil
+	return nil, e.err
 }
 
 // TestPanicIsolation checks a panicking actor method is converted into an

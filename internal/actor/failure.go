@@ -288,54 +288,3 @@ func (s *System) OnMembershipChange(fn func(transport.NodeID, PeerState)) {
 
 // Failures snapshots the node's failure-tolerance counters.
 func (s *System) Failures() metrics.FailureSnapshot { return s.failures.Snapshot() }
-
-// livePeers lists the peers not currently considered Dead (self included).
-// Placement draws from this list so new activations never land on a dead
-// node. Order follows s.peers (sorted), keeping placement deterministic
-// for a given seed while all peers are alive.
-func (s *System) livePeers() []transport.NodeID {
-	out := make([]transport.NodeID, 0, len(s.peers))
-	s.fdMu.Lock()
-	for _, p := range s.peers {
-		if p == s.Node() {
-			out = append(out, p)
-			continue
-		}
-		if m, ok := s.members[p]; !ok || m.state != PeerDead {
-			out = append(out, p)
-		}
-	}
-	s.fdMu.Unlock()
-	return out
-}
-
-// --- directory ownership under failures ---
-
-// directoryOwner is the node owning ref's placement entry: the static
-// hash-modulo home while that node is believed up, else a rendezvous-hash
-// pick among the live peers. The fallback touches only the dead node's
-// ranges — every other ref keeps its owner — and spreads them over all
-// survivors rather than one neighbor. Every node computes this from its own
-// membership view; transient disagreement windows resolve through redirects
-// and call retries.
-func (s *System) directoryOwner(ref Ref) transport.NodeID {
-	owner := s.peers[uint64(ref.Vertex())%uint64(len(s.peers))]
-	if owner == s.Node() || s.PeerStateOf(owner) != PeerDead {
-		return owner
-	}
-	live := s.livePeers() // non-empty: always includes self
-	best := live[0]
-	var bestScore uint64
-	for _, p := range live {
-		if score := ownerScore(p, ref); score >= bestScore {
-			best, bestScore = p, score
-		}
-	}
-	return best
-}
-
-// ownerScore is directoryOwner's rendezvous weight of one (peer, ref) pair:
-// FNV-1a over "peer\x00Type\x00Key".
-func ownerScore(p transport.NodeID, ref Ref) uint64 {
-	return fnvRef(strHash(string(p))*fnvPrime64, ref)
-}

@@ -310,9 +310,9 @@ func TestLocalValueCallRacingMigration(t *testing.T) {
 	if to.HostsActor(ref) {
 		from, to = to, from
 	}
-	act, err := from.activationFor(ref, false, false)
-	if err != nil || act == nil {
-		t.Fatalf("no activation of %s on %s: %v", ref, from.Node(), err)
+	act := from.localActivation(refHash(ref), ref)
+	if act == nil {
+		t.Fatalf("no activation of %s on %s", ref, from.Node())
 	}
 	if err := from.Migrate(ref, to.Node()); err != nil {
 		t.Fatal(err)

@@ -65,9 +65,11 @@ func TestOverloadBackpressure(t *testing.T) {
 func TestOverloadRejectionReachesCaller(t *testing.T) {
 	sys := newEchoPair(t, true, Config{Seed: 1, CallTimeout: 2 * time.Second}, func(i int, c *Config) {
 		if i == 1 {
-			c.ReceiverWorkers, c.QueueCap = 1, 2
+			c.QueueCap = 2
 		}
 	})
+	recv, _, _ := sys[1].Stages()
+	resize(recv, 1)
 	gate := make(chan struct{})
 	t.Cleanup(func() { close(gate) }) // before the nodes stop: Stop waits for the parked worker
 	for _, s := range sys {
@@ -84,7 +86,6 @@ func TestOverloadRejectionReachesCaller(t *testing.T) {
 		i := i
 		go func() { admitted <- call(i) }()
 	}
-	recv, _, _ := sys[1].Stages()
 	for deadline := time.Now().Add(time.Second); recv.QueueLen() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("receive queue holds %d deliveries, want 2 behind the parked worker", recv.QueueLen())

@@ -55,7 +55,7 @@ func benchRefs(n int) []Ref {
 }
 
 // BenchmarkSystemLookupParallel measures concurrent hot-path routing
-// resolution (locate: local activation, then location cache) over a
+// resolution (resolve: local activation, then location cache) over a
 // populated node — the operation every call performs before dispatch.
 func BenchmarkSystemLookupParallel(b *testing.B) {
 	sys := newScaleBenchSystem(b)
@@ -63,7 +63,7 @@ func BenchmarkSystemLookupParallel(b *testing.B) {
 	refs := benchRefs(population)
 	deadline := time.Now().Add(time.Hour)
 	for _, ref := range refs {
-		if _, err := sys.activationFor(ref, true, false); err != nil {
+		if _, err := sys.activationFor(ref, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkSystemLookupParallel(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(time.Now().UnixNano())))
 		for pb.Next() {
 			ref := refs[rng.Intn(population)]
-			if _, err := sys.locate(ref, true, deadline); err != nil {
+			if _, err := sys.resolve(refHash(ref), ref, false, true, deadline); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +89,7 @@ func BenchmarkActivateParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			ref := Ref{Type: "cell", Key: strconv.FormatUint(next.Add(1), 10)}
-			if _, err := sys.activationFor(ref, true, false); err != nil {
+			if _, err := sys.activationFor(ref, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -122,7 +122,7 @@ func BenchmarkRouteChurnParallel(b *testing.B) {
 	refs := benchRefs(population)
 	deadline := time.Now().Add(time.Hour)
 	for _, ref := range refs {
-		if _, err := sys.activationFor(ref, true, false); err != nil {
+		if _, err := sys.activationFor(ref, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func BenchmarkRouteChurnParallel(b *testing.B) {
 				continue
 			}
 			ref := refs[rng.Intn(population)]
-			if _, err := sys.locate(ref, true, deadline); err != nil {
+			if _, err := sys.resolve(refHash(ref), ref, false, true, deadline); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,7 +154,7 @@ func BenchmarkActivationAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ref := Ref{Type: "cell", Key: strconv.Itoa(i)}
-		if _, err := sys.activationFor(ref, true, false); err != nil {
+		if _, err := sys.activationFor(ref, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,12 +193,12 @@ func TestShardedRoutingSpeedup(t *testing.T) {
 	refs := benchRefs(population)
 	deadline := time.Now().Add(time.Hour)
 	for _, ref := range refs {
-		if _, err := sys.activationFor(ref, true, false); err != nil {
+		if _, err := sys.activationFor(ref, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// lookups runs `workers` goroutines hammering locate for a fixed window
+	// lookups runs `workers` goroutines hammering resolve for a fixed window
 	// and reports total operations completed.
 	lookups := func(workers int, window time.Duration) uint64 {
 		var done atomic.Uint64
@@ -213,7 +213,7 @@ func TestShardedRoutingSpeedup(t *testing.T) {
 				n := uint64(0)
 				for time.Now().Before(stop) {
 					ref := refs[rng.Intn(population)]
-					if _, err := sys.locate(ref, true, deadline); err != nil {
+					if _, err := sys.resolve(refHash(ref), ref, false, true, deadline); err != nil {
 						t.Error(err)
 						break
 					}
@@ -248,7 +248,7 @@ func TestAllocsPerActivation(t *testing.T) {
 	avg := testing.AllocsPerRun(2000, func() {
 		ref := Ref{Type: "cell", Key: "alloc-" + strconv.Itoa(i)}
 		i++
-		if _, err := sys.activationFor(ref, true, false); err != nil {
+		if _, err := sys.activationFor(ref, false); err != nil {
 			t.Fatal(err)
 		}
 	})

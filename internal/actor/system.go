@@ -40,8 +40,6 @@ var (
 	ErrPeerDown = errors.New("actor: peer down")
 )
 
-const redirectPrefix = "__redirect:"
-
 // control verbs (KindControl envelopes).
 const (
 	ctlDirLookup   = "dir.lookup"
@@ -212,6 +210,14 @@ const (
 	// snapshotWorkers sizes the background snapshotter stage that encodes
 	// and ships captures off the turn path.
 	snapshotWorkers = 2
+	// Initial receive and send pools (Stages resizes them), and the fixed
+	// control pool: two, so one long verb can't delay a heartbeat behind it.
+	receiverWorkers, senderWorkers, controlWorkers = 2, 2, 2
+	// snapshotEvery dirty turns trigger a Durable activation's capture.
+	snapshotEvery = 16
+	// recoveryConcurrency bounds concurrent failover recovery pulls, so a
+	// hot dead node cannot thundering-herd the surviving replicas.
+	recoveryConcurrency = 8
 )
 
 // NewSystem starts a node. The transport's handler is installed here; do
@@ -247,7 +253,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.DurableReplicas > 0 {
 		s.snapStage = seda.NewStage("snapshot", 1024, snapshotWorkers)
-		s.recoverySem = make(chan struct{}, cfg.RecoveryConcurrency)
+		s.recoverySem = make(chan struct{}, recoveryConcurrency)
 		s.snapProbeFail = make(map[transport.NodeID]time.Time)
 	}
 	s.initShards(cfg.LocCacheSize)
@@ -269,12 +275,12 @@ func NewSystem(cfg Config) (*System, error) {
 			s.members[p] = m
 		}
 	}
-	s.recvStage = seda.NewStage("receiver", cfg.QueueCap, cfg.ReceiverWorkers)
+	s.recvStage = seda.NewStage("receiver", cfg.QueueCap, receiverWorkers)
 	s.workStage = seda.NewStage("worker", cfg.QueueCap, cfg.Workers)
-	s.sendStage = seda.NewStage("sender", cfg.QueueCap, cfg.SenderWorkers)
+	s.sendStage = seda.NewStage("sender", cfg.QueueCap, senderWorkers)
 	// Fixed-size and outside the thread controller: the control plane must
 	// keep its workers precisely when every adaptive stage is starved.
-	s.ctlStage = seda.NewStage("control", cfg.QueueCap, ctlStageWorkers(cfg.ReceiverWorkers))
+	s.ctlStage = seda.NewStage("control", cfg.QueueCap, controlWorkers)
 	s.tr.SetHandler(s.onEnvelope)
 	for _, p := range s.peers {
 		if p != s.Node() {
@@ -282,11 +288,7 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	if s.prof != nil || s.sloWin != nil {
-		s.bg.Add(1)
-		go func() {
-			defer s.bg.Done()
-			s.obsLoop()
-		}()
+		s.trackGo(s.obsLoop)
 	}
 	return s, nil
 }
@@ -307,16 +309,6 @@ func (s *System) trackGo(fn func()) bool {
 		fn()
 	}()
 	return true
-}
-
-// ctlStageWorkers sizes the control stage: a quarter of the receive pool,
-// at least two so one long verb (a migration-state install) can't delay a
-// heartbeat behind it.
-func ctlStageWorkers(receiverWorkers int) int {
-	if w := receiverWorkers / 4; w > 2 {
-		return w
-	}
-	return 2
 }
 
 // Node reports this node's id.
@@ -533,7 +525,7 @@ func (s *System) callLocalValue(sp *trace.Span, to Ref, method string, args, rep
 	if args != nil && !ok {
 		return false, nil
 	}
-	act, err := s.activationFor(to, true, false)
+	act, err := s.activationFor(to, false)
 	if err != nil || act == nil {
 		return false, nil
 	}
@@ -717,7 +709,7 @@ func (s *System) dispatch(from *Ref, to Ref, method string, args []byte, depth i
 	node := hint
 	if node == "" {
 		var err error
-		node, err = s.locate(to, true, deadline)
+		node, err = s.resolve(refHash(to), to, false, true, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -759,39 +751,18 @@ func (s *System) dispatch(from *Ref, to Ref, method string, args []byte, depth i
 	return res, nil
 }
 
-type redirectError struct{ node transport.NodeID }
-
-func (e redirectError) Error() string { return "actor: redirected to " + string(e.node) }
-
 // invokeLocal runs the invocation on the local activation (activating on
-// demand), synchronously from the caller's perspective. The wait runs to
-// the caller's full deadline — local execution has no lost-message failure
-// mode, so chunked attempts would only risk double-enqueueing the turn.
+// demand) or answers with host's redirect, synchronously from the caller's
+// perspective. The wait runs to the caller's full deadline — local execution
+// has no lost-message failure mode, so chunked attempts would only risk
+// double-enqueueing the turn.
 func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.Time, sp *trace.Span) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		act, err := s.activationFor(to, true, true)
-		if err != nil {
-			return nil, err
-		}
-		if act != nil {
-			out, err := s.runLocal(act, invocation{method: method, args: args}, sp, time.Until(deadline))
-			return out.data, err
-		}
-		// We are not (or no longer) the host: redirect with the routed
-		// resolution's answer (tombstone or directory — see resolve).
-		node, err := s.resolve(refHash(to), to, true, false, deadline)
-		if err != nil {
-			return nil, err
-		}
-		if node != s.Node() {
-			return nil, redirectError{node: node}
-		}
-		// The actor arrived here between the two resolutions (as in
-		// serverCall.handle): resolve again rather than fail the call.
-		if attempt == 2 {
-			return nil, fmt.Errorf("actor: routing loop for %s", to)
-		}
+	act, err := s.host(to, deadline)
+	if err != nil {
+		return nil, err
 	}
+	out, err := s.runLocal(act, invocation{method: method, args: args}, sp, time.Until(deadline))
+	return out.data, err
 }
 
 // clientCall is the caller-side half of one remote call attempt on its way
@@ -1074,10 +1045,12 @@ type serverCall struct {
 	env      *transport.Envelope
 	key      dedupKey  // the caller's (node, call id): reply address and dedup slot
 	srvStart time.Time // zero unless the served-call summary is on
-	// preTurn is true until the delivery is handed to an activation: errors
-	// before that point (activation failures — e.g. a durable recovery pull
-	// against a dying replica) describe the infrastructure at one instant,
-	// not the call, and must not be recorded against the call id.
+	// preTurn is true until the delivery is handed to an activation. What
+	// is decided before that point — a redirect, a routing dead end, an
+	// activation failure such as a recovery pull against a dying replica —
+	// describes the routing plane at one instant, not the call: recorded, it
+	// would replay a stale answer to every retry of the call id for the rest
+	// of the window. Whatever a turn returned, whatever its text, is recorded.
 	preTurn bool
 	// Traced deliveries only: the server span, completed and published by
 	// the send worker, and the turn's timing record.
@@ -1137,29 +1110,8 @@ func (c *serverCall) handle(recvWait time.Duration) {
 	if s.srvDur != nil {
 		c.srvStart = time.Now()
 	}
-	var act *activation
-	for attempt := 0; ; attempt++ {
-		var err error
-		act, err = s.activationFor(to, true, true)
-		if err != nil {
-			c.complete(nil, nil, err)
-			return
-		}
-		if act != nil {
-			break
-		}
-		node, lerr := s.resolve(refHash(to), to, true, false, time.Now().Add(s.cfg.CallTimeout))
-		if lerr == nil && node == s.Node() && attempt < 2 {
-			// activationFor routed the actor elsewhere, but by now the
-			// location plane says it lives here — a migration landed (or a
-			// stale cached route was invalidated) between the two checks.
-			// Re-resolve instead of bouncing the caller with a dead end.
-			continue
-		}
-		err = errors.New(redirectPrefix + string(node))
-		if lerr != nil || node == s.Node() {
-			err = fmt.Errorf("actor: cannot route %s", to)
-		}
+	act, err := s.host(to, time.Now().Add(s.cfg.CallTimeout))
+	if err != nil {
 		c.complete(nil, nil, err)
 		return
 	}
@@ -1191,18 +1143,7 @@ func (c *serverCall) complete(data []byte, _ interface{}, err error) {
 	if s.srvDur != nil {
 		s.srvDur.Observe(time.Since(c.srvStart), c.env.Method)
 	}
-	// Redirects and routing dead ends are answers about where the
-	// actor was, not what its turn returned. Recording them would
-	// replay a stale route to every retry of this call id for the
-	// rest of the window — a retried chase could orbit the cluster
-	// on echoes long after the actor settled. Release the slot so
-	// the retry re-resolves; only executed turns (and real
-	// application errors) are deduplicated. Pre-turn failures are
-	// the same kind of transient: no turn ran, so a retry must
-	// re-attempt the activation, not replay this snapshot of it.
-	if strings.HasPrefix(errStr, redirectPrefix) ||
-		strings.HasPrefix(errStr, "actor: cannot route") ||
-		(c.preTurn && errStr != "") {
+	if c.preTurn { // no turn ran: the retry resolves afresh
 		s.dedupCancel(c.key)
 	} else {
 		s.dedupResolve(c.key, data, errStr)
@@ -1266,125 +1207,6 @@ func (s *System) reply(to transport.NodeID, id uint64, payload []byte, err error
 		r.Err = err.Error()
 	}
 	_ = s.tr.Send(to, r)
-}
-
-// --- placement directory (hash-homed entries + per-node location cache) ---
-//
-// directoryOwner (failure.go) homes each ref on its hash-modulo peer; when
-// that peer is declared dead its ranges — and only its ranges — rehash to
-// survivors by rendezvous hashing.
-
-// locate resolves ref's hosting node for a CALLER-SIDE first hop; see
-// resolve.
-func (s *System) locate(ref Ref, place bool, deadline time.Time) (transport.NodeID, error) {
-	return s.resolve(refHash(ref), ref, false, place, deadline)
-}
-
-// resolve answers where ref (whose hash is h) lives with one probe of its
-// state entry, in this order: a live activation here; a live forwarding
-// tombstone (authoritative — the actor just migrated off this node); on the
-// caller side only, the cached route; then the directory owner (placing the
-// actor on a node according to the placement policy when unregistered and
-// place is true). The directory RPC is bounded by the caller's deadline so a
-// mid-lookup owner failure surfaces in time to retry against the rehashed
-// owner.
-//
-// routed marks a delivery some caller already steered here, which never
-// reads the cache. Both routed rules matter. Skipping the cache breaks
-// stale-route cycles: a deactivated actor's leftover routes can point a
-// ring of non-hosts at each other, and if each bounced callers with its
-// cached guess, nobody would ever consult the owner and the
-// directory-designated home would never activate — the actor stays
-// unreachable until the routes happen to evict. Honoring the tombstone
-// covers the opposite window: right after a migration the directory may
-// still name this node (its update retries in the background under loss),
-// and following it would re-instantiate an actor whose state just left. The
-// tombstone is the migration's own authoritative forward, so it outranks
-// the lagging directory.
-func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Time) (transport.NodeID, error) {
-	sh := s.shard(h)
-	sh.mu.RLock()
-	e := sh.get(h, ref)
-	var n transport.NodeID
-	switch {
-	case e.act != nil:
-		n = s.Node()
-	case e.liveFwd():
-		n = e.fwd
-	case routed:
-	case e.route != "":
-		sh.touch(e)
-		n = e.route
-		s.locHits.Add(1)
-	default:
-		s.locMisses.Add(1)
-	}
-	sh.mu.RUnlock()
-	if n != "" {
-		return n, nil
-	}
-	if owner := s.directoryOwner(ref); owner == s.Node() {
-		var err error
-		if n, err = s.dirLookupLocal(h, ref, s.Node(), place); err != nil {
-			return "", err
-		}
-	} else {
-		var node wireNode
-		err := s.controlCallT(owner, ctlDirLookup, dirRequest{
-			Type: ref.Type, Key: ref.Key, Suggest: string(s.Node()), Place: place,
-		}, &node, s.attemptTimeout(deadline))
-		if err != nil {
-			if errors.Is(err, ErrTimeout) && s.PeerStateOf(owner) != PeerAlive {
-				return "", fmt.Errorf("%w: directory owner %s: %w", errPeerDown, owner, err)
-			}
-			return "", err
-		}
-		n = transport.NodeID(node)
-	}
-	s.cacheInsert(h, ref, n)
-	return n, nil
-}
-
-// dirLookupLocal consults/updates the directory record this node owns for
-// ref. A recorded placement homed on a node now declared dead is expunged
-// and re-placed among live peers — the failover path for entries created
-// (or re-learned) after the death purge.
-func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
-	dead := func(n transport.NodeID) bool { return s.PeerStateOf(n) == PeerDead }
-	sh := s.shard(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entry(h, ref)
-	if e.dir != "" {
-		if !dead(e.dir) {
-			return e.dir, nil
-		}
-		e.dir, e.route = "", ""
-		s.failures.FailoverPurged.Add(1)
-	}
-	if place {
-		e.dir, e.dirEpoch = suggest, 0
-		if s.cfg.Placement != PlaceLocal || dead(suggest) {
-			live := s.livePeers()
-			s.rngMu.Lock()
-			e.dir = live[s.rng.Intn(len(live))]
-			s.rngMu.Unlock()
-		}
-	}
-	sh.set(h, e)
-	if e.dir == "" {
-		return "", fmt.Errorf("actor: %s not registered", ref)
-	}
-	return e.dir, nil
-}
-
-// dirRequest is the directory control payload (wire form in wire.go).
-type dirRequest struct {
-	Type, Key string
-	Suggest   string
-	Place     bool
-	NewNode   string // for updates
-	Epoch     uint64 // migration epoch of the update's incarnation
 }
 
 // controlCall is a generic request/response over KindControl envelopes,
@@ -1451,36 +1273,7 @@ func (s *System) handleControl(env *transport.Envelope) {
 func (s *System) handleControlVerb(verb string, payload []byte, from transport.NodeID) ([]byte, error) {
 	switch verb {
 	case ctlDirLookup, ctlDirUpdate, ctlDirRemove:
-		var req dirRequest
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		ref := Ref{Type: req.Type, Key: req.Key}
-		h := refHash(ref)
-		if verb == ctlDirLookup {
-			node, err := s.dirLookupLocal(h, ref, transport.NodeID(req.Suggest), req.Place)
-			if err != nil {
-				return nil, err
-			}
-			return codec.Marshal(wireNode(node))
-		}
-		sh := s.shard(h)
-		sh.mu.Lock()
-		e := sh.entry(h, ref)
-		switch node := transport.NodeID(req.NewNode); {
-		case verb == ctlDirRemove:
-			e.dir, e.route = "", ""
-		// Epoch guard: updates arrive out of order (lost ones are retried in
-		// the background for seconds), so a stale retry from an older
-		// migration must not rewind a newer entry — nor stomp the owner's
-		// location cache with a pointer the actor already left behind.
-		case e.dir == "" || req.Epoch >= e.dirEpoch:
-			e.dir, e.dirEpoch = node, req.Epoch
-			s.setRoute(sh, h, &e, node)
-		}
-		sh.set(h, e)
-		sh.mu.Unlock()
-		return nil, nil
+		return s.handleDir(verb, payload)
 	case ctlMigratePut:
 		return s.handleMigratePut(payload)
 	case ctlMigrateDrop:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"actop/internal/codec"
+	"actop/internal/seda"
 	"actop/internal/transport"
 )
 
@@ -161,6 +162,15 @@ func newEchoPair(t *testing.T, tcp bool, cfg Config, tune func(i int, c *Config)
 		sys[i] = s
 	}
 	return sys
+}
+
+// resize sets st's pool to n workers and waits until a shrink's wake-ups
+// are taken, so the next task meets the new pool.
+func resize(st *seda.Stage, n int) {
+	st.SetWorkers(n)
+	for st.QueueLen() > 0 {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // leanMsg is a message that encodes itself and decodes into storage it
@@ -565,13 +575,16 @@ func TestWaiterAttemptOutlivedByQueuedSend(t *testing.T) {
 			sys := newEchoPair(t, fabric == "tcp", Config{
 				Seed: 1, CallTimeout: 2 * time.Second, RetryBackoff: time.Millisecond,
 				HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 1 << 20,
-				SenderWorkers: 1,
 			}, func(i int, c *Config) {
 				if i == 0 {
 					gated = &gatedSends{Transport: c.Transport}
 					c.Transport = gated
 				}
 			})
+			for _, s := range sys {
+				_, _, send := s.Stages()
+				resize(send, 1)
+			}
 			ref := Ref{Type: "echo", Key: "far"}
 			if err := sys[1].Call(ref, "Echo", echoMsg{Key: ref.Key}, nil); err != nil {
 				t.Fatal(err)

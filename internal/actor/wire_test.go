@@ -296,7 +296,6 @@ func (a *binActor) Restore(b []byte) error    { return codec.Unmarshal(b, &a.n) 
 func TestControlPlaneNoGob(t *testing.T) {
 	sys, flakies := newFaultyCluster(t, 3, PlaceRandom, func(c *Config) {
 		c.DurableReplicas = 1
-		c.SnapshotEvery = 1
 		c.SnapshotInterval = time.Minute
 		c.ExchangeRejectWindow = time.Nanosecond
 	})

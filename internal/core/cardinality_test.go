@@ -84,9 +84,7 @@ func TestMetricSeriesBounded(t *testing.T) {
 		}
 		t.Cleanup(s.Stop)
 		s.RegisterType("group", func() actor.Actor { return &groupActor{} })
-		o := DefaultOptions()
-		o.Metrics = reg
-		sys, regs, opts = append(sys, s), append(regs, reg), append(opts, NewOptimizer(s, o))
+		sys, regs, opts = append(sys, s), append(regs, reg), append(opts, NewOptimizer(s, DefaultOptions()))
 	}
 	// drive sends each actor in [from, to) the same two calls: a turn that
 	// returns nothing and one that fails. Neither makes a nested call, so no

@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"actop/internal/actor"
-	"actop/internal/flight"
-	"actop/internal/metrics"
 	"actop/internal/partition"
 	"actop/internal/seda"
 )
@@ -35,8 +33,9 @@ type Options struct {
 	// PartitionPeriod is how often this node initiates an exchange round.
 	PartitionPeriod time.Duration
 	// RejectWindow is Algorithm 1's per-node exchange cooldown on the
-	// initiating side (the paper uses one minute). Set the receiving-side
-	// window via actor.Config.ExchangeRejectWindow.
+	// initiating side. Zero takes the node's receiving-side window,
+	// actor.Config.ExchangeRejectWindow (one minute by default, as in the
+	// paper), so one setting serves both sides.
 	RejectWindow time.Duration
 	// PartitionOpts configures candidate sets and the balance tolerance δ.
 	PartitionOpts partition.Options
@@ -45,13 +44,6 @@ type Options struct {
 	ThreadTuning bool
 	// ThreadPeriod is the estimate→solve→resize control period.
 	ThreadPeriod time.Duration
-	// Metrics, when set, receives the thread controller's per-stage gauges
-	// (see ControllerConfig.Metrics). Nil publishes nothing.
-	Metrics *metrics.Registry
-	// Flight, when set, receives thread_resize flight events from the
-	// controller (see ControllerConfig.Flight). Usually the node's own
-	// recorder, sys.FlightRecorder().
-	Flight *flight.Recorder
 }
 
 // DefaultOptions enables both mechanisms with the paper's cadences.
@@ -59,7 +51,6 @@ func DefaultOptions() Options {
 	return Options{
 		Partitioning:    true,
 		PartitionPeriod: 15 * time.Second,
-		RejectWindow:    time.Minute,
 		PartitionOpts:   partition.DefaultOptions(),
 		ThreadTuning:    true,
 		ThreadPeriod:    10 * time.Second,
@@ -102,7 +93,9 @@ type Optimizer struct {
 }
 
 // NewOptimizer binds an optimizer to a node. The node's actor.Config can
-// pre-wire the thread controller: DisableThreadControl forces ThreadTuning off.
+// pre-wire the thread controller: DisableThreadControl forces ThreadTuning
+// off. The controller publishes its gauges to the node's Metrics registry
+// (none when nil) and its thread_resize events to the node's flight recorder.
 func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 	if opts.PartitionPeriod <= 0 {
 		opts.PartitionPeriod = 15 * time.Second
@@ -110,10 +103,10 @@ func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 	if opts.ThreadPeriod <= 0 {
 		opts.ThreadPeriod = 10 * time.Second
 	}
-	if opts.RejectWindow <= 0 {
-		opts.RejectWindow = time.Minute
-	}
 	cfg := sys.Config()
+	if opts.RejectWindow <= 0 {
+		opts.RejectWindow = cfg.ExchangeRejectWindow
+	}
 	if cfg.DisableThreadControl {
 		opts.ThreadTuning = false
 	}
@@ -130,8 +123,8 @@ func NewOptimizer(sys *actor.System, opts Options) *Optimizer {
 			Betas:      []float64{1, workerBeta, 1},
 			MinSamples: minSamples,
 			Hysteresis: hysteresis,
-			Metrics:    opts.Metrics,
-			Flight:     opts.Flight,
+			Metrics:    cfg.Metrics,
+			Flight:     sys.FlightRecorder(),
 		})
 	return o
 }

@@ -49,13 +49,16 @@ func newCluster(t *testing.T, n int) []*actor.System {
 		// 8 driver goroutines × 2 nested call levels ⇒ 16 is safe.
 		sys, err := actor.NewSystem(actor.Config{
 			Transport: trs[i], Peers: peers, Seed: int64(i + 1),
-			Workers: 16, ReceiverWorkers: 4, SenderWorkers: 4,
+			Workers:              16,
 			CallTimeout:          3 * time.Second,
 			ExchangeRejectWindow: 100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		recv, _, send := sys.Stages()
+		recv.SetWorkers(4)
+		send.SetWorkers(4)
 		sys.RegisterType("group", func() actor.Actor { return &groupActor{} })
 		out[i] = sys
 		t.Cleanup(sys.Stop)
@@ -186,6 +189,15 @@ func TestOptimizerStartStopIdempotent(t *testing.T) {
 	// Restartable.
 	o.Start()
 	o.Stop()
+}
+
+// TestRejectWindowFromNode: a zero RejectWindow takes the node's
+// ExchangeRejectWindow, so both sides of an exchange cool down alike.
+func TestRejectWindowFromNode(t *testing.T) {
+	sys := newCluster(t, 1)
+	if o, want := NewOptimizer(sys[0], DefaultOptions()), sys[0].Config().ExchangeRejectWindow; o.opts.RejectWindow != want {
+		t.Fatalf("initiator window %v, node window %v", o.opts.RejectWindow, want)
+	}
 }
 
 func TestOptionsDefaultsClamped(t *testing.T) {
