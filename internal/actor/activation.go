@@ -44,43 +44,27 @@ type activation struct {
 	// refH caches refHash(ref) so folding the profile never re-hashes the
 	// ref strings. Immutable.
 	refH uint64
-	// installID, when non-empty, names the migration transfer that created
-	// this activation; ID-matched drops (failed-transfer cleanup) may only
-	// remove the install they were issued against.
-	installID string
 	// epoch counts this incarnation's position in the actor's migration
 	// chain (0 for a fresh placement, +1 per transfer). It rides along in
 	// directory updates so a delayed/retried update from an older migration
 	// can never overwrite the directory state of a newer one. Immutable
 	// after the activation is published.
 	epoch uint64
-
-	// Durability plane (guarded by turnMu, like the turns that drive it).
-	// durable marks an activation whose type opted in via the Durable
-	// marker while the node runs with DurableReplicas > 0. dirty counts
-	// turns since the last capture, snapSeq the captures of this
-	// incarnation (piggybacked across migrations), lastSnap the wall-clock
-	// of the last capture. shipped, written off the lock by capture jobs, is
-	// the low half of the last snapSeq whose job has finished.
-	durable  bool
-	shipped  atomic.Uint32
-	dirty    int
-	snapSeq  uint64
-	lastSnap time.Time
+	// ext holds what only a durable activation or a migration install
+	// uses; nil for the rest, which is most of a node's activations.
+	// Immutable after the activation is published (its fields are not).
+	ext *activationExt
 
 	// turnMu is held for the duration of each Receive; Migrate acquires it
 	// to guarantee no turn is in flight while the state is snapshotted.
 	turnMu sync.Mutex
 
-	// Mailbox: a head-indexed queue. Drains pop queue[head] and advance
-	// head instead of re-slicing, so the backing array is reused across the
-	// activation's whole life — steady-state traffic on a warm actor
-	// appends into spare capacity and allocates nothing. When the queue
-	// empties it rewinds to queue[:0] (releasing oversized burst buffers so
-	// 1M mostly-idle activations don't pin burst-shaped arrays).
+	// mbox is the mailbox while it holds invocations, nil while the
+	// activation is idle: the drain that empties it returns it to the
+	// node's pool and the next enqueue takes one (getMailbox, putMailbox),
+	// so a node of mostly idle activations keeps no queue arrays.
 	mu        sync.Mutex
-	queue     []invocation
-	head      int
+	mbox      *mailbox
 	scheduled bool
 	// forwarded, when set, means the activation migrated away; enqueued
 	// invocations are re-routed to the new host.
@@ -106,6 +90,87 @@ type activation struct {
 	drainTask func()
 }
 
+// activationExt is the part of an activation that only a durable type or a
+// migration install uses, allocated only for one of them.
+type activationExt struct {
+	// installID, when non-empty, names the migration transfer that created
+	// this activation; ID-matched drops (failed-transfer cleanup) may only
+	// remove the install they were issued against. Immutable.
+	installID string
+
+	// Durability plane (guarded by turnMu, like the turns that drive it).
+	// durable marks an activation whose type opted in via the Durable
+	// marker while the node runs with DurableReplicas > 0. dirty counts
+	// turns since the last capture, snapSeq the captures of this
+	// incarnation (piggybacked across migrations), lastSnap the wall-clock
+	// of the last capture. shipped, written off the lock by capture jobs, is
+	// the low half of the last snapSeq whose job has finished.
+	durable  bool
+	shipped  atomic.Uint32
+	dirty    int
+	snapSeq  uint64
+	lastSnap time.Time
+}
+
+// newActivation builds the activation of inst for ref (whose hash is h).
+// installID names the migration transfer installing it ("" for a fresh
+// placement) and snapSeq the captures its earlier incarnations made.
+func (s *System) newActivation(ref Ref, h uint64, inst Actor, installID string, epoch, snapSeq uint64) *activation {
+	a := &activation{ref: ref, refH: h, actor: inst, epoch: epoch}
+	if durable := s.isDurable(inst); durable || installID != "" {
+		a.ext = &activationExt{installID: installID, durable: durable, snapSeq: snapSeq, lastSnap: time.Now()}
+	}
+	return a
+}
+
+// installID names the migration transfer that created a ("" when none did).
+func (a *activation) installID() string {
+	if a.ext == nil {
+		return ""
+	}
+	return a.ext.installID
+}
+
+// durable reports whether a's state is captured to replicas.
+func (a *activation) durable() bool { return a.ext != nil && a.ext.durable }
+
+// snapSeq is the number of captures a's incarnations have made.
+func (a *activation) snapSeq() uint64 {
+	if a.ext == nil {
+		return 0
+	}
+	return a.ext.snapSeq
+}
+
+// mailbox is a head-indexed queue of invocations. Drains pop q[head] and
+// advance head instead of re-slicing, so the array is reused while the
+// mailbox lives, and across activations through the node's pool.
+type mailbox struct {
+	q    []invocation
+	head int
+}
+
+// getMailbox takes an empty mailbox from the node's pool (caller holds the
+// activation's mu).
+func (s *System) getMailbox() *mailbox {
+	if m, ok := s.mailboxes.Get().(*mailbox); ok {
+		return m
+	}
+	return new(mailbox)
+}
+
+// putMailbox returns an empty mailbox to the node's pool (caller holds the
+// activation's mu, and the activation no longer points at m). Every popped
+// slot was zeroed, so the array holds no references; an array grown past
+// mailboxRetainCap was a burst and goes back to the GC instead.
+func (s *System) putMailbox(m *mailbox) {
+	if cap(m.q) > mailboxRetainCap {
+		m.q = nil
+	}
+	m.q, m.head = m.q[:0], 0
+	s.mailboxes.Put(m)
+}
+
 // profSample is the profiler's batch size and timing sample rate (power of
 // two): an activation's profile reaches the hot-spot sketch once per
 // profSample turns, the turn that folds it is the one whose execution is
@@ -119,36 +184,42 @@ const profSample = 8
 // actor cannot starve the stage.
 const turnBatch = 16
 
-// mailboxRetainCap bounds the queue capacity kept across an empty rewind;
+// mailboxRetainCap bounds the capacity of a mailbox array the pool keeps;
 // anything larger was a burst and goes back to the GC.
 const mailboxRetainCap = 64
 
 // takePending removes and returns every queued invocation (caller holds
-// a.mu). The mailbox is left empty with no retained capacity.
+// a.mu). The mailbox goes with them — the caller reads them off the lock —
+// and the activation is left with none.
 func (a *activation) takePending() []invocation {
-	pending := a.queue[a.head:]
-	a.queue = nil
-	a.head = 0
-	return pending
+	m := a.mbox
+	if m == nil {
+		return nil
+	}
+	a.mbox = nil
+	return m.q[m.head:]
 }
 
-// pop removes the next invocation (caller holds a.mu; queue non-empty).
-func (a *activation) pop() invocation {
-	inv := a.queue[a.head]
-	a.queue[a.head] = invocation{} // release args/closure references now
-	a.head++
-	if a.head == len(a.queue) {
-		if cap(a.queue) > mailboxRetainCap {
-			a.queue = nil
-		} else {
-			a.queue = a.queue[:0]
-		}
-		a.head = 0
+// pop removes the next invocation (caller holds a.mu; queue non-empty). The
+// pop that empties the mailbox returns it to the node's pool.
+func (a *activation) pop(s *System) invocation {
+	m := a.mbox
+	inv := m.q[m.head]
+	m.q[m.head] = invocation{} // release args/closure references now
+	m.head++
+	if m.head == len(m.q) {
+		a.mbox = nil
+		s.putMailbox(m)
 	}
 	return inv
 }
 
-func (a *activation) queueLen() int { return len(a.queue) - a.head }
+func (a *activation) queueLen() int {
+	if a.mbox == nil {
+		return 0
+	}
+	return len(a.mbox.q) - a.mbox.head
+}
 
 // enqueue adds an invocation and schedules a drain turn if none is pending.
 func (a *activation) enqueue(inv invocation, s *System) {
@@ -167,7 +238,10 @@ func (a *activation) enqueue(inv invocation, s *System) {
 			inv.at = time.Now()
 		}
 	}
-	a.queue = append(a.queue, inv)
+	if a.mbox == nil {
+		a.mbox = s.getMailbox()
+	}
+	a.mbox.q = append(a.mbox.q, inv)
 	need := !a.scheduled
 	if need {
 		a.scheduled = true
@@ -225,7 +299,7 @@ func (a *activation) drain(s *System) {
 			}
 			return
 		}
-		inv := a.pop()
+		inv := a.pop(s)
 		a.mu.Unlock()
 
 		a.turnMu.Lock()
@@ -287,13 +361,13 @@ func (a *activation) drain(s *System) {
 			}
 		}
 		var snapJob func()
-		if a.durable && !panicked {
+		if x := a.ext; x != nil && x.durable && !panicked {
 			// Durability hook, still under the turn lock: count the dirty
 			// turn and, past the dirty-count or staleness threshold, capture
 			// the state (one deep copy — encode and ship run on the
 			// snapshotter stage, never here).
-			a.dirty++
-			if a.dirty >= snapshotEvery || time.Since(a.lastSnap) >= s.cfg.SnapshotInterval {
+			x.dirty++
+			if x.dirty >= snapshotEvery || time.Since(x.lastSnap) >= s.cfg.SnapshotInterval {
 				if snapJob = s.captureSnapshotLocked(a); snapJob != nil && inv.trc != nil {
 					inv.trc.snapshot = true
 				}
@@ -437,8 +511,8 @@ func (s *System) activationFor(ref Ref, routed bool) (*activation, error) {
 	}
 	// We are the host: instantiate (actor virtualization — §2).
 	inst := factory()
-	act := &activation{ref: ref, refH: h, actor: inst, durable: s.isDurable(inst), lastSnap: time.Now()}
-	if act.durable {
+	act := s.newActivation(ref, h, inst, "", 0, 0)
+	if act.durable() {
 		// Recovery gate: a Durable actor activating here may be a failover
 		// re-activation of state that died with its old host. Consult the
 		// replica set BEFORE admitting the first turn — the pull happens
@@ -471,12 +545,12 @@ func (s *System) activationFor(ref Ref, routed bool) (*activation, error) {
 	// node because the actor was active here, and the actor has migrated out
 	// since, installing now would fork a second incarnation beside the one
 	// that left. The tombstone that migration recorded is the newer fact.
-	if e.liveFwd() {
+	if s.liveFwd(&e) {
 		return nil, nil
 	}
 	// Any leftover tombstone is obsolete the moment a live activation
 	// exists here: the chain came back around.
-	e.act, e.fwd = act, ""
+	e.act, e.fwd = act, 0
 	sh.set(h, e)
 	return act, nil
 }
@@ -494,7 +568,7 @@ func (s *System) retire(a *activation, keepRoute bool) bool {
 	}
 	e.act = nil
 	if !keepRoute {
-		e.route = ""
+		e.route = 0
 	}
 	sh.set(a.refH, e)
 	sh.mu.Unlock()

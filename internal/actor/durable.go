@@ -66,13 +66,14 @@ func (s *System) captureSnapshotLocked(a *activation) func() {
 		}
 		encode = func() ([]byte, error) { return state, nil }
 	}
-	a.snapSeq++
-	a.dirty = 0
-	a.lastSnap = time.Now()
+	x := a.ext
+	x.snapSeq++
+	x.dirty = 0
+	x.lastSnap = time.Now()
 	s.durables.Captured.Add(1)
-	ref, epoch, seq := a.ref, a.epoch, a.snapSeq
+	ref, epoch, seq := a.ref, a.epoch, x.snapSeq
 	return func() {
-		defer a.shipped.Store(uint32(seq))
+		defer x.shipped.Store(uint32(seq))
 		state, err := encode()
 		if err != nil {
 			s.durables.CaptureErrors.Add(1)
@@ -374,7 +375,7 @@ func (s *System) SyncSnapshots() int {
 	var jobs []func()
 	for _, a := range s.activations() {
 		a.turnMu.Lock()
-		if a.durable && (a.dirty > 0 || a.shipped.Load() != uint32(a.snapSeq)) {
+		if x := a.ext; x != nil && x.durable && (x.dirty > 0 || x.shipped.Load() != uint32(x.snapSeq)) {
 			if job := s.captureSnapshotLocked(a); job != nil {
 				jobs = append(jobs, job)
 			}

@@ -278,7 +278,7 @@ func TestMigrationPiggybacksSnapSeq(t *testing.T) {
 	}
 	src.SyncSnapshots()
 	srcAct.turnMu.Lock()
-	wantSeq := srcAct.snapSeq
+	wantSeq := srcAct.snapSeq()
 	wantEpoch := srcAct.epoch
 	srcAct.turnMu.Unlock()
 	if wantSeq == 0 {
@@ -291,13 +291,13 @@ func TestMigrationPiggybacksSnapSeq(t *testing.T) {
 	if dstAct == nil {
 		t.Fatalf("no activation on %s after migrate", dst.Node())
 	}
-	if dstAct.snapSeq != wantSeq {
-		t.Errorf("migrated snapSeq = %d, want %d (piggybacked)", dstAct.snapSeq, wantSeq)
+	if dstAct.snapSeq() != wantSeq {
+		t.Errorf("migrated snapSeq = %d, want %d (piggybacked)", dstAct.snapSeq(), wantSeq)
 	}
 	if dstAct.epoch != wantEpoch+1 {
 		t.Errorf("migrated epoch = %d, want %d", dstAct.epoch, wantEpoch+1)
 	}
-	if !dstAct.durable {
+	if !dstAct.durable() {
 		t.Error("migrated activation lost its durable mark")
 	}
 }

@@ -182,6 +182,7 @@ func (s *System) peerTransition(peer transport.NodeID, from, to PeerState) {
 // them to live survivors, whose (empty) directories re-place on demand.
 func (s *System) failoverPurge(dead transport.NodeID) {
 	var purged uint64
+	di, _ := s.nodeLookup(dead) // a member: the node table holds them all
 	// Shard by shard: a purge holds each stripe only as long as its own
 	// sweep, so concurrent calls on other shards keep routing while the
 	// failover cleans up behind them. No cross-shard invariant is at stake —
@@ -192,12 +193,12 @@ func (s *System) failoverPurge(dead transport.NodeID) {
 		sh.mu.Lock()
 		sh.each(func(h uint64, e refEntry) {
 			n := purged
-			if e.route == dead {
-				e.route = ""
+			if e.route == di {
+				e.route = 0
 				purged++
 			}
-			if e.dir == dead {
-				e.dir = ""
+			if e.dir == di {
+				e.dir = 0
 				purged++
 			}
 			if purged != n {

@@ -55,6 +55,10 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 		// into a dying node strands the actor behind its failover.
 		return fmt.Errorf("%w: migrate %s to %s (%s)", errPeerDown, ref, to, s.PeerStateOf(to))
 	}
+	if _, ok := s.intern(to); !ok {
+		// The tombstone left below names to by its node-table index.
+		return fmt.Errorf("%w: cannot migrate %s to %s", errNodeTableFull, ref, to)
+	}
 	act := s.localActivation(refHash(ref), ref)
 	if act == nil {
 		return fmt.Errorf("actor: %s not active on %s", ref, s.Node())
@@ -79,7 +83,7 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 	// cache cannot be trusted here — installing the copy is exactly what
 	// seeded it — so ask the directory owner directly; refusing on error is
 	// always safe (migration is an optimization, not an obligation).
-	if act.installID != "" {
+	if act.installID() != "" {
 		var home wireNode
 		//actoplint:ignore lockheldio migration quiesces the turn by design; controlCall is timeout-bounded, so the hold is finite
 		if err := s.controlCall(s.directoryOwner(ref), ctlDirLookup,
@@ -94,7 +98,7 @@ func (s *System) Migrate(ref Ref, to transport.NodeID) error {
 
 	// The transferred incarnation is one step further down the migration
 	// chain; its epoch versions the directory update below.
-	payload := migratePayload{Type: ref.Type, Key: ref.Key, ID: s.migrationID(), Epoch: act.epoch + 1, SnapSeq: act.snapSeq}
+	payload := migratePayload{Type: ref.Type, Key: ref.Key, ID: s.migrationID(), Epoch: act.epoch + 1, SnapSeq: act.snapSeq()}
 	if m, ok := act.actor.(Migratable); ok {
 		state, err := m.Snapshot()
 		if err != nil {
@@ -241,7 +245,7 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 	sh.mu.Lock()
 	e := sh.entry(h, ref)
 	if e.act != nil {
-		installID := e.act.installID
+		installID := e.act.installID()
 		sh.mu.Unlock()
 		if installID != "" && installID == p.ID {
 			return nil, nil // duplicate of our own install
@@ -260,14 +264,11 @@ func (s *System) handleMigratePut(payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("actor: restore %s: %w", ref, err)
 		}
 	}
-	e.act = &activation{
-		ref: ref, refH: h, actor: inst, installID: p.ID, epoch: p.Epoch,
-		durable: s.isDurable(inst), snapSeq: p.SnapSeq, lastSnap: time.Now(),
-	}
+	e.act = s.newActivation(ref, h, inst, p.ID, p.Epoch, p.SnapSeq)
 	// The route is now here, which is never cached (setRoute); a tombstone
 	// left by an earlier outbound migration of this ref is obsolete: the
 	// chain came back, and the live activation now answers.
-	e.route, e.fwd = "", ""
+	e.route, e.fwd = 0, 0
 	sh.set(h, e)
 	sh.mu.Unlock()
 	s.migrationsIn.Add(1)
@@ -293,7 +294,7 @@ func (s *System) handleMigrateDrop(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	ref := Ref{Type: p.Type, Key: p.Key}
-	if act := s.localActivation(refHash(ref), ref); act != nil && act.installID != "" && act.installID == p.ID {
+	if act := s.localActivation(refHash(ref), ref); act != nil && p.ID != "" && act.installID() == p.ID {
 		s.retire(act, false)
 	}
 	return nil, nil
@@ -359,8 +360,8 @@ func (l sysLocator) Server(v graph.Vertex) (graph.ServerID, bool) {
 	case !ok:
 	case e.act != nil:
 		return l.s.selfIndex(), true
-	case e.route != "":
-		return l.s.nodeIndex(e.route)
+	case e.route != 0:
+		return l.s.nodeIndex(l.s.nodeName(e.route))
 	}
 	return 0, false
 }

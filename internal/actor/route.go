@@ -73,12 +73,12 @@ func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Ti
 	switch {
 	case e.act != nil:
 		n = s.Node()
-	case e.liveFwd():
-		n = e.fwd
+	case s.liveFwd(e):
+		n = s.nodeName(e.fwd)
 	case routed:
-	case e.route != "":
+	case e.route != 0:
 		sh.touch(e)
-		n = e.route
+		n = s.nodeName(e.route)
 		s.locHits.Add(1)
 	default:
 		s.locMisses.Add(1)
@@ -113,33 +113,40 @@ func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Ti
 // ref. A recorded placement homed on a node now declared dead is expunged
 // and re-placed among live peers — the failover path for entries created
 // (or re-learned) after the death purge.
+//
+// A suggestion the full node table refuses is placed like a dead one: among
+// the live members, which the table always holds.
 func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
 	dead := func(n transport.NodeID) bool { return s.PeerStateOf(n) == PeerDead }
 	sh := s.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entry(h, ref)
-	if e.dir != "" {
-		if !dead(e.dir) {
-			return e.dir, nil
+	if e.dir != 0 {
+		if n := s.nodeName(e.dir); !dead(n) {
+			return n, nil
 		}
-		e.dir, e.route = "", ""
+		e.dir, e.route = 0, 0
 		s.failures.FailoverPurged.Add(1)
 	}
 	if place {
-		e.dir, e.dirEpoch = suggest, 0
-		if s.cfg.Placement != PlaceLocal || dead(suggest) {
+		var ok bool
+		if s.cfg.Placement == PlaceLocal && !dead(suggest) {
+			e.dir, ok = s.intern(suggest)
+		}
+		e.dirEpoch = 0
+		if !ok {
 			live := s.livePeers()
 			s.rngMu.Lock()
-			e.dir = live[s.rng.Intn(len(live))]
+			e.dir, _ = s.nodeLookup(live[s.rng.Intn(len(live))])
 			s.rngMu.Unlock()
 		}
 	}
 	sh.set(h, e)
-	if e.dir == "" {
+	if e.dir == 0 {
 		return "", fmt.Errorf("actor: %s not registered", ref)
 	}
-	return e.dir, nil
+	return s.nodeName(e.dir), nil
 }
 
 // dirRequest is the directory control payload (wire form in wire.go).
@@ -166,18 +173,25 @@ func (s *System) handleDir(verb string, payload []byte) ([]byte, error) {
 		}
 		return codec.Marshal(wireNode(node))
 	}
+	node := transport.NodeID(req.NewNode)
+	n, ok := s.intern(node)
+	if !ok {
+		// The updater retries: a full node table must not record the
+		// update as some other node, nor drop it as if it had landed.
+		return nil, fmt.Errorf("%w: cannot record %s for %s", errNodeTableFull, node, ref)
+	}
 	sh := s.shard(h)
 	sh.mu.Lock()
 	e := sh.entry(h, ref)
-	switch node := transport.NodeID(req.NewNode); {
+	switch {
 	case verb == ctlDirRemove:
-		e.dir, e.route = "", ""
+		e.dir, e.route = 0, 0
 	// Epoch guard: updates arrive out of order (lost ones are retried in
 	// the background for seconds), so a stale retry from an older
 	// migration must not rewind a newer entry — nor stomp the owner's
 	// location cache with a pointer the actor already left behind.
-	case e.dir == "" || req.Epoch >= e.dirEpoch:
-		e.dir, e.dirEpoch = node, req.Epoch
+	case e.dir == 0 || req.Epoch >= e.dirEpoch:
+		e.dir, e.dirEpoch = n, req.Epoch
 		s.setRoute(sh, h, &e, node)
 	}
 	sh.set(h, e)

@@ -1,6 +1,8 @@
 package actor
 
 import (
+	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,7 +40,8 @@ const (
 	stateShardCount = 1 << stateShardBits
 
 	pendShardCount  = 16
-	dedupShardCount = 16
+	dedupShardBits  = 4
+	dedupShardCount = 1 << dedupShardBits
 )
 
 // 64-bit FNV-1a parameters, mirroring hash/fnv.
@@ -73,37 +76,121 @@ func fnvRef(h uint64, r Ref) uint64 {
 // refEntry is everything this node knows about one ref. An entry exists
 // only while at least one of its facts holds (live); a write that clears
 // the last one deletes it, so a shard holds at most its activations, owned
-// directory records and tombstones plus its route bound.
+// directory records and tombstones plus its route bound. The node ids it
+// names are places in the System's node table (0: none) and its deadline a
+// reading of the System's clock, so that an entry is 72 bytes.
 type refEntry struct {
-	// The fields a call's lookup reads come first, within one cache line.
+	// The fields a call's lookup reads come first, in its first 56 bytes:
+	// however the 72-byte stride lays an entry over cache lines, they span
+	// at most two, and one when the entry starts at most 8 bytes into a line.
 	ref Ref
 	act *activation // the live activation here, or nil
-	// route is the cached gossip route ("" when none) and slot its place in
-	// the shard's clock ring.
-	route transport.NodeID
-	slot  int32
+	// route is the cached gossip route.
+	route nodeIdx
+	// dir is the node the directory record this node owns places the actor
+	// on (0 when it owns none).
+	dir nodeIdx
+	// fwd is the forwarding tombstone: where the actor went when it migrated
+	// off this node (0 when it did not).
+	fwd nodeIdx
+	// slot is the cached route's place in the shard's clock ring.
+	slot int32
 	// next indexes the next entry in the chain of refs that share this one's
 	// hash; 0 ends it.
 	next int32
-	// dir is the node the directory record this node owns places the actor
-	// on ("" when it owns none), and dirEpoch the migration epoch of the
-	// incarnation that registered it: updates carry the epoch so a delayed
-	// retry of an older migration's update loses to the newer state it races
-	// with (background retries make updates arrive out of order under loss).
-	dir      transport.NodeID
+	// dirEpoch is the migration epoch of the incarnation that registered
+	// the directory record (dir): updates carry the epoch so a delayed retry
+	// of an older migration's update loses to the newer state it races with
+	// (background retries make updates arrive out of order under loss).
 	dirEpoch uint64
-	// fwd is the forwarding tombstone: where the actor went when it migrated
-	// off this node ("" when it did not), authoritative until fwdUntil.
-	fwd      transport.NodeID
-	fwdUntil time.Time
+	// fwdUntil is the System clock reading until which the tombstone (fwd)
+	// is authoritative.
+	fwdUntil int64
 }
 
 func (e *refEntry) live() bool {
-	return e.act != nil || e.dir != "" || e.fwd != "" || e.route != ""
+	return e.act != nil || e.dir != 0 || e.fwd != 0 || e.route != 0
 }
 
 // liveFwd reports whether e holds a tombstone that has not expired.
-func (e *refEntry) liveFwd() bool { return e.fwd != "" && time.Now().Before(e.fwdUntil) }
+func (s *System) liveFwd(e *refEntry) bool { return e.fwd != 0 && s.clock() < e.fwdUntil }
+
+// clock reads the System's monotonic clock: nanoseconds since NewSystem.
+func (s *System) clock() int64 { return int64(time.Since(s.born)) }
+
+// nodeIdx names a node id by its place in the System's node table; 0 is
+// no node, so a zero entry field means "none" as "" did.
+type nodeIdx uint16
+
+// maxNodeIDs bounds the node table: every nodeIdx but 0 names an id.
+const maxNodeIDs = 1<<16 - 1
+
+// errNodeTableFull refuses what would store an id the full node table
+// cannot name.
+var errNodeTableFull = errors.New("actor: node table full")
+
+// nodeTable interns the node ids the state plane and the dedup window
+// store. It is append-only: an id keeps its index for the System's life,
+// so an index read under any lock names the same id whenever it is turned
+// back. The members come first, in s.peers order (index i+1 for peers[i]),
+// and are found by binary search without a lock; ids from outside the
+// membership — a one-shot caller, a route a test plants — are added under
+// mu. Readers turn an index back into its id through ids, a copy-on-write
+// slice whose writers append past every published length. At maxNodeIDs it
+// refuses new ids instead of reusing an index.
+type nodeTable struct {
+	ids   atomic.Pointer[[]transport.NodeID] // ids[0] is ""
+	mu    sync.Mutex
+	extra map[transport.NodeID]nodeIdx
+}
+
+func (t *nodeTable) init(peers []transport.NodeID) {
+	ids := make([]transport.NodeID, 1, 1+len(peers))
+	ids = append(ids, peers...)
+	t.ids.Store(&ids)
+	t.extra = make(map[transport.NodeID]nodeIdx)
+}
+
+// nodeName returns the id at index i ("" for 0).
+func (s *System) nodeName(i nodeIdx) transport.NodeID { return (*s.nodes.ids.Load())[i] }
+
+// nodeLookup returns n's index without adding it ("" is 0).
+func (s *System) nodeLookup(n transport.NodeID) (nodeIdx, bool) {
+	if n == "" {
+		return 0, true
+	}
+	if i, ok := slices.BinarySearch(s.peers, n); ok {
+		return nodeIdx(i + 1), true
+	}
+	t := &s.nodes
+	t.mu.Lock()
+	i, ok := t.extra[n]
+	t.mu.Unlock()
+	return i, ok
+}
+
+// intern returns n's index, adding n to the table if it is new. It
+// reports false, and index 0, when the table is full.
+func (s *System) intern(n transport.NodeID) (nodeIdx, bool) {
+	if i, ok := s.nodeLookup(n); ok {
+		return i, true
+	}
+	t := &s.nodes
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i, ok := t.extra[n]; ok {
+		return i, true
+	}
+	ids := *t.ids.Load()
+	if len(ids) > maxNodeIDs {
+		return 0, false
+	}
+	i := nodeIdx(len(ids))
+	ids = append(ids, n)
+	t.ids.Store(&ids)
+	t.extra[n] = i
+	return i, true
+}
 
 // forwardTTL bounds how long an outbound migration's tombstone stays
 // authoritative. It must comfortably outlive the directory update's common
@@ -218,10 +305,10 @@ func (sh *stateShard) count(e *refEntry, d int) {
 	if e.act != nil {
 		sh.acts += d
 	}
-	if e.dir != "" {
+	if e.dir != 0 {
 		sh.dirs += d
 	}
-	if e.route != "" {
+	if e.route != 0 {
 		sh.routes += d
 	}
 }
@@ -253,9 +340,6 @@ func (s *System) initShards(cacheSize int) {
 	}
 	for i := range s.pend {
 		s.pend[i].m = make(map[uint64]*callWaiter)
-	}
-	for i := range s.dedupShards {
-		s.dedupShards[i].m = make(map[dedupKey]int)
 	}
 }
 
@@ -311,16 +395,16 @@ func (s *System) cacheGet(ref Ref) (transport.NodeID, bool) {
 	sh.mu.RLock()
 	e := sh.get(h, ref)
 	n := e.route
-	if n != "" {
+	if n != 0 {
 		sh.touch(e)
 	}
 	sh.mu.RUnlock()
-	if n != "" {
+	if n != 0 {
 		s.locHits.Add(1)
 	} else {
 		s.locMisses.Add(1)
 	}
-	return n, n != ""
+	return s.nodeName(n), n != 0
 }
 
 // setRoute records node as e's cached route, taking a clock slot for a new
@@ -329,20 +413,25 @@ func (s *System) cacheGet(ref Ref) (transport.NodeID, bool) {
 // package funnels through here so the clock ring stays consistent with the
 // table.
 func (s *System) setRoute(sh *stateShard, h uint64, e *refEntry, node transport.NodeID) {
-	if node == s.Node() {
+	var n nodeIdx
+	if node != s.Node() {
+		n, _ = s.intern(node) // 0 when the node table is full
+	}
+	if n == 0 {
 		// A self-route is never information: if we host the actor the
 		// activation answers first, and if we don't, a cached self route
 		// would seed a spurious local activation the moment routing consults
-		// it (split brain). Record "unknown" instead.
-		e.route = ""
+		// it (split brain). Record "unknown" instead — as for an id the full
+		// node table refuses: a route is gossip, and unknown is always safe.
+		e.route = 0
 		return
 	}
-	if e.route != "" {
-		e.route = node
+	if e.route != 0 {
+		e.route = n
 		sh.clock[e.slot].used.Store(true)
 		return
 	}
-	e.route = node
+	e.route = n
 	if len(sh.clock) < sh.cacheCap {
 		e.slot = int32(len(sh.clock))
 		sh.clock = append(sh.clock, clockSlot{h: h})
@@ -359,7 +448,7 @@ func (s *System) setRoute(sh *stateShard, h uint64, e *refEntry, node transport.
 			continue
 		}
 		if resident {
-			victim.route = ""
+			victim.route = 0
 			sh.set(c.h, victim)
 			s.locEvicts.Add(1)
 		}
@@ -376,7 +465,7 @@ func (s *System) setRoute(sh *stateShard, h uint64, e *refEntry, node transport.
 // hash), if any still does.
 func (sh *stateShard) routeAt(h uint64, i int32) (refEntry, bool) {
 	for j := sh.refs[h]; j != 0; j = sh.ents[j].next {
-		if e := sh.ents[j]; e.route != "" && e.slot == i {
+		if e := sh.ents[j]; e.route != 0 && e.slot == i {
 			return e, true
 		}
 	}
@@ -392,13 +481,15 @@ func (sh *stateShard) routeAt(h uint64, i int32) (refEntry, bool) {
 // directory-guided routing would re-instantiate the actor at its old home —
 // a permanent split brain. The route is mirrored into the location cache
 // (which has no TTL) so cheap first-hop routing survives the tombstone.
+// Migrate interned to before the transfer, so the table has its index.
 func (s *System) recordForward(a *activation, to transport.NodeID) {
 	h, ref := a.refH, a.ref
 	sh := s.shard(h)
-	now := time.Now()
+	fwd, _ := s.nodeLookup(to)
+	now := s.clock()
 	sh.mu.Lock()
 	e := sh.entry(h, ref)
-	e.fwd, e.fwdUntil = to, now.Add(forwardTTL)
+	e.fwd, e.fwdUntil = fwd, now+int64(forwardTTL)
 	s.setRoute(sh, h, &e, to)
 	sh.set(h, e)
 	sh.fwdOrder = append(sh.fwdOrder, ref)
@@ -408,11 +499,11 @@ func (s *System) recordForward(a *activation, to transport.NodeID) {
 	for sh.fwdHead < len(sh.fwdOrder) {
 		r := sh.fwdOrder[sh.fwdHead]
 		rh := refHash(r)
-		if re := sh.entry(rh, r); re.fwd != "" {
-			if now.Before(re.fwdUntil) {
+		if re := sh.entry(rh, r); re.fwd != 0 {
+			if now < re.fwdUntil {
 				break
 			}
-			re.fwd = ""
+			re.fwd = 0
 			sh.set(rh, re)
 		}
 		sh.fwdOrder[sh.fwdHead] = Ref{}
@@ -448,7 +539,7 @@ func (s *System) cacheHint(ref Ref, node transport.NodeID) {
 	h := refHash(ref)
 	sh := s.shard(h)
 	sh.mu.RLock()
-	known := sh.get(h, ref).route == node
+	known := s.nodeName(sh.get(h, ref).route) == node
 	sh.mu.RUnlock()
 	if !known {
 		s.cacheInsert(h, ref, node)

@@ -41,9 +41,9 @@ func newShardTestSystem(t *testing.T, cacheSize int, reg *metrics.Registry) *Sys
 
 // refHash must stay bit-identical to hash/fnv over "Type\x00Key": the shard
 // key, the vertex index key, and Ref.Vertex all assume the same hash, and
-// partitioner vertex ids must not move between versions. strHash (node seeds,
-// dedup shards) and the rendezvous scores (snapScore, ownerScore) are held
-// to hash/fnv the same way.
+// partitioner vertex ids must not move between versions. strHash (node
+// seeds) and the rendezvous scores (snapScore, ownerScore) are held to
+// hash/fnv the same way.
 func TestRefHashMatchesStdlibFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alpha := "abcdefghijklmnopqrstuvwxyz0123456789-_/."
@@ -145,13 +145,25 @@ func TestLocCacheClockKeepsHotRoutes(t *testing.T) {
 	}
 }
 
+// resident counts the stripe's indexed keys (caller holds mu).
+func (d *dedupShard) resident() int {
+	n := 0
+	for _, v := range d.index {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // The reply-dedup window must stay bounded per stripe and keep honoring
 // recorded replies while evicting the oldest entries.
 func TestDedupWindowBounded(t *testing.T) {
 	s := newShardTestSystem(t, 0, nil)
 	const perStripe = dedupWindow / dedupShardCount
+	peerA, _ := s.intern("peer-a")
 	for i := uint64(0); i < 4*dedupWindow; i++ {
-		key := dedupKey{from: "peer-a", id: i}
+		key := dedupKey{from: peerA, id: i}
 		proceed, prior := s.dedupBegin(key)
 		if !proceed || prior != nil {
 			t.Fatalf("fresh key %d not admitted (proceed=%v prior=%v)", i, proceed, prior)
@@ -162,7 +174,7 @@ func TestDedupWindowBounded(t *testing.T) {
 	for i := range s.dedupShards {
 		d := &s.dedupShards[i]
 		d.mu.Lock()
-		n, live := len(d.m), len(d.slots)
+		n, live := d.resident(), len(d.slots)
 		d.mu.Unlock()
 		if n != live {
 			t.Fatalf("stripe %d: %d resident keys vs a wrapped ring of %d slots", i, n, live)
@@ -176,10 +188,49 @@ func TestDedupWindowBounded(t *testing.T) {
 		t.Fatalf("dedup window unbounded: %d > %d", total, dedupWindow)
 	}
 	// A recent (resident) key must replay its recorded reply, not re-execute.
-	key := dedupKey{from: "peer-a", id: 4*dedupWindow - 1}
+	key := dedupKey{from: peerA, id: 4*dedupWindow - 1}
 	proceed, prior := s.dedupBegin(key)
 	if proceed || prior == nil || string(prior.payload) != "ok" {
 		t.Fatalf("resident key re-admitted: proceed=%v prior=%+v", proceed, prior)
+	}
+}
+
+// TestDedupWindowIndexCollisions crowds a stripe's worth of keys onto 24
+// home places of the index, around its end so that the run wraps, and
+// deletes them in random order: nearly every key probes past others and
+// nearly every delete lands in the middle of a run. Each remaining key must
+// still be found, and each deleted one must not. (The window itself evicts
+// first-in first-out, and the next key's insert mostly refills the hole, so
+// its own tests seldom leave one open.)
+func TestDedupWindowIndexCollisions(t *testing.T) {
+	var d dedupShard
+	d.slots = make([]dedupSlot, dedupPerStripe)
+	var keys []dedupKey
+	for id := uint64(0); len(keys) < dedupPerStripe; id++ {
+		if k := (dedupKey{id: id, from: 1}); k.home() >= dedupIndexLen-12 || k.home() < 12 {
+			d.slots[len(keys)] = dedupSlot{id: k.id, from: k.from}
+			d.insert(k, len(keys))
+			keys = append(keys, k)
+		}
+	}
+	gone := make([]bool, len(keys))
+	for n, i := range rand.New(rand.NewSource(1)).Perm(len(keys)) {
+		d.remove(keys[i], i)
+		gone[i] = true
+		if d.lookup(keys[i]) >= 0 {
+			t.Fatalf("deleted key %d still found", i)
+		}
+		if n%16 != 0 {
+			continue
+		}
+		for j, k := range keys {
+			if got := d.lookup(k); !gone[j] && got != j {
+				t.Fatalf("after %d deletes: key %d found at slot %d", n+1, j, got)
+			}
+		}
+	}
+	if n := d.resident(); n != 0 {
+		t.Fatalf("%d places still indexed after every key was deleted", n)
 	}
 }
 
@@ -197,7 +248,8 @@ func TestDedupWindowWrapsInPlace(t *testing.T) {
 		}
 		return b
 	}
-	key := func(id uint64) dedupKey { return dedupKey{from: "peer-a", id: id} }
+	peerA, _ := s.intern("peer-a")
+	key := func(id uint64) dedupKey { return dedupKey{from: peerA, id: id} }
 	var held []*dedupSlot // retried replies, checked again once their slots were reused
 	var heldIDs []uint64
 	for id := uint64(0); id < 5*dedupWindow; id++ {
@@ -355,7 +407,7 @@ func TestStatePlaneBounded(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if e.ref != ref || e.route != peer {
+		if e.ref != ref || s.nodeName(e.route) != peer {
 			t.Fatalf("refOf(%s) = %+v: want its route to %s", ref, e, peer)
 		}
 		resident++
@@ -437,16 +489,108 @@ func TestStatePlaneCollision(t *testing.T) {
 	}
 	sh.mu.Lock()
 	e := sh.entry(h, b)
-	if e.route != "" || e.dir != s.Node() {
+	if e.route != 0 || s.nodeName(e.dir) != s.Node() {
 		sh.mu.Unlock()
 		t.Fatalf("after the sweep b's entry is %+v: want its directory record and no route", e)
 	}
-	e.dir = ""
+	e.dir = 0
 	sh.set(h, e)
 	acts, dirs := sh.acts, sh.dirs
 	sh.mu.Unlock()
 	if e, ok := s.refOf(h); ok || acts != 0 || dirs != 0 {
 		t.Fatalf("left behind: refOf = %+v, %v; %d activations, %d directory records", e, ok, acts, dirs)
+	}
+}
+
+// The node table names each id it was given by one index for good, turns
+// indices back into ids without a lock while other goroutines add ids, and
+// at its bound refuses a new id instead of reusing an index: the route,
+// the directory update and the migration that would store it are refused
+// with it.
+func TestStatePlaneNodeTable(t *testing.T) {
+	s := newShardTestSystem(t, 0, nil)
+	if i, ok := s.nodeLookup(""); !ok || i != 0 {
+		t.Fatalf(`nodeLookup("") = %d, %v; want 0, true`, i, ok)
+	}
+	self, ok := s.nodeLookup(s.Node())
+	if !ok || self == 0 || s.nodeName(self) != s.Node() {
+		t.Fatalf("member %s: index %d, %v names %q", s.Node(), self, ok, s.nodeName(self))
+	}
+	const writers, per = 4, 2000
+	id := func(w, i int) transport.NodeID { return transport.NodeID(fmt.Sprintf("w%d-%d", w, i)) }
+	idx := make([][]nodeIdx, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				n, ok := s.intern(id(w, i))
+				if !ok {
+					t.Errorf("intern(%s) refused below the bound", id(w, i))
+					return
+				}
+				idx[w] = append(idx[w], n)
+				// Read back an index another writer may have published.
+				if j := nodeIdx(1 + int(n)/2); s.nodeName(j) == "" {
+					t.Errorf("index %d below published %d names no id", j, n)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := map[nodeIdx]transport.NodeID{self: s.Node()}
+	for w := range idx {
+		for i, n := range idx[w] {
+			if prev, dup := seen[n]; dup {
+				t.Fatalf("index %d names both %s and %s", n, prev, id(w, i))
+			}
+			seen[n] = id(w, i)
+			if got := s.nodeName(n); got != id(w, i) {
+				t.Fatalf("index %d names %s, want %s", n, got, id(w, i))
+			}
+		}
+	}
+	for i := 0; ; i++ {
+		if _, ok := s.intern(transport.NodeID(fmt.Sprint("fill-", i))); !ok {
+			break
+		}
+	}
+	if n := len(*s.nodes.ids.Load()) - 1; n != maxNodeIDs {
+		t.Fatalf("table refused at %d ids, bound %d", n, maxNodeIDs)
+	}
+	const extra = transport.NodeID("one-too-many")
+	if n, ok := s.intern(extra); ok || n != 0 {
+		t.Fatalf("intern past the bound = %d, %v; want refused", n, ok)
+	}
+	for w := range idx {
+		if n, ok := s.intern(id(w, 0)); !ok || n != idx[w][0] {
+			t.Fatalf("known id %s at the bound: %d, %v; want %d", id(w, 0), n, ok, idx[w][0])
+		}
+	}
+
+	ref := Ref{Type: "counter", Key: "routed"}
+	s.cachePut(ref, extra)
+	if n, ok := s.cacheGet(ref); ok {
+		t.Fatalf("route to a refused id recorded as %s", n)
+	}
+	s.cachePut(ref, id(0, 0))
+	if n, ok := s.cacheGet(ref); !ok || n != id(0, 0) {
+		t.Fatalf("route to a known id at the bound: %s, %v", n, ok)
+	}
+	update, err := marshalArgs(dirRequest{Type: ref.Type, Key: ref.Key, NewNode: string(extra), Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.handleDir(ctlDirUpdate, update); !errors.Is(err, errNodeTableFull) {
+		t.Fatalf("directory update naming a refused id: %v, want %v", err, errNodeTableFull)
+	}
+	if err := s.Call(Ref{Type: "counter", Key: "mover"}, "Add", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Migrate(Ref{Type: "counter", Key: "mover"}, extra); !errors.Is(err, errNodeTableFull) {
+		t.Fatalf("migration to a refused id: %v, want %v", err, errNodeTableFull)
 	}
 }
 

@@ -101,6 +101,13 @@ type System struct {
 	// and sharded by ref hash so operations on distinct refs never contend
 	// (see shard.go).
 	state [stateShardCount]stateShard
+	// nodes interns the node ids the state plane and the dedup window
+	// store (shard.go), and born is the zero of their clock (System.clock).
+	nodes nodeTable
+	born  time.Time
+	// mailboxes pools the mailboxes of activations with queued work; an
+	// idle activation holds none (activation.mbox).
+	mailboxes sync.Pool
 
 	// pend is the striped pending-reply table (call id → reply channel).
 	pend   [pendShardCount]pendShard
@@ -233,6 +240,7 @@ func NewSystem(cfg Config) (*System, error) {
 		tr:          cfg.Transport,
 		peers:       peers,
 		types:       make(map[string]Factory),
+		born:        time.Now(),
 		rng:         rand.New(rand.NewSource(cfg.Seed ^ int64(strHash(string(cfg.Transport.Node()))))),
 		monitor:     partition.NewMonitor(monitorCapacity),
 		edgeSampler: trace.NewSampler(1.0 / edgeSample),
@@ -256,6 +264,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.recoverySem = make(chan struct{}, recoveryConcurrency)
 		s.snapProbeFail = make(map[transport.NodeID]time.Time)
 	}
+	s.nodes.init(peers)
 	s.initShards(cfg.LocCacheSize)
 	s.sampler.Seed(strHash(string(cfg.Transport.Node())))
 	if cfg.Metrics != nil {
@@ -923,11 +932,22 @@ func (s *System) onEnvelope(env *transport.Envelope) {
 
 // --- reply dedup window (at-most-once turns under call retries) ---
 
-// dedupKey identifies one logical call: the caller's node plus its call id
-// (stable across that call's retry attempts).
+// dedupKey identifies one logical call: the caller's node, by its
+// node-table index, plus its call id (stable across that call's retry
+// attempts).
 type dedupKey struct {
-	from transport.NodeID
 	id   uint64
+	from nodeIdx
+}
+
+// hash spreads keys over the stripes (its top dedupShardBits) and over a
+// stripe's index (the bits below those): Fibonacci hashing, so one caller's
+// consecutive ids land apart.
+func (k dedupKey) hash() uint64 { return (k.id ^ uint64(k.from)<<48) * 0x9e3779b97f4a7c15 }
+
+// home is k's first probe in its stripe's index.
+func (k dedupKey) home() int {
+	return int(k.hash()>>(64-dedupShardBits-dedupIndexBits)) & (dedupIndexLen - 1)
 }
 
 // dedupSlot records a call's outcome, in place in its stripe's ring. While
@@ -936,34 +956,93 @@ type dedupKey struct {
 // id the retrying caller is waiting on. Once done, duplicates are answered
 // from the record. canceled marks a delivery that resolved without a turn
 // (see dedupCancel); the next delivery of the key runs as if it were first.
+// The key's two fields lie beside the flags, so a slot is 56 bytes.
 type dedupSlot struct {
-	key            dedupKey
+	id             uint64
+	from           nodeIdx
 	done, canceled bool
 	errStr         string
 	payload        []byte // the slot's own copy; its capacity serves the slot's next call
 }
 
+func (sl *dedupSlot) key() dedupKey { return dedupKey{id: sl.id, from: sl.from} }
+
 // dedupWindow bounds the recorded-reply window (FIFO eviction, split
-// evenly across dedupShardCount stripes). Entries only need to outlive one
-// call's retry schedule, which the CallTimeout budget bounds; 8192
-// in-flight-or-recent remote calls per node is far beyond that horizon at
-// any load the queues admit.
+// evenly across dedupShardCount stripes). Entries must outlive one call's
+// retry schedule, and a count is not a time span: a node taking ~10 K
+// remote deliveries a second (the benchmark ledger's presence_remote and
+// heartbeat_churn run at 9–13 K) cycles 8192 slots in under a second —
+// less than one attempt timeout (2 s at the default HeartbeatInterval). A
+// retry sent after an attempt timed out then finds its key evicted and runs
+// the turn a second time. DESIGN.md "Retries and the reply-dedup window"
+// and the ROADMAP keep the fix: entries kept for a time span.
 const dedupWindow = 8192
 
+const (
+	dedupPerStripe = dedupWindow / dedupShardCount
+	// A stripe's index has twice as many places as the stripe has slots:
+	// at most half full, a probe is short.
+	dedupIndexBits = 10
+	dedupIndexLen  = 1 << dedupIndexBits
+)
+
 // dedupShard is one stripe of the window: a ring of slots (made on first
-// use) whose oldest is overwritten in place, and an index of their keys.
+// use) whose oldest is overwritten in place, and an open-addressed index
+// (linear probing) of the resident ones: each place holds a slot number
+// plus one, 0 is empty, and a key is found by comparing the slot it names.
 type dedupShard struct {
 	mu    sync.Mutex
-	m     map[dedupKey]int // resident key → its slot
 	slots []dedupSlot
 	next  int // the slot the next new key takes
+	index [dedupIndexLen]uint16
 }
 
-// dedupShardOf stripes by caller identity XOR call id: one caller's
-// consecutive calls spread across stripes, and distinct callers never
-// collide on a stripe systematically.
+// dedupShardOf stripes by the key's hash: one caller's consecutive calls
+// spread across stripes, and distinct callers never collide on a stripe
+// systematically.
 func (s *System) dedupShardOf(key dedupKey) *dedupShard {
-	return &s.dedupShards[(strHash(string(key.from))^key.id)&(dedupShardCount-1)]
+	return &s.dedupShards[key.hash()>>(64-dedupShardBits)]
+}
+
+// lookup returns key's slot, or -1 when it is not resident (caller holds mu).
+func (d *dedupShard) lookup(key dedupKey) int {
+	for p := key.home(); d.index[p] != 0; p = (p + 1) & (dedupIndexLen - 1) {
+		if i := int(d.index[p]) - 1; d.slots[i].key() == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// insert indexes slot i, which holds key (caller holds mu).
+func (d *dedupShard) insert(key dedupKey, i int) {
+	p := key.home()
+	for d.index[p] != 0 {
+		p = (p + 1) & (dedupIndexLen - 1)
+	}
+	d.index[p] = uint16(i + 1)
+}
+
+// remove drops slot i, which holds key, from the index if it is there
+// (caller holds mu). The places after it shift back into the hole until one
+// is empty or already at its home, so no probe ever stops short of its key.
+func (d *dedupShard) remove(key dedupKey, i int) {
+	const mask = dedupIndexLen - 1
+	p := key.home()
+	for d.index[p] != uint16(i+1) {
+		if d.index[p] == 0 {
+			return // never indexed: the slot was unused
+		}
+		p = (p + 1) & mask
+	}
+	d.index[p] = 0
+	for q := (p + 1) & mask; d.index[q] != 0; q = (q + 1) & mask {
+		home := d.slots[d.index[q]-1].key().home()
+		if (q-home)&mask >= (q-p)&mask { // the hole lies between q's home and q
+			d.index[p], d.index[q] = d.index[q], 0
+			p = q
+		}
+	}
 }
 
 // dedupBegin claims the dedup slot for a call delivery. It returns
@@ -975,7 +1054,7 @@ func (s *System) dedupBegin(key dedupKey) (proceed bool, prior *dedupSlot) {
 	d := s.dedupShardOf(key)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if i, ok := d.m[key]; ok {
+	if i := d.lookup(key); i >= 0 {
 		sl := &d.slots[i]
 		if sl.canceled {
 			// A prior delivery answered with routing control flow, not a
@@ -989,15 +1068,15 @@ func (s *System) dedupBegin(key dedupKey) (proceed bool, prior *dedupSlot) {
 		return false, &dedupSlot{payload: append([]byte(nil), sl.payload...), errStr: sl.errStr}
 	}
 	if d.slots == nil {
-		d.slots = make([]dedupSlot, dedupWindow/dedupShardCount)
+		d.slots = make([]dedupSlot, dedupPerStripe)
 	}
 	sl := &d.slots[d.next]
-	delete(d.m, sl.key) // the oldest resident key, once the ring has wrapped
+	d.remove(sl.key(), d.next) // the oldest resident key, once the ring has wrapped
 	if cap(sl.payload) > 4<<10 {
 		sl.payload = nil // not handed on: one large reply would stay pinned for good
 	}
-	*sl = dedupSlot{key: key, payload: sl.payload[:0]}
-	d.m[key] = d.next
+	*sl = dedupSlot{id: key.id, from: key.from, payload: sl.payload[:0]}
+	d.insert(key, d.next)
 	d.next = (d.next + 1) % len(d.slots)
 	return true, nil
 }
@@ -1009,7 +1088,7 @@ func (s *System) dedupBegin(key dedupKey) (proceed bool, prior *dedupSlot) {
 func (s *System) dedupResolve(key dedupKey, payload []byte, errStr string) {
 	d := s.dedupShardOf(key)
 	d.mu.Lock()
-	if i, ok := d.m[key]; ok {
+	if i := d.lookup(key); i >= 0 {
 		sl := &d.slots[i]
 		sl.done, sl.errStr = true, errStr
 		sl.payload = append(sl.payload[:0], payload...)
@@ -1028,7 +1107,7 @@ func (s *System) dedupResolve(key dedupKey, payload []byte, errStr string) {
 func (s *System) dedupCancel(key dedupKey) {
 	d := s.dedupShardOf(key)
 	d.mu.Lock()
-	if i, ok := d.m[key]; ok {
+	if i := d.lookup(key); i >= 0 {
 		d.slots[i].canceled = true
 	}
 	d.mu.Unlock()
@@ -1043,7 +1122,7 @@ func (s *System) dedupCancel(key dedupKey) {
 type serverCall struct {
 	s        *System
 	env      *transport.Envelope
-	key      dedupKey  // the caller's (node, call id): reply address and dedup slot
+	key      dedupKey  // the caller's (node, call id): the dedup slot's key
 	srvStart time.Time // zero unless the served-call summary is on
 	// preTurn is true until the delivery is handed to an activation. What
 	// is decided before that point — a redirect, a routing dead end, an
@@ -1069,7 +1148,7 @@ func (s *System) newServerCall(env *transport.Envelope) *serverCall {
 		c = new(serverCall)
 		c.recvTask, c.sendTask = c.handle, c.flush
 	}
-	c.s, c.env, c.key, c.preTurn = s, env, dedupKey{from: env.From, id: env.ID}, true
+	c.s, c.env, c.preTurn = s, env, true
 	return c
 }
 
@@ -1090,6 +1169,14 @@ func (c *serverCall) handle(recvWait time.Duration) {
 			Start: time.Now(), RecvQueue: recvWait,
 		}
 	}
+	from, ok := s.intern(env.From)
+	if !ok {
+		// The window cannot key a caller the full node table cannot name,
+		// and a turn without a slot would run again on a retry: refuse.
+		c.send(nil, errNodeTableFull.Error(), 0)
+		return
+	}
+	c.key = dedupKey{id: env.ID, from: from}
 	proceed, prior := s.dedupBegin(c.key)
 	if !proceed {
 		s.failures.DedupHits.Add(1)
@@ -1156,7 +1243,7 @@ func (c *serverCall) complete(data []byte, _ interface{}, err error) {
 // record; the turn (if any) has completed, so trc's timings are ordered
 // before this call by the turn's own completion.
 func (c *serverCall) send(payload []byte, errStr string, flags uint64) {
-	c.reply = transport.Envelope{Kind: transport.KindReply, ID: c.key.id, Payload: payload, Err: errStr}
+	c.reply = transport.Envelope{Kind: transport.KindReply, ID: c.env.ID, Payload: payload, Err: errStr}
 	if sp := c.sp; sp != nil {
 		rt := &transport.Trace{
 			TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID,
@@ -1182,7 +1269,7 @@ func (c *serverCall) send(payload []byte, errStr string, flags uint64) {
 // exactly one goroutine at every point, so no turn-side write can race a
 // ring reader — and returns c to the pool.
 func (c *serverCall) flush(wait time.Duration) {
-	_ = c.s.tr.Send(c.key.from, &c.reply)
+	_ = c.s.tr.Send(c.env.From, &c.reply)
 	if sp := c.sp; sp != nil {
 		sp.ReplySend = wait
 		sp.Total = time.Since(sp.Start)

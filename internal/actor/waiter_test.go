@@ -34,7 +34,7 @@ const (
 )
 
 // warmAllocs reports the allocations of one call to fn once everything fn
-// touches is warm (activation, mailbox capacity, waiter and buffer pools).
+// touches is warm (activation, mailbox, waiter and buffer pools).
 func warmAllocs(t *testing.T, fn func()) float64 {
 	t.Helper()
 	for i := 0; i < 200; i++ {
