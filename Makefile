@@ -5,7 +5,7 @@
 GO ?= go
 LINT_BIN := bin/actop-lint
 
-.PHONY: check fmt build test vet staticcheck lint race seeded fuzz-smoke cluster-smoke bench-scale bench-recovery
+.PHONY: check fmt build test vet staticcheck lint race seeded fuzz-smoke
 
 # check is the pre-PR gate, and the whole of CI: gofmt, vet (+ staticcheck
 # when installed), the four-analyzer domain lint suite (the invariants no other
@@ -16,10 +16,10 @@ LINT_BIN := bin/actop-lint
 # smoke (TestObsSmoke,
 # TestSLOBreachDump) and placement convergence (TestConverge*) are never
 # answered from the test cache — the seeded packages twenty times over in
-# shuffled order (the determinism guard), then the full tier-1 suite, a short fuzz
-# pass over the wire decoders, and a reduced-scale run of the multi-process
-# cluster benchmark.
-check: fmt vet staticcheck lint build race seeded test fuzz-smoke cluster-smoke
+# shuffled order (the determinism guard), then the full tier-1 suite — which
+# drives a three-server actopd cluster through one-shot clients and kills a
+# server (TestActopdCluster) — and a short fuzz pass over the wire decoders.
+check: fmt vet staticcheck lint build race seeded test fuzz-smoke
 
 # fmt fails when gofmt would rewrite any tracked Go file, and names them.
 fmt:
@@ -92,25 +92,3 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzHistogramDecode -fuzztime 5s ./internal/metrics
 	$(GO) test -run XXX -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/durable
 	$(GO) test -run XXX -fuzz FuzzControlCodecs -fuzztime 10s ./internal/actor
-
-# cluster-smoke drives the real multi-process loopback-TCP cluster at a
-# reduced scale (~10K actors, short drive, no COST baseline) — enough for
-# CI to catch a protocol or routing regression in minutes. The full sweep
-# is bench-scale.
-cluster-smoke:
-	$(GO) build -o bin/actop-bench ./cmd/actop-bench
-	./bin/actop-bench cluster -nodes 2 -actors 10000 -conc 8 -drive 3s -work 500 -cost=false -out bin/BENCH_scale_smoke.json
-
-# bench-scale is the paper-scale run: 100K and 1M live activations on a
-# 4-node loopback cluster plus the single-threaded COST baseline, written
-# to BENCH_scale.json.
-bench-scale:
-	$(GO) build -o bin/actop-bench ./cmd/actop-bench
-	./bin/actop-bench cluster -out BENCH_scale.json
-
-# bench-recovery regenerates BENCH_recovery.json: per-turn snapshot
-# overhead at 0/1/2 replicas, and kill-to-recovered timing for 10K
-# durable actors at K=1 and K=2 with the exactly-once state oracle.
-bench-recovery:
-	$(GO) build -o bin/actop-bench ./cmd/actop-bench
-	./bin/actop-bench recovery -out BENCH_recovery.json

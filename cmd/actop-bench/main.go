@@ -1,19 +1,16 @@
 // Command actop-bench regenerates every table and figure of the paper's
-// evaluation. Each subcommand reproduces one experiment and prints the same
-// rows/series the paper reports, annotated with the paper's numbers for
-// side-by-side comparison.
+// evaluation on the deterministic cluster simulator. Each subcommand
+// reproduces one experiment and prints the same rows/series the paper
+// reports, annotated with the paper's numbers for side-by-side comparison;
+// halo runs one free-form Halo Presence scenario with the policies on flags.
 //
 // Usage:
 //
 //	actop-bench [flags] <experiment>
+//	actop-bench -players 20000 -servers 10 -load 6000 -partition -threads -measure 5m halo
 //
 // Experiments: section3, fig4, fig5, fig7, fig10a, fig10b (alias fig10c),
-// fig10d (alias fig10e), fig10f, fig11a, fig11b, throughput, all. Two extra
-// subcommands target the real runtime instead of a paper figure, covering
-// what the benchmark ledger (go run ./benchmark) does not measure yet:
-// cluster drives a multi-process loopback-TCP cluster and writes
-// BENCH_scale.json, and recovery measures durable snapshot overhead and
-// time-to-recover after a node kill and writes BENCH_recovery.json.
+// fig10d (alias fig10e), fig10f, fig11a, fig11b, throughput, halo, all.
 //
 // By default experiments run at "quick" scale — the same per-server
 // operating point as the paper (load/server, CPU utilization) with a
@@ -30,24 +27,10 @@ import (
 	"time"
 
 	"actop/internal/experiments"
+	"actop/internal/metrics"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "cluster-worker":
-			// Hidden mode: one node of the cluster scale benchmark,
-			// re-execed by "actop-bench cluster".
-			runClusterWorker()
-			return
-		case "cluster":
-			runClusterBench(os.Args[2:])
-			return
-		case "recovery":
-			runRecoveryBench(os.Args[2:])
-			return
-		}
-	}
 	var (
 		full    = flag.Bool("full", false, "paper scale (100K players, 10 servers, 6K req/s, long runs)")
 		players = flag.Int("players", 0, "override concurrent players")
@@ -56,6 +39,11 @@ func main() {
 		warmup  = flag.Duration("warmup", 0, "override warm-up duration")
 		measure = flag.Duration("measure", 0, "override measurement duration")
 		seed    = flag.Int64("seed", 1, "simulation seed")
+		part    = flag.Bool("partition", false, "halo: enable ActOp partitioning")
+		threads = flag.Bool("threads", false, "halo: enable ActOp thread allocation")
+		oracle  = flag.Bool("oracle", false, "halo: oracle co-location (upper bound)")
+		series  = flag.Bool("series", false, "halo: print the remote-fraction/CPU time series")
+		cdf     = flag.Bool("cdf", false, "halo: print end-to-end and actor-call latency CDFs")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -141,6 +129,20 @@ func main() {
 			fmt.Print(experiments.RunFig11b(base).Render())
 		case "throughput":
 			fmt.Print(experiments.RunThroughput(base, throughputLoads).Render())
+		case "halo":
+			o := base
+			o.Partitioning, o.ThreadTuning, o.Oracle = *part, *threads, *oracle
+			r := experiments.RunHalo(o)
+			fmt.Print(r.Render())
+			if *series {
+				fmt.Println(r.RemoteSeries.Render())
+				fmt.Println(r.CPUSeries.Render())
+			}
+			if *cdf {
+				printCDF("end-to-end", r.LatencyCDF)
+				printCDF("actor-call", r.ActorCallCDF)
+			}
+			fmt.Printf("simulated %v of cluster time in %v\n", o.Warmup+o.Measure, time.Since(start).Round(time.Millisecond))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			usage()
@@ -162,9 +164,13 @@ func main() {
 	run(target)
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+// printCDF renders one latency CDF as percentile rows.
+func printCDF(name string, points []metrics.CDFPoint) {
+	fmt.Printf("%s latency CDF (%d points):\n", name, len(points))
+	fmt.Printf("  %8s %12s\n", "fraction", "latency")
+	for _, p := range points {
+		fmt.Printf("  %8.3f %12v\n", p.Fraction, p.Latency.Round(time.Microsecond))
+	}
 }
 
 func usage() {
@@ -182,12 +188,9 @@ experiments:
   fig11a      thread-allocation-only improvement (heartbeat)
   fig11b      combined optimizations
   throughput  peak throughput baseline vs ActOp
-  cluster     multi-process loopback-TCP cluster at 100K–1M live actors
-              (own flags; see actop-bench cluster -h)
-  recovery    durable-snapshot overhead at 0/1/2 replicas and time to
-              recover 10K durable actors after a node kill
-              (own flags; see actop-bench recovery -h)
-  all         every figure above (not cluster/recovery)
+  halo        one Halo Presence scenario, policies on -partition,
+              -threads, -oracle; -series and -cdf print more
+  all         every figure above (not halo)
 
 flags:`)
 	flag.PrintDefaults()

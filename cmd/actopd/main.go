@@ -8,9 +8,14 @@
 //	actopd -listen 127.0.0.1:7002 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 //	actopd -listen 127.0.0.1:7003 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 //
-// Exercise it from any node with -call:
+// Exercise it with -call, a one-shot client that is not a member: it lists
+// the servers in -peers but not its own -listen address, so it hosts no
+// actor and owns no directory range (the paper's frontend):
 //
-//	actopd -listen 127.0.0.1:7004 -peers 127.0.0.1:7001,... -call kv/user42 -method Put -value hello
+//	actopd -listen 127.0.0.1:7101 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 -call kv/user42 -method Put -value hello
+//
+// Give each client its own -listen address, and the servers'
+// -heartbeat-interval so that it routes around a dead server in time.
 //
 // ActOp (partitioning + thread tuning) runs on every long-lived node;
 // counters are logged once per -stats interval.
@@ -64,7 +69,7 @@ func (k *kvActor) DurableActor() {}
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7001", "listen address (also the node id)")
-		peersStr = flag.String("peers", "", "comma-separated peer addresses (must include this node)")
+		peersStr = flag.String("peers", "", "comma-separated server addresses (a server adds its own; a -call client is not one)")
 		noActOp  = flag.Bool("no-actop", false, "disable the ActOp optimizer")
 		noTune   = flag.Bool("no-thread-control", false, "keep partitioning but disable the live thread controller")
 		tuneIvl  = flag.Duration("thread-interval", 0, "thread controller period (0 = optimizer default)")
@@ -72,7 +77,7 @@ func main() {
 		suspect  = flag.Int("suspect-after", 2, "consecutive missed heartbeats before a peer is suspect")
 		deadAft  = flag.Int("dead-after", 5, "consecutive missed heartbeats before a peer is declared dead")
 		durRepl  = flag.Int("durable-replicas", 0, "peer replicas per durable actor snapshot (0 disables durability)")
-		snapIvl  = flag.Duration("snapshot-interval", 0, "wall-clock bound on durable snapshot staleness (0 = runtime default)")
+		snapIvl  = flag.Duration("snapshot-interval", 0, "age after which a dirty durable actor captures at its next turn; an actor with no next turn is never captured (0 = runtime default)")
 		debug    = flag.String("debug", "", "serve /debug/actop, /metrics + pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		sample   = flag.Float64("trace-sample", 0.01, "fraction of root calls traced for /debug/actop/traces (0 disables)")
 		noHot    = flag.Bool("no-hotspots", false, "disable the per-actor hot-spot profiler")
@@ -94,7 +99,9 @@ func main() {
 			peers = append(peers, transport.NodeID(p))
 		}
 	}
-	peers = append(peers, tr.Node())
+	if *call == "" {
+		peers = append(peers, tr.Node())
+	}
 	seen := map[transport.NodeID]bool{}
 	uniq := peers[:0]
 	for _, p := range peers {

@@ -44,6 +44,53 @@ func TestDocsNameExistingTests(t *testing.T) {
 	}
 }
 
+// makeTarget matches `make <target>` written as code: in a code span or
+// at the start of a line of a code block.
+var makeTarget = regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
+
+// repoPath matches a path into cmd/ or internal/ (a trailing `.Name`, a
+// package-qualified identifier, is not part of it) or a root BENCH_*.json.
+var repoPath = regexp.MustCompile(`\b(?:(?:cmd|internal)/[A-Za-z0-9_/-]*(?:\.go)?|BENCH_[A-Za-z0-9_]*\.json)`)
+
+// TestDocsNameExistingTargetsAndPaths fails when a document names a make
+// target the Makefile does not declare .PHONY, or a cmd/, internal/ or
+// BENCH_*.json path that is not in the tree: a command to run or a file to
+// read must exist.
+func TestDocsNameExistingTargetsAndPaths(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phony := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindAllStringSubmatch(string(mk), -1) {
+		for _, target := range strings.Fields(m[1]) {
+			phony[target] = true
+		}
+	}
+	for _, doc := range docsNamingTests {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeTarget.FindAllStringSubmatch(string(text), -1) {
+			if !phony[m[1]] {
+				t.Errorf("%s names make %s, which the Makefile does not declare .PHONY", doc, m[1])
+			}
+		}
+		seen := make(map[string]bool)
+		for _, p := range repoPath.FindAllString(string(text), -1) {
+			p = strings.TrimRight(p, "/")
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s names %s, which is not in the tree", doc, p)
+			}
+		}
+	}
+}
+
 // namesDeclared reports whether name — or, ending in `*`, the prefix
 // before it — matches a declared name (declared is sorted).
 func namesDeclared(name string, declared []string) bool {

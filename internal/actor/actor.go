@@ -109,7 +109,11 @@ const (
 type Config struct {
 	// Transport connects this node to its peers.
 	Transport transport.Transport
-	// Peers is the full static cluster membership, including this node.
+	// Peers is the full static cluster membership. A node that lists
+	// itself is a member: it hosts actors and owns a range of the
+	// directory. A node that does not is a client (the paper's frontend):
+	// it calls into the members and heartbeats them, but hosts nothing and
+	// owns no directory record.
 	Peers []transport.NodeID
 
 	// Workers sizes the worker stage (default 4) and QueueCap every stage's
@@ -203,15 +207,6 @@ func (c *Config) fill() error {
 	}
 	if len(c.Peers) == 0 {
 		c.Peers = []transport.NodeID{c.Transport.Node()}
-	}
-	found := false
-	for _, p := range c.Peers {
-		if p == c.Transport.Node() {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("actor: peers must include this node %s", c.Transport.Node())
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4

@@ -369,10 +369,56 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSystem(Config{}); err == nil {
 		t.Fatal("nil transport should error")
 	}
-	net := transport.NewNetwork(0)
-	tr := net.Join("a")
-	if _, err := NewSystem(Config{Transport: tr, Peers: []transport.NodeID{"b"}}); err == nil {
-		t.Fatal("peers without self should error")
+}
+
+// A node whose Peers leave it out is a client: its calls reach actors on
+// the members, and it ends hosting nothing and owning no directory record,
+// whichever placement the members run (PlaceLocal is offered the client's
+// id as the caller's suggestion and must not take it).
+func TestClientHostsNothing(t *testing.T) {
+	for _, placement := range []PlacementPolicy{PlaceRandom, PlaceLocal} {
+		t.Run(map[PlacementPolicy]string{PlaceRandom: "random", PlaceLocal: "local"}[placement], func(t *testing.T) {
+			net := transport.NewNetwork(0)
+			members := []transport.NodeID{"node-0", "node-1", "node-2"}
+			start := func(id transport.NodeID, seed int64) *System {
+				s, err := NewSystem(Config{
+					Transport: net.Join(id), Peers: members,
+					Placement: placement, Seed: seed, CallTimeout: 3 * time.Second,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.RegisterType("counter", func() Actor { return &counterActor{} })
+				t.Cleanup(s.Stop)
+				return s
+			}
+			for i, m := range members {
+				start(m, int64(i+1))
+			}
+			client := start("node-9", 9)
+			const keys, rounds = 60, 4
+			for r := 1; r <= rounds; r++ {
+				for k := 0; k < keys; k++ {
+					var n int
+					if err := client.Call(Ref{Type: "counter", Key: fmt.Sprint(k)}, "Add", 1, &n); err != nil {
+						t.Fatal(err)
+					}
+					if n != r {
+						t.Fatalf("key %d after %d adds reads %d", k, r, n)
+					}
+				}
+			}
+			acts, dirs := 0, 0
+			for i := range client.state {
+				sh := &client.state[i]
+				sh.mu.RLock()
+				acts, dirs = acts+sh.acts, dirs+sh.dirs
+				sh.mu.RUnlock()
+			}
+			if acts != 0 || dirs != 0 {
+				t.Fatalf("client holds %d activations and %d directory records after %d calls", acts, dirs, keys*rounds)
+			}
+		})
 	}
 }
 

@@ -306,8 +306,8 @@ func TestMigrationPiggybacksSnapSeq(t *testing.T) {
 // enabled at the default interval, hot-path call latency stays within 5% of
 // durability-off. Wall-clock comparisons flake on loaded CI machines, so it
 // runs only under ACTOP_OVERHEAD_GUARD=1 (same gating as the trace-overhead
-// guard); actop-bench recovery records the same ratio into
-// BENCH_recovery.json on every bench run.
+// guard). Nothing else records this ratio: the ledger's workloads run with
+// durability off.
 func TestDurableOverheadGuard(t *testing.T) {
 	if os.Getenv("ACTOP_OVERHEAD_GUARD") != "1" {
 		t.Skip("set ACTOP_OVERHEAD_GUARD=1 to enforce the durability overhead bound")

@@ -202,6 +202,52 @@ func TestKillNodeFailover(t *testing.T) {
 // one per miss — so the observer's PeerDead transition must arrive within
 // DeadAfter+1.5 intervals. A detector that skips a tick while a timed-out
 // ping is still in flight spends two intervals per miss and fails here.
+// A dead node's directory ranges spread evenly over the survivors: over
+// 10 000 refs each survivor owns its share to within 3 points. Node ids
+// that differ only in their last byte are the common case (host:port, a
+// numbered name), and unfinalized FNV-1a split them 30/24/46 %.
+func TestDeadOwnerRangesSpreadEvenly(t *testing.T) {
+	for _, tc := range []struct {
+		victim    transport.NodeID
+		survivors []transport.NodeID
+	}{
+		{"node-3", []transport.NodeID{"node-0", "node-1", "node-2"}},
+		{"127.0.0.1:17001", []transport.NodeID{"127.0.0.1:17002", "127.0.0.1:17003"}},
+	} {
+		peers := append([]transport.NodeID{tc.victim}, tc.survivors...)
+		s, err := NewSystem(Config{
+			Transport: transport.NewNetwork(0).Join(tc.survivors[0]), Peers: peers,
+			HeartbeatInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.cfg.DeadAfter; i++ {
+			s.heartbeatResult(tc.victim, false)
+		}
+		if st := s.PeerStateOf(tc.victim); st != PeerDead {
+			t.Fatalf("victim is %v after %d misses", st, s.cfg.DeadAfter)
+		}
+		const refs = 10_000
+		owned := map[transport.NodeID]int{}
+		for i, n := 0, 0; n < refs; i++ {
+			ref := Ref{Type: "kv", Key: fmt.Sprintf("k%d", i)}
+			if s.peers[uint64(ref.Vertex())%uint64(len(s.peers))] != tc.victim {
+				continue
+			}
+			owned[s.directoryOwner(ref)]++
+			n++
+		}
+		s.Stop()
+		want := 100.0 / float64(len(tc.survivors))
+		for _, p := range tc.survivors {
+			if got := 100 * float64(owned[p]) / refs; got < want-3 || got > want+3 {
+				t.Errorf("%s owns %.1f %% of %s's ranges, want %.1f ± 3 (split %v)", p, got, tc.victim, want, owned)
+			}
+		}
+	}
+}
+
 func TestDeadVerdictWithinBound(t *testing.T) {
 	sys, flakies := newFaultyCluster(t, 2, PlaceRandom, nil)
 	observer, victim := sys[0], sys[1].Node()

@@ -114,8 +114,8 @@ func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Ti
 // and re-placed among live peers — the failover path for entries created
 // (or re-learned) after the death purge.
 //
-// A suggestion the full node table refuses is placed like a dead one: among
-// the live members, which the table always holds.
+// A suggestion from outside the membership — a client's — is placed like a
+// dead one: among the live members.
 func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
 	dead := func(n transport.NodeID) bool { return s.PeerStateOf(n) == PeerDead }
 	sh := s.shard(h)
@@ -132,7 +132,7 @@ func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, pla
 	if place {
 		var ok bool
 		if s.cfg.Placement == PlaceLocal && !dead(suggest) {
-			e.dir, ok = s.intern(suggest)
+			e.dir, ok = s.memberIdx(suggest)
 		}
 		e.dirEpoch = 0
 		if !ok {
@@ -199,7 +199,8 @@ func (s *System) handleDir(verb string, payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// livePeers lists the peers not currently considered Dead (self included).
+// livePeers lists the peers not currently considered Dead (self included
+// on a member; a client is never in the list).
 // Placement draws from this list so new activations never land on a dead
 // node. Order follows s.peers (sorted), keeping placement deterministic
 // for a given seed while all peers are alive.
@@ -222,19 +223,19 @@ func (s *System) livePeers() []transport.NodeID {
 // directoryOwner is the node owning ref's placement entry: the static
 // hash-modulo home while that node is believed up, else a rendezvous-hash
 // pick among the live peers. The fallback touches only the dead node's
-// ranges — every other ref keeps its owner — and spreads them over all
-// survivors rather than one neighbor. Every node computes this from its own
-// membership view; transient disagreement windows resolve through redirects
-// and call retries.
+// ranges — every other ref keeps its owner — and spreads them evenly over
+// all survivors rather than one neighbor. Every node computes this from its
+// own membership view; transient disagreement windows resolve through
+// redirects and call retries. A client that sees every member dead keeps
+// the static owner, and the call fails as one to a dead peer.
 func (s *System) directoryOwner(ref Ref) transport.NodeID {
 	owner := s.peers[uint64(ref.Vertex())%uint64(len(s.peers))]
 	if owner == s.Node() || s.PeerStateOf(owner) != PeerDead {
 		return owner
 	}
-	live := s.livePeers() // non-empty: always includes self
-	best := live[0]
+	best := owner
 	var bestScore uint64
-	for _, p := range live {
+	for _, p := range s.livePeers() {
 		if score := ownerScore(p, ref); score >= bestScore {
 			best, bestScore = p, score
 		}
@@ -243,7 +244,9 @@ func (s *System) directoryOwner(ref Ref) transport.NodeID {
 }
 
 // ownerScore is directoryOwner's rendezvous weight of one (peer, ref) pair:
-// FNV-1a over "peer\x00Type\x00Key".
+// FNV-1a over "peer\x00Type\x00Key" under splitmix64's finalizer. Raw
+// FNV-1a of ids that differ in one trailing byte is correlated: it split a
+// dead node's ranges 28/36/36 % over three survivors and 40/60 % over two.
 func ownerScore(p transport.NodeID, ref Ref) uint64 {
-	return fnvRef(strHash(string(p))*fnvPrime64, ref)
+	return mix64(fnvRef(strHash(string(p))*fnvPrime64, ref))
 }

@@ -73,6 +73,16 @@ func fnvRef(h uint64, r Ref) uint64 {
 	return fnvString(h, r.Key)
 }
 
+// mix64 is splitmix64's finalizer: a bijection that spreads every input bit
+// over the whole word.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // refEntry is everything this node knows about one ref. An entry exists
 // only while at least one of its facts holds (live); a write that clears
 // the last one deletes it, so a shard holds at most its activations, owned
@@ -154,13 +164,21 @@ func (t *nodeTable) init(peers []transport.NodeID) {
 // nodeName returns the id at index i ("" for 0).
 func (s *System) nodeName(i nodeIdx) transport.NodeID { return (*s.nodes.ids.Load())[i] }
 
+// memberIdx returns n's index if n is a member.
+func (s *System) memberIdx(n transport.NodeID) (nodeIdx, bool) {
+	if i, ok := slices.BinarySearch(s.peers, n); ok {
+		return nodeIdx(i + 1), true
+	}
+	return 0, false
+}
+
 // nodeLookup returns n's index without adding it ("" is 0).
 func (s *System) nodeLookup(n transport.NodeID) (nodeIdx, bool) {
 	if n == "" {
 		return 0, true
 	}
-	if i, ok := slices.BinarySearch(s.peers, n); ok {
-		return nodeIdx(i + 1), true
+	if i, ok := s.memberIdx(n); ok {
+		return i, true
 	}
 	t := &s.nodes
 	t.mu.Lock()

@@ -43,7 +43,7 @@ func newShardTestSystem(t *testing.T, cacheSize int, reg *metrics.Registry) *Sys
 // key, the vertex index key, and Ref.Vertex all assume the same hash, and
 // partitioner vertex ids must not move between versions. strHash (node
 // seeds) and the rendezvous scores (snapScore, ownerScore) are held to
-// hash/fnv the same way.
+// hash/fnv the same way, ownerScore under splitmix64's finalizer.
 func TestRefHashMatchesStdlibFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alpha := "abcdefghijklmnopqrstuvwxyz0123456789-_/."
@@ -93,8 +93,8 @@ func TestRefHashMatchesStdlibFNV(t *testing.T) {
 			}
 			h.Reset()
 			h.Write([]byte(s + "\x00" + r.Type + "\x00" + r.Key))
-			if want, got := h.Sum64(), ownerScore(p, r); got != want {
-				t.Fatalf("ownerScore(%q, %q/%q) = %#x, stdlib fnv = %#x", s, r.Type, r.Key, got, want)
+			if want, got := mix64(h.Sum64()), ownerScore(p, r); got != want {
+				t.Fatalf("ownerScore(%q, %q/%q) = %#x, finalized stdlib fnv = %#x", s, r.Type, r.Key, got, want)
 			}
 		}
 	}

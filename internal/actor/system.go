@@ -71,7 +71,7 @@ var errRedirectChase = errors.New("actor: too many redirects")
 type System struct {
 	cfg   Config
 	tr    transport.Transport
-	peers []transport.NodeID // sorted, includes self
+	peers []transport.NodeID // sorted; self unless a client
 
 	recvStage *seda.Stage
 	workStage *seda.Stage
@@ -323,7 +323,7 @@ func (s *System) trackGo(fn func()) bool {
 // Node reports this node's id.
 func (s *System) Node() transport.NodeID { return s.tr.Node() }
 
-// Peers reports the cluster membership (sorted, includes self).
+// Peers reports the cluster membership (sorted; a client is not in it).
 func (s *System) Peers() []transport.NodeID {
 	out := make([]transport.NodeID, len(s.peers))
 	copy(out, s.peers)

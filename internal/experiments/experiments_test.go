@@ -20,6 +20,7 @@ func quickOpts() HaloOpts {
 }
 
 func TestSection3OracleWins(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -48,6 +49,7 @@ func TestSection3OracleWins(t *testing.T) {
 }
 
 func TestFig4QueuesDominate(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -72,6 +74,7 @@ func TestFig4QueuesDominate(t *testing.T) {
 }
 
 func TestFig5ShapeAndController(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -101,6 +104,7 @@ func TestFig5ShapeAndController(t *testing.T) {
 }
 
 func TestFig7QueueControllerUnstable(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -119,6 +123,7 @@ func TestFig7QueueControllerUnstable(t *testing.T) {
 }
 
 func TestFig10aConverges(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -149,6 +154,7 @@ func TestFig10aConverges(t *testing.T) {
 }
 
 func TestFig10bcPartitioningWins(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -170,6 +176,7 @@ func TestFig10bcPartitioningWins(t *testing.T) {
 }
 
 func TestFig10deImprovementAndCPU(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -198,6 +205,7 @@ func TestFig10deImprovementAndCPU(t *testing.T) {
 }
 
 func TestFig11aTuningWinsUnderLoad(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -226,6 +234,7 @@ func TestFig11aTuningWinsUnderLoad(t *testing.T) {
 }
 
 func TestFig11bCombinedBest(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -248,6 +257,7 @@ func TestFig11bCombinedBest(t *testing.T) {
 }
 
 func TestThroughputDoubles(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}

@@ -27,6 +27,7 @@ func quickCluster(servers int) *sim.Cluster {
 }
 
 func TestHaloPrefillPopulation(t *testing.T) {
+	t.Parallel()
 	c := quickCluster(4)
 	h := NewHalo(c, quickHalo(2000, 0))
 	h.Start()
@@ -48,6 +49,7 @@ func TestHaloPrefillPopulation(t *testing.T) {
 }
 
 func TestHaloRequestGenerates18ActorMessages(t *testing.T) {
+	t.Parallel()
 	c := quickCluster(4)
 	cfg := quickHalo(2000, 100)
 	h := NewHalo(c, cfg)
@@ -66,6 +68,7 @@ func TestHaloRequestGenerates18ActorMessages(t *testing.T) {
 }
 
 func TestHaloRemoteFractionMatchesRandomPlacement(t *testing.T) {
+	t.Parallel()
 	// With random placement on N servers, ~ (1 − 1/N) of messages are
 	// remote (§3 reports ≈90% on 10 servers).
 	c := quickCluster(10)
@@ -79,6 +82,7 @@ func TestHaloRemoteFractionMatchesRandomPlacement(t *testing.T) {
 }
 
 func TestHaloOraclePlacementMostlyLocal(t *testing.T) {
+	t.Parallel()
 	c := quickCluster(10)
 	cfg := quickHalo(3000, 200)
 	cfg.OraclePlacement = true
@@ -92,6 +96,7 @@ func TestHaloOraclePlacementMostlyLocal(t *testing.T) {
 }
 
 func TestHaloPopulationSteadyAndChurns(t *testing.T) {
+	t.Parallel()
 	c := quickCluster(2)
 	cfg := quickHalo(1000, 0)
 	cfg.TimeScale = 20 // 25min games → 75s; churn visible in minutes
@@ -108,6 +113,7 @@ func TestHaloPopulationSteadyAndChurns(t *testing.T) {
 }
 
 func TestHaloGraphChangeRateAboutOnePercent(t *testing.T) {
+	t.Parallel()
 	// §6.1: the workload changes about 1% of the communication graph per
 	// minute. Game endings/formations drive the change: with 25-minute
 	// games, ≈4%/min of games turn over… the paper counts nodes+edges; we
@@ -130,6 +136,7 @@ func TestHaloGraphChangeRateAboutOnePercent(t *testing.T) {
 // kernel's fired-event count and the latency mean and extremes, which
 // shift by nanoseconds when any one delay does.
 func TestHaloDeterministic(t *testing.T) {
+	t.Parallel()
 	type outcome struct {
 		completed, fired uint64
 		games            int
@@ -154,6 +161,7 @@ func TestHaloDeterministic(t *testing.T) {
 // mechanism that changes one decision moves a count, a quantile or a point of
 // the remote-fraction series, and fails here.
 func TestHaloDeterministicDigest(t *testing.T) {
+	t.Parallel()
 	cfg := sim.DefaultConfig()
 	cfg.Servers = 3
 	cfg.StatsWindow = 10 * time.Second

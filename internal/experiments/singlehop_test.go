@@ -29,10 +29,16 @@ func checkSingleHopSum(t *testing.T, n int) {
 }
 
 // TestCounterWorkload is the §3 counter shape: 100 actors.
-func TestCounterWorkload(t *testing.T) { checkSingleHopSum(t, 100) }
+func TestCounterWorkload(t *testing.T) {
+	t.Parallel()
+	checkSingleHopSum(t, 100)
+}
 
 // TestHeartbeatWorkload is the §6.2 heartbeat shape: 50 actors.
-func TestHeartbeatWorkload(t *testing.T) { checkSingleHopSum(t, 50) }
+func TestHeartbeatWorkload(t *testing.T) {
+	t.Parallel()
+	checkSingleHopSum(t, 50)
+}
 
 // TestSingleHopDeterministicDigest pins two seeded single-hop runs — the
 // Fig. 4/5 default allocation with the controller off, and Fig. 11(a)'s
@@ -40,6 +46,7 @@ func TestHeartbeatWorkload(t *testing.T) { checkSingleHopSum(t, 50) }
 // were recorded. A change to the generator, the lean calibration or the
 // thread controller that moves one arrival or one decision fails here.
 func TestSingleHopDeterministicDigest(t *testing.T) {
+	t.Parallel()
 	type digest struct {
 		completed uint64
 		retunes   int

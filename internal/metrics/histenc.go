@@ -7,8 +7,7 @@ import (
 )
 
 // Binary encoding of a Histogram, for shipping measurements across process
-// boundaries (the cluster scale benchmark merges per-worker histograms in
-// the parent). The format is sparse — one varint (delta-index, count) pair
+// boundaries. The format is sparse — one varint (delta-index, count) pair
 // per non-empty bucket — so a latency histogram with a few dozen live
 // buckets costs ~100 bytes, not 8×histBucketN.
 const histEncVersion = 1
