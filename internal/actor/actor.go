@@ -96,8 +96,11 @@ type PlacementPolicy int
 
 // Placement policies (§3 discusses both).
 const (
-	// PlaceRandom places new activations uniformly at random — Orleans's
-	// default; balances load, forgoes locality.
+	// PlaceRandom places a new activation uniformly, a pure function of the
+	// ref: on its directory owner (directoryOwner). Like Orleans's random
+	// default it balances load and forgoes locality; unlike a draw, every
+	// node and every run agrees where a ref lives, and a first call needs no
+	// directory round trip.
 	PlaceRandom PlacementPolicy = iota
 	// PlaceLocal places new activations on the node that first called them
 	// — good when the callee is exclusively owned by its first caller,
@@ -197,7 +200,7 @@ type Config struct {
 	// disables the watcher and its per-call clock reads.
 	SLOTarget time.Duration
 
-	// Seed drives placement randomness.
+	// Seed drives retry-backoff jitter. Placement does not read it.
 	Seed int64
 }
 

@@ -248,7 +248,7 @@ func killMidCallTrees(t *testing.T, replicas int, trees *callTrees) ([]*System, 
 		}
 	}
 	if onVictim == 0 {
-		t.Fatalf("random placement put no leaf on %s; adjust seeds", victimID)
+		t.Fatalf("no leaf lives on %s: none of the leaf keys has it as directory owner", victimID)
 	}
 
 	// drive has quiesced the traffic: flush the victim's dirty leaves to

@@ -72,7 +72,7 @@ func TestDurableRecoveryAfterKill(t *testing.T) {
 		}
 	}
 	if onVictim == 0 {
-		t.Fatalf("random placement put no actor on %s; adjust seeds", victimID)
+		t.Fatalf("no actor lives on %s: none of the keys has it as directory owner", victimID)
 	}
 
 	// Flush every dirty durable actor to its replicas, then hard-kill. The

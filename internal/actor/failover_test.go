@@ -98,7 +98,7 @@ func TestKillNodeFailover(t *testing.T) {
 		}
 	}
 	if onVictim == 0 {
-		t.Fatalf("random placement put no actor on %s; adjust seeds", victimID)
+		t.Fatalf("no actor lives on %s: none of the keys has it as directory owner", victimID)
 	}
 
 	// Kill the victim: its process keeps running but no traffic flows.
@@ -158,7 +158,7 @@ func TestKillNodeFailover(t *testing.T) {
 		}
 	}
 	if hot == "" {
-		t.Fatalf("random placement put no actor on %s; adjust seeds", sys[1].Node())
+		t.Fatalf("no actor lives on %s: none of the keys has it as directory owner", sys[1].Node())
 	}
 	for i := 0; i < 40; i++ {
 		if err := sys[0].Call(Ref{Type: "counter", Key: hot}, "Add", 1, nil); err != nil {
@@ -232,7 +232,7 @@ func TestDeadOwnerRangesSpreadEvenly(t *testing.T) {
 		owned := map[transport.NodeID]int{}
 		for i, n := 0, 0; n < refs; i++ {
 			ref := Ref{Type: "kv", Key: fmt.Sprintf("k%d", i)}
-			if s.peers[uint64(ref.Vertex())%uint64(len(s.peers))] != tc.victim {
+			if s.staticOwner(refHash(ref)) != tc.victim {
 				continue
 			}
 			owned[s.directoryOwner(ref)]++

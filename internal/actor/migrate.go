@@ -349,8 +349,12 @@ func (s *System) nodeIndex(n transport.NodeID) (graph.ServerID, bool) {
 
 // sysLocator adapts the node's placement knowledge to partition.Locator: a
 // vertex's state entry places it here when it holds an activation, and at
-// its cached route otherwise. Unknown actors simply don't contribute to
-// transfer scores — the algorithm is built for partial views.
+// its cached route otherwise. Under PlaceRandom a vertex with neither lives
+// where a call to it would go, on its static home while that node is up: a
+// caller caches no route to a callee that never moved (resolve), and
+// without the fallback its node could never offer callers toward their
+// callees. Other unknown actors simply don't contribute to transfer scores
+// — the algorithm is built for partial views.
 type sysLocator struct{ s *System }
 
 // Server implements partition.Locator.
@@ -362,6 +366,11 @@ func (l sysLocator) Server(v graph.Vertex) (graph.ServerID, bool) {
 		return l.s.selfIndex(), true
 	case e.route != 0:
 		return l.s.nodeIndex(l.s.nodeName(e.route))
+	}
+	if l.s.cfg.Placement == PlaceRandom {
+		if home := l.s.staticOwner(uint64(v)); home != l.s.Node() && l.s.PeerStateOf(home) != PeerDead {
+			return l.s.nodeIndex(home)
+		}
 	}
 	return 0, false
 }
@@ -473,7 +482,18 @@ func (s *System) handleExchange(payload []byte, from transport.NodeID) ([]byte, 
 	exchangeMu.Lock() // also guards exRecv
 	sc := &s.exRecv
 	sc.fill(s)
-	resp := partition.DecideExchange(wire.Opts, &sc.snap, sysLocator{s: s}, req, sc.local, len(sc.local))
+	// A swap stays admissible. Past δ, DecideExchange admits only a move
+	// that narrows the pair's gap, so across a pair already further apart
+	// than δ the second half of a swap is refused, and a callee can never
+	// follow its caller to the heavier node. This node decides with δ
+	// widened to the gap the pair starts from: the exchange never leaves
+	// the pair more unbalanced than δ or than it found it. (The simulator's
+	// Engine keeps the paper's rule, and with it every DES digest.)
+	opts := wire.Opts
+	if gap := max(req.FromPopulation-len(sc.local), len(sc.local)-req.FromPopulation); gap > opts.ImbalanceTolerance {
+		opts.ImbalanceTolerance = gap
+	}
+	resp := partition.DecideExchange(opts, &sc.snap, sysLocator{s: s}, req, sc.local, len(sc.local))
 	exchangeMu.Unlock()
 
 	if len(resp.Accepted)+len(resp.Counter) > 0 {

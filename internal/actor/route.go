@@ -47,11 +47,19 @@ func (s *System) host(to Ref, deadline time.Time) (*activation, error) {
 // resolve answers where ref (whose hash is h) lives with one probe of its
 // state entry, in this order: a live activation here; a live forwarding
 // tombstone (authoritative — the actor just migrated off this node); on the
-// caller side only, the cached route; then the directory owner (placing the
-// actor on a node according to the placement policy when unregistered and
-// place is true). The directory RPC is bounded by the caller's deadline so a
-// mid-lookup owner failure surfaces in time to retry against the rehashed
-// owner.
+// caller side only, the cached route; then the directory owner's record
+// (placing the actor according to the placement policy when unregistered
+// and place is true). The directory RPC is bounded by the caller's deadline
+// so a mid-lookup owner failure surfaces in time to retry against the
+// rehashed owner.
+//
+// A caller under PlaceRandom skips that RPC: with no route, it answers the
+// owner itself and caches nothing. Random placement homes a ref on its
+// owner, so the call lands on the host unless the ref moved, and then the
+// owner's host step redirects it to the host its record names (dispatch
+// caches that). A first call crosses the wire once instead of paying a
+// lookup, the call and the host's confirming lookup, and the cache holds
+// only refs that left home.
 //
 // routed marks a delivery some caller already steered here, which never
 // reads the cache. Both routed rules matter. Skipping the cache breaks
@@ -80,14 +88,20 @@ func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Ti
 		sh.touch(e)
 		n = s.nodeName(e.route)
 		s.locHits.Add(1)
-	default:
-		s.locMisses.Add(1)
 	}
 	sh.mu.RUnlock()
 	if n != "" {
 		return n, nil
 	}
-	if owner := s.directoryOwner(ref); owner == s.Node() {
+	owner := s.directoryOwner(ref)
+	if !routed {
+		if owner != s.Node() && s.cfg.Placement == PlaceRandom {
+			s.locDirect.Add(1)
+			return owner, nil
+		}
+		s.locMisses.Add(1)
+	}
+	if owner == s.Node() {
 		var err error
 		if n, err = s.dirLookupLocal(h, ref, s.Node(), place); err != nil {
 			return "", err
@@ -111,11 +125,13 @@ func (s *System) resolve(h uint64, ref Ref, routed, place bool, deadline time.Ti
 
 // dirLookupLocal consults/updates the directory record this node owns for
 // ref. A recorded placement homed on a node now declared dead is expunged
-// and re-placed among live peers — the failover path for entries created
-// (or re-learned) after the death purge.
+// and re-placed — the failover path for entries created (or re-learned)
+// after the death purge.
 //
-// A suggestion from outside the membership — a client's — is placed like a
-// dead one: among the live members.
+// Placing homes the ref on this node, its owner: PlaceRandom always, and
+// PlaceLocal when the suggested first caller is dead or outside the
+// membership (a client). So a ref that never moved keeps its directory
+// record on its host, and both die together.
 func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, place bool) (transport.NodeID, error) {
 	dead := func(n transport.NodeID) bool { return s.PeerStateOf(n) == PeerDead }
 	sh := s.shard(h)
@@ -136,10 +152,7 @@ func (s *System) dirLookupLocal(h uint64, ref Ref, suggest transport.NodeID, pla
 		}
 		e.dirEpoch = 0
 		if !ok {
-			live := s.livePeers()
-			s.rngMu.Lock()
-			e.dir, _ = s.nodeLookup(live[s.rng.Intn(len(live))])
-			s.rngMu.Unlock()
+			e.dir, _ = s.memberIdx(s.Node())
 		}
 	}
 	sh.set(h, e)
@@ -200,10 +213,8 @@ func (s *System) handleDir(verb string, payload []byte) ([]byte, error) {
 }
 
 // livePeers lists the peers not currently considered Dead (self included
-// on a member; a client is never in the list).
-// Placement draws from this list so new activations never land on a dead
-// node. Order follows s.peers (sorted), keeping placement deterministic
-// for a given seed while all peers are alive.
+// on a member; a client is never in the list), in s.peers order: the
+// candidates for a dead owner's directory ranges.
 func (s *System) livePeers() []transport.NodeID {
 	out := make([]transport.NodeID, 0, len(s.peers))
 	s.fdMu.Lock()
@@ -220,16 +231,19 @@ func (s *System) livePeers() []transport.NodeID {
 	return out
 }
 
-// directoryOwner is the node owning ref's placement entry: the static
-// hash-modulo home while that node is believed up, else a rendezvous-hash
-// pick among the live peers. The fallback touches only the dead node's
-// ranges — every other ref keeps its owner — and spreads them evenly over
-// all survivors rather than one neighbor. Every node computes this from its
-// own membership view; transient disagreement windows resolve through
-// redirects and call retries. A client that sees every member dead keeps
-// the static owner, and the call fails as one to a dead peer.
+// directoryOwner is the node owning ref's placement entry, and under
+// PlaceRandom its home: the static peers[mix64(h) % n] while that node is
+// believed up, else a rendezvous-hash pick among the live peers. The
+// finalizer spreads homes evenly: raw FNV-1a of keys that differ in one
+// trailing byte is correlated (see ownerScore). The fallback touches only
+// the dead node's ranges — every other ref keeps its owner — and spreads
+// them evenly over all survivors rather than one neighbor. Every node
+// computes this from its own membership view; transient disagreement
+// windows resolve through redirects and call retries. A client that sees
+// every member dead keeps the static owner, and the call fails as one to a
+// dead peer.
 func (s *System) directoryOwner(ref Ref) transport.NodeID {
-	owner := s.peers[uint64(ref.Vertex())%uint64(len(s.peers))]
+	owner := s.staticOwner(refHash(ref))
 	if owner == s.Node() || s.PeerStateOf(owner) != PeerDead {
 		return owner
 	}
@@ -241,6 +255,12 @@ func (s *System) directoryOwner(ref Ref) transport.NodeID {
 		}
 	}
 	return best
+}
+
+// staticOwner is the directory owner of the ref hashing to h while every
+// member is up.
+func (s *System) staticOwner(h uint64) transport.NodeID {
+	return s.peers[mix64(h)%uint64(len(s.peers))]
 }
 
 // ownerScore is directoryOwner's rendezvous weight of one (peer, ref) pair:

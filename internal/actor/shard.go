@@ -597,7 +597,7 @@ var shardLabels = func() [stateShardCount]string {
 
 // registerShardMetrics exposes directory pressure on the metrics registry:
 // per-shard occupancy gauges (refreshed at scrape time via OnCollect) and
-// the node-wide location-cache hit/miss/eviction counters.
+// the node-wide location-cache hit/miss/direct/eviction counters.
 func (s *System) registerShardMetrics() {
 	reg := s.cfg.Metrics
 	acts := reg.Gauge("actop_shard_activations",
@@ -610,6 +610,8 @@ func (s *System) registerShardMetrics() {
 		"location-cache lookups answered from the cache")
 	misses := reg.Counter("actop_loccache_misses_total",
 		"location-cache lookups that fell through to the directory")
+	direct := reg.Counter("actop_loccache_direct_total",
+		"routeless calls sent straight to the ref's directory owner")
 	evicts := reg.Counter("actop_loccache_evictions_total",
 		"location-cache residents evicted by the clock sweep")
 	reg.OnCollect(func(*metrics.Registry) {
@@ -624,6 +626,7 @@ func (s *System) registerShardMetrics() {
 		}
 		hits.SetTotal(s.locHits.Load())
 		misses.SetTotal(s.locMisses.Load())
+		direct.SetTotal(s.locDirect.Load())
 		evicts.SetTotal(s.locEvicts.Load())
 	})
 }

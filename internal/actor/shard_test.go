@@ -350,6 +350,7 @@ func TestShardMetricsExposition(t *testing.T) {
 		`actop_shard_activations{shard="0"}`,
 		"actop_loccache_hits_total",
 		"actop_loccache_misses_total",
+		"actop_loccache_direct_total",
 		"actop_loccache_evictions_total",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {

@@ -113,9 +113,13 @@ type System struct {
 	pend   [pendShardCount]pendShard
 	nextID atomic.Uint64
 
-	// Location-cache counters (atomic; mirrored to the registry and Stats).
-	locHits, locMisses, locEvicts atomic.Uint64
+	// Location-cache counters (atomic; mirrored to the registry). A
+	// caller-side resolution with no route is a miss when it consults a
+	// directory record and direct when it goes straight to the owner
+	// (resolve): neither hit nor miss.
+	locHits, locMisses, locDirect, locEvicts atomic.Uint64
 
+	// rngMu guards rng, which only jitter draws from.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 

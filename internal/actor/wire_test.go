@@ -288,16 +288,22 @@ func (a *binActor) Snapshot() ([]byte, error) { return codec.Marshal(a.n) }
 func (a *binActor) Restore(b []byte) error    { return codec.Unmarshal(b, &a.n) }
 
 // TestControlPlaneNoGob drives every message the runtime itself sends
-// between nodes — first calls under random placement, cache-miss lookups, a
-// migration there and back, an exchange round, pings, a deactivation, a
-// snapshot shipped and recovered — with an application type that encodes
-// itself, and the process-wide gob counter must not move. One call with a
-// plain int then shows the counter counts.
+// between nodes — first calls under random placement, a PlaceLocal node's
+// cache-miss lookups, a migration there and back, an exchange round, pings,
+// a deactivation, a snapshot shipped and recovered — with an application
+// type that encodes itself, and the process-wide gob counter must not move.
+// Every control verb it names must have crossed the wire at least once. One
+// call with a plain int then shows the counter counts.
 func TestControlPlaneNoGob(t *testing.T) {
+	tap, taps := tapAll()
 	sys, flakies := newFaultyCluster(t, 3, PlaceRandom, func(c *Config) {
 		c.DurableReplicas = 1
 		c.SnapshotInterval = time.Minute
 		c.ExchangeRejectWindow = time.Nanosecond
+		if c.Transport.Node() == "fn-1" {
+			c.Placement = PlaceLocal
+		}
+		tap(c)
 	})
 	for _, s := range sys {
 		s.RegisterType("bin", func() Actor { return &binActor{} })
@@ -324,8 +330,9 @@ func TestControlPlaneNoGob(t *testing.T) {
 		return -1
 	}
 
-	// First calls (remote dir.lookup with placement for two keys in three),
-	// then the same keys from a node whose cache has never seen them.
+	// First calls (straight to each key's owner, which hosts it), then the
+	// same keys from the PlaceLocal node, whose cache has never seen them:
+	// it asks each owner with dir.lookup.
 	const keys = 30
 	for k := 0; k < keys; k++ {
 		add(sys[0], fmt.Sprint("k", k), 1)
@@ -378,9 +385,13 @@ func TestControlPlaneNoGob(t *testing.T) {
 		t.Fatal("no heartbeat in three intervals")
 	}
 
-	// A deactivation: dir.remove.
+	// A deactivation off the ref's owner: dir.remove.
 	gone := Ref{Type: "bin", Key: "k1"}
-	if err := sys[hostOf(gone)].Deactivate(gone); err != nil {
+	away := sys[(hostOf(gone)+1)%len(sys)]
+	if err := sys[hostOf(gone)].Migrate(gone, away.Node()); err != nil {
+		t.Fatal(err)
+	}
+	if err := away.Deactivate(gone); err != nil {
 		t.Fatal(err)
 	}
 
@@ -404,6 +415,18 @@ func TestControlPlaneNoGob(t *testing.T) {
 
 	if n := codec.GobOps() - before; n != 0 {
 		t.Fatalf("%d gob operations on the control plane", n)
+	}
+	verbs := map[string]int{}
+	for _, e := range sentEnvelopes(*taps) {
+		if e.Kind == transport.KindControl {
+			verbs[e.Method]++
+		}
+	}
+	for _, verb := range []string{ctlDirLookup, ctlDirUpdate, ctlDirRemove, ctlMigratePut,
+		ctlExchange, ctlPing, ctlSnap, ctlSnapGet} {
+		if verbs[verb] == 0 {
+			t.Errorf("no %s crossed the wire (sent: %v)", verb, verbs)
+		}
 	}
 	if got := survivor.Stats().GobOps; got != codec.GobOps() {
 		t.Fatalf("Stats.GobOps = %d, codec says %d", got, codec.GobOps())
